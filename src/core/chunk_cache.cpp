@@ -94,11 +94,11 @@ ChunkCache::ChunkCache(DrxFile& file, std::size_t capacity,
     s.capacity = shard_capacity;
     s.ghost = std::move(ghost);
   }
-  if (async.io_threads > 0) {
-    io::AsyncIoPool::Options pool_options;
-    pool_options.threads = async.io_threads;
-    pool_options.queue_capacity = std::max<std::size_t>(16, 2 * capacity);
-    pool_ = std::make_unique<io::AsyncIoPool>(pool_options);
+  io::AsyncIoPool::Options pool_options;
+  pool_options.threads = async.io_threads;
+  pool_options.queue_capacity = std::max<std::size_t>(16, 2 * capacity);
+  pool_ = std::make_unique<io::AsyncIoPool>(pool_options);
+  if (pool_->async()) {
     prefetch_depth_ = async.prefetch_depth;
     // Become the file's prefetch sink so higher-layer hints
     // (DrxFile::prefetch_box) turn into background faults.
@@ -311,14 +311,8 @@ void ChunkCache::queue_write_locked(Shard& s, std::uint64_t address,
   if (fresh) write_submits.push_back(address);
 }
 
-// Body suppression (docs/STATIC_ANALYSIS.md): the synchronous write-back
-// branch releases the caller's shard lock through the MutexLock&
-// parameter, which the analysis cannot track across a function boundary.
-// The DRX_REQUIRES(s.mu) contract on the declaration still checks every
-// call site; s.mu is held on entry and on exit.
-Status ChunkCache::evict_one_locked(Shard& s, util::MutexLock& lock,
-                                    std::vector<std::uint64_t>& write_submits)
-    DRX_NO_THREAD_SAFETY_ANALYSIS {
+Status ChunkCache::evict_one_locked(Shard& s,
+                                    std::vector<std::uint64_t>& write_submits) {
   if (s.lru.empty()) {
     return Status(ErrorCode::kFailedPrecondition,
                   "all cache frames are pinned");
@@ -344,29 +338,10 @@ Status ChunkCache::evict_one_locked(Shard& s, util::MutexLock& lock,
     return Status::ok();
   }
 
-  if (async()) {
-    // Write-behind: hand the buffer to the pool instead of blocking.
-    queue_write_locked(s, victim, std::move(frame.data), write_submits);
-    return Status::ok();
-  }
-  // Synchronous legacy path: write back before the eviction completes.
-  // The frame was erased from s.frames above, so this thread owns its
-  // buffer exclusively across the unlocked write.
-  lock.unlock();
-  std::vector<std::byte> scratch;
-  const DrxFile::EncodedChunk enc = file_->encode_chunk(
-      std::span<const std::byte>(frame.data.get(), chunk_size()), scratch);
-  Status st;
-  {
-    util::MutexLock io(io_mu_);
-    st = file_->write_chunk_encoded(victim, enc);
-  }
-  lock.lock();
-  recycle_buffer_locked(s, std::move(frame.data));
-  ++s.stats.writebacks;
-  obs::registry().counter(kWritebacks).add();
-  if (!st.is_ok()) record_error(st, /*surfaced=*/true);
-  return st;
+  // Write-behind: the caller submits the write-back once it has dropped
+  // the shard lock (to a worker, or inline at io_threads == 0).
+  queue_write_locked(s, victim, std::move(frame.data), write_submits);
+  return Status::ok();
 }
 
 bool ChunkCache::borrow_capacity(std::size_t home_index) {
@@ -524,6 +499,22 @@ restart:
   }
   if (it != s.frames.end()) {
     Frame& frame = it->second;
+    if (frame.write_pins > 0 || (writable && frame.pins > 0)) {
+      // A writable pin is exclusive: its holder stores through the span
+      // with no lock held, so no other pin may share the frame. unpin()
+      // wakes us when the frame's last pin drops.
+      obs::StageTimer pin_wait(obs::Stage::kLockWait);
+      ++s.unpin_waiters;
+      s.cv.wait(lock, [&s, address, writable] {
+        s.mu.assert_held();
+        const auto f = s.frames.find(address);
+        return f == s.frames.end() ||
+               (f->second.write_pins == 0 &&
+                (!writable || f->second.pins == 0));
+      });
+      --s.unpin_waiters;
+      goto restart;
+    }
     ++s.stats.hits;
     obs::registry().counter(kHits).add();
     if (frame.prefetched) {
@@ -570,24 +561,33 @@ restart:
   obs::StageTimer fault_timer(obs::Stage::kCacheFault);
   std::vector<std::uint64_t> write_submits;
   while (s.frames.size() >= s.capacity) {
-    const Status ev = evict_one_locked(s, lock, write_submits);
-    if (!ev.is_ok()) {
-      // Every frame in this shard is pinned. Borrow a frame of capacity
-      // from a sibling with slack instead of failing the pin (bounded
-      // retries: concurrent pinners may consume what we borrow).
-      if (shard_count_ > 1 && borrows < 8) {
-        ++borrows;
-        lock.unlock();
-        if (!write_submits.empty()) submit_writes(write_submits);
-        const bool borrowed = borrow_capacity(si);
-        lock.lock();
-        if (borrowed) goto restart;
-      }
+    const Status ev = evict_one_locked(s, write_submits);
+    if (ev.is_ok()) continue;
+    // Nothing to evict. Read-ahead still loading joins the LRU when it
+    // lands, so wait for it. A shard whose frames are all pinned borrows
+    // a frame of capacity from a sibling with slack (bounded retries:
+    // concurrent pinners may consume what we borrow). Either way the
+    // shard lock drops, so queued write-backs go out first.
+    const bool loading = s.loads_inflight > 0;
+    const bool borrow = !loading && shard_count_ > 1 && borrows < 8;
+    if (!loading && !borrow && write_submits.empty()) return ev;
+    lock.unlock();
+    submit_writes(write_submits);
+    bool borrowed = false;
+    if (borrow) {
+      ++borrows;
+      borrowed = borrow_capacity(si);
+    }
+    lock.lock();
+    if (loading) {
+      s.cv.wait(lock, [&s] {
+        s.mu.assert_held();
+        return s.loads_inflight == 0 || !s.lru.empty();
+      });
+    } else if (!borrowed) {
       return ev;
     }
-    // The synchronous eviction path drops the lock to write; another
-    // thread may have faulted our chunk meanwhile.
-    if (!async() && s.frames.count(address) != 0) goto restart;
+    goto restart;
   }
 
   // Miss served from the write-behind queue: the newest bytes for this
@@ -703,9 +703,9 @@ void ChunkCache::unpin(std::uint64_t address, bool dirty, bool writable) {
     s.lru.push_front(address);
     frame.lru_it = s.lru.begin();
     frame.in_lru = true;
-    // flush_shard_async_locked parks until a dirty frame's last pin drops
-    // so it can claim the buffer for an exclusive write-back.
-    if (s.flush_waiters > 0) s.cv.notify_all();
+    // flush_shard_locked and exclusive pins park until the frame's last
+    // pin drops.
+    if (s.unpin_waiters > 0) s.cv.notify_all();
   }
   // The last writer gone (and the frame settled) re-opens the fast path.
   maybe_publish_locked(s, address, frame);
@@ -736,7 +736,7 @@ std::uint64_t ChunkCache::reserve_readahead(std::uint64_t first,
     // Make room by evicting unpinned frames; their dirty write-backs are
     // deferred to the pool, so speculation never blocks on I/O here.
     while (s.frames.size() >= s.capacity && !s.lru.empty()) {
-      DRX_IGNORE_STATUS(evict_one_locked(s, lock, write_submits),
+      DRX_IGNORE_STATUS(evict_one_locked(s, write_submits),
                         "speculative fill: write-back errors are recorded "
                         "by record_error and surface on flush()");
     }
@@ -875,8 +875,14 @@ Status ChunkCache::run_prefetch_job(std::uint64_t first, std::uint64_t count) {
     auto it = s.frames.find(address);
     if (it == s.frames.end() || !it->second.loading) continue;
     if (st.is_ok()) {
-      std::memcpy(it->second.data.get(), staging.get() + i * cb, cb);
-      it->second.loading = false;
+      Frame& frame = it->second;
+      std::memcpy(frame.data.get(), staging.get() + i * cb, cb);
+      frame.loading = false;
+      // Settled and unpinned (pins wait while it loads): evictable like
+      // any other frame, and counted as wasted if nobody pins it first.
+      s.lru.push_front(address);
+      frame.lru_it = s.lru.begin();
+      frame.in_lru = true;
     } else {
       // Drop the reservation; a waiting pin re-faults synchronously and
       // observes the error itself.
@@ -898,37 +904,12 @@ Status ChunkCache::run_prefetch_job(std::uint64_t first, std::uint64_t count) {
   return st;
 }
 
-Status ChunkCache::flush_shard_sync_locked(Shard& s, util::MutexLock& lock) {
-  // Single-threaded legacy shape: write dirty frames in place. io_mu_ is
-  // taken under the shard lock here, which is safe because no pool
-  // workers exist.
-  // drx-lint: allow(cache-lock-io) sync mode has no concurrency to stall
-  (void)lock;
-  for (auto& [address, frame] : s.frames) {
-    if (!frame.dirty) continue;
-    ++s.stats.writebacks;
-    obs::registry().counter(kWritebacks).add();
-    Status st;
-    {
-      util::MutexLock io(io_mu_);
-      st = file_->write_chunk(
-          address, std::span<const std::byte>(frame.data.get(), chunk_size()));
-    }
-    if (!st.is_ok()) {
-      record_error(st, /*surfaced=*/true);
-      return st;
-    }
-    frame.dirty = false;
-  }
-  return Status::ok();
-}
-
 // Body suppression (docs/STATIC_ANALYSIS.md): the write-back window
 // releases the caller's shard lock through the MutexLock& parameter,
 // which the analysis cannot track across a function boundary. The
 // DRX_REQUIRES(s.mu) contract on the declaration still checks every call
 // site; s.mu is held on entry and on exit.
-Status ChunkCache::flush_shard_async_locked(Shard& s, util::MutexLock& lock)
+Status ChunkCache::flush_shard_locked(Shard& s, util::MutexLock& lock)
     DRX_NO_THREAD_SAFETY_ANALYSIS {
   const std::size_t cb = chunk_size();
   for (;;) {
@@ -945,13 +926,13 @@ Status ChunkCache::flush_shard_async_locked(Shard& s, util::MutexLock& lock)
       // the storage write would race with those stores. Park until the
       // last pin drops, then rescan — the unpin that releases it marks
       // dirty first, so the frame is still eligible.
-      ++s.flush_waiters;
+      ++s.unpin_waiters;
       s.cv.wait(lock, [&s, address] {
         s.mu.assert_held();
         const auto f = s.frames.find(address);
         return f == s.frames.end() || f->second.pins == 0;
       });
-      --s.flush_waiters;
+      --s.unpin_waiters;
       continue;
     }
     frame.dirty = false;    // claimed; a later set re-marks it
@@ -1002,19 +983,13 @@ Status ChunkCache::flush() {
   for (std::size_t i = 0; i < shard_count_; ++i) {
     Shard& s = shards_[i];
     util::MutexLock lock(s.mu);
-    if (async()) {
-      // Barrier: drain this shard's write-behind queue and in-flight
-      // speculative loads before claiming dirty frames.
-      s.cv.wait(lock, [&s] {
-        s.mu.assert_held();
-        return s.pending_writes.empty() && s.loads_inflight == 0;
-      });
-    }
-    // drx-verify: allow(blocking-under-lock) sync mode is single-threaded
-    // by construction — no pool workers exist to stall on the held shard
-    // lock (see flush_shard_sync_locked).
-    const Status st = async() ? flush_shard_async_locked(s, lock)
-                              : flush_shard_sync_locked(s, lock);
+    // Barrier: drain this shard's write-behind queue and in-flight
+    // speculative loads before claiming dirty frames.
+    s.cv.wait(lock, [&s] {
+      s.mu.assert_held();
+      return s.pending_writes.empty() && s.loads_inflight == 0;
+    });
+    const Status st = flush_shard_locked(s, lock);
     if (direct.is_ok() && !st.is_ok()) direct = st;
   }
   // A deferred write-back error that no caller has seen yet outranks a

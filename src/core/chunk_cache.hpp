@@ -26,19 +26,20 @@
 // path (ablation knob for benches). Memory-ordering proof sketch in
 // docs/SERVING.md.
 //
-// Async engine (docs/ASYNC_IO.md): when constructed with io_threads > 0
-// the cache runs on a drx::io::AsyncIoPool and becomes fully thread-safe:
-//  - read-ahead: a detectably sequential miss run (consecutive miss
-//    addresses) speculatively faults the next DRX_PREFETCH_DEPTH chunk
-//    addresses into frames with ONE coalesced storage read, before they
-//    are pinned;
-//  - write-behind: dirty evictions enqueue their write-back instead of
-//    blocking the evicting pin(); flush() is a barrier that drains the
-//    queue and surfaces the first deferred error (sticky: last_error()
-//    keeps reporting it, and the destructor logs it rather than dropping
-//    a failed final flush on the floor).
-// io_threads == 0 (the default) reproduces the synchronous legacy
-// semantics exactly.
+// Async engine (docs/ASYNC_IO.md): the cache always runs on a
+// drx::io::AsyncIoPool sized by AsyncOptions::io_threads (0, the default,
+// runs every job inline on the submitting thread) and is thread-safe at
+// every size:
+//  - write-behind: a dirty eviction queues its write-back, and the
+//    evicting pin() submits it once the shard lock is dropped; flush() is
+//    a barrier that drains the queue and surfaces the first deferred
+//    error (sticky: last_error() keeps reporting it, and the destructor
+//    logs it rather than dropping a failed final flush on the floor). A
+//    write-back failure never surfaces from an unrelated pin();
+//  - read-ahead (io_threads > 0 only): a detectably sequential miss run
+//    (consecutive miss addresses) speculatively faults the next
+//    DRX_PREFETCH_DEPTH chunk addresses into frames with ONE coalesced
+//    storage read, before they are pinned.
 #pragma once
 
 #include <atomic>
@@ -80,7 +81,8 @@ class ChunkCache final : public io::PrefetchSink {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t writebacks = 0;
-    // Async-engine counters (all zero in synchronous mode).
+    // Write-behind and read-ahead counters (the prefetch_* ones stay zero
+    // without I/O workers).
     std::uint64_t deferred_writebacks = 0;  ///< write-backs queued, not blocked on
     std::uint64_t write_queue_hits = 0;     ///< misses served from a queued write
     std::uint64_t prefetch_issued = 0;      ///< chunks speculatively requested
@@ -95,9 +97,9 @@ class ChunkCache final : public io::PrefetchSink {
     std::uint64_t capacity_borrows = 0;  ///< frames moved between shards
   };
 
-  /// Async-engine configuration; the default is fully synchronous.
+  /// Async-engine configuration; the default runs every job inline.
   struct AsyncOptions {
-    int io_threads = 0;               ///< 0 = legacy synchronous cache
+    int io_threads = 0;  ///< pool workers; 0 = jobs run on the caller
     std::uint64_t prefetch_depth = 0; ///< read-ahead chunks (needs threads > 0)
     int shards = 0;  ///< lock shards; 0 = DRX_CACHE_SHARDS (unset -> 1)
 
@@ -128,11 +130,15 @@ class ChunkCache final : public io::PrefetchSink {
   /// Thread-safe.
   ///
   /// `writable` declares intent to store through the returned span. A
-  /// writable pin unpublishes the frame from the lock-free read table and
-  /// drains concurrent fast readers first, so the stores never race a
-  /// fast-path memcpy. Read-only pins (`writable == false`) leave the
-  /// frame published. The default is writable (conservative: correct for
-  /// every legacy caller); unpin() must be called with the same flag.
+  /// writable pin is exclusive: it waits until the chunk has no other
+  /// pin, and any pin waits while a writable one is held, so stores never
+  /// race another pinner's reads or writes. It also unpublishes the frame
+  /// from the lock-free read table and drains concurrent fast readers
+  /// first. Read-only pins (`writable == false`) share the frame and
+  /// leave it published. Like a lock, a pin must not be re-taken by its
+  /// holder while it conflicts. The default is writable (conservative:
+  /// correct for every caller); unpin() must be called with the same
+  /// flag.
   [[nodiscard]] Result<std::span<std::byte>> pin(std::uint64_t address,
                                    bool writable = true);
 
@@ -215,8 +221,8 @@ class ChunkCache final : public io::PrefetchSink {
 
   /// Speculatively faults chunks [first, first + count) into frames using
   /// one coalesced read on the I/O pool. Advisory: resident chunks, full
-  /// capacity, or a synchronous cache reduce or drop the request. Never
-  /// blocks on the I/O it starts.
+  /// capacity, or a pool without workers reduce or drop the request.
+  /// Never blocks on the I/O it starts.
   void prefetch(std::uint64_t first, std::uint64_t count);
 
   /// io::PrefetchSink — DrxFile::prefetch_box() lands here.
@@ -229,7 +235,7 @@ class ChunkCache final : public io::PrefetchSink {
   [[nodiscard]] Status last_error() const;
 
   /// True when the cache runs on worker threads (io_threads > 0).
-  [[nodiscard]] bool async() const noexcept { return pool_ != nullptr; }
+  [[nodiscard]] bool async() const noexcept { return pool_->async(); }
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t resident() const;
@@ -282,7 +288,7 @@ class ChunkCache final : public io::PrefetchSink {
   /// except through ShardPairLock (lint: cache-shard-pair).
   struct Shard {
     mutable util::Mutex mu;
-    util::CondVar cv;  ///< load completion / queue-drain signal
+    util::CondVar cv;  ///< load completion / queue-drain / unpin signal
     std::unordered_map<std::uint64_t, Frame> frames DRX_GUARDED_BY(mu);
     /// Unpinned ready frames, front = MRU.
     std::list<std::uint64_t> lru DRX_GUARDED_BY(mu);
@@ -291,9 +297,10 @@ class ChunkCache final : public io::PrefetchSink {
     /// Recycled chunk-sized frame buffers (bounded by the shard capacity).
     std::vector<std::unique_ptr<std::byte[]>> free_buffers DRX_GUARDED_BY(mu);
     std::uint64_t loads_inflight DRX_GUARDED_BY(mu) = 0;  ///< prefetch jobs
-    /// Flushes parked until a dirty frame's last pin drops (unpin notifies
-    /// cv only while this is nonzero, keeping the unpin fast path quiet).
-    std::size_t flush_waiters DRX_GUARDED_BY(mu) = 0;
+    /// Flushes and exclusive pins parked until a frame's last pin drops
+    /// (unpin notifies cv only while this is nonzero, keeping the unpin
+    /// fast path quiet).
+    std::size_t unpin_waiters DRX_GUARDED_BY(mu) = 0;
     /// Frames this shard may hold; adaptive via capacity borrowing, total
     /// across shards conserved.
     std::size_t capacity DRX_GUARDED_BY(mu) = 0;
@@ -362,7 +369,10 @@ class ChunkCache final : public io::PrefetchSink {
                                           bool write) DRX_REQUIRES(s.mu);
 
   // All *_locked helpers require the owning shard's mu held.
-  [[nodiscard]] Status evict_one_locked(Shard& s, util::MutexLock& lock,
+  /// Evicts the LRU frame; a dirty one is queued for write-behind and
+  /// its address appended to `write_submits`, which the caller hands to
+  /// submit_writes() after dropping the shard lock.
+  [[nodiscard]] Status evict_one_locked(Shard& s,
                           std::vector<std::uint64_t>& write_submits)
       DRX_REQUIRES(s.mu);
   void queue_write_locked(Shard& s, std::uint64_t address,
@@ -405,20 +415,19 @@ class ChunkCache final : public io::PrefetchSink {
   void recycle_buffer_locked(Shard& s, std::unique_ptr<std::byte[]> buffer)
       DRX_REQUIRES(s.mu);
 
-  // Pool jobs (run on workers; inline mode never reaches them).
+  // Pool jobs (run on workers, or inline on the submitter at 0 threads).
+  // Submitted with no shard lock held: inline jobs take shard locks.
   [[nodiscard]] Status run_write_job(std::uint64_t address);
   [[nodiscard]] Status run_prefetch_job(std::uint64_t first, std::uint64_t count);
 
-  [[nodiscard]] Status flush_shard_sync_locked(Shard& s, util::MutexLock& lock)
-      DRX_REQUIRES(s.mu);
-  [[nodiscard]] Status flush_shard_async_locked(Shard& s, util::MutexLock& lock)
+  [[nodiscard]] Status flush_shard_locked(Shard& s, util::MutexLock& lock)
       DRX_REQUIRES(s.mu);
 
   DrxFile* file_;
   const std::size_t capacity_;
   std::uint64_t prefetch_depth_ = 0;
   bool fast_enabled_ = false;
-  std::unique_ptr<io::AsyncIoPool> pool_;  ///< null = synchronous legacy mode
+  std::unique_ptr<io::AsyncIoPool> pool_;  ///< never null; 0 threads = inline
 
   std::size_t shard_count_ = 1;
   std::size_t shard_mask_ = 0;

@@ -21,9 +21,8 @@ namespace {
 std::string meta_name(const std::string& name) { return name + ".xmd"; }
 std::string data_name(const std::string& name) { return name + ".xta"; }
 
-/// Chunks per pipelined zone-read round; 0 disables pipelining (legacy
-/// single-shot read). Derived from the async-engine knobs so the feature
-/// stays off unless DRX_IO_THREADS is set.
+/// Chunks per pipelined zone-read round; 0 = one round covering the
+/// largest zone, read inline (no I/O worker to overlap with).
 std::uint64_t zone_read_batch() {
   if (io::io_threads() <= 0) return 0;
   const std::uint64_t depth = io::prefetch_depth();
@@ -359,26 +358,8 @@ Status DrxMpFile::read_my_zone(const Distribution& dist, MemoryOrder order,
     for_each_index(z, [&](const Index& c) { chunks.push_back(c); });
   }
 
-  if (const std::uint64_t batch = zone_read_batch(); batch > 0) {
-    return read_my_zone_pipelined(dist, order, out, collective, chunks, box,
-                                  batch);
-  }
-
-  std::vector<std::byte> staging(
-      checked_size(checked_mul(chunks.size(), chunk_bytes())));
-  DRX_RETURN_IF_ERROR(read_chunks(chunks, staging, collective));
-
-  obs::StageTimer copy(obs::Stage::kCopy);
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const Box clip = chunk_space_.chunk_box(chunks[i]).intersect(box);
-    if (clip.empty()) continue;
-    plan_cache_->scatter(clip, box, order,
-                         std::span<const std::byte>(staging).subspan(
-                             checked_size(checked_mul(i, chunk_bytes())),
-                             checked_size(chunk_bytes())),
-                         out);
-  }
-  return Status::ok();
+  return read_my_zone_pipelined(dist, order, out, collective, chunks, box,
+                                zone_read_batch());
 }
 
 Status DrxMpFile::read_my_zone_pipelined(const Distribution& dist,
@@ -394,21 +375,23 @@ Status DrxMpFile::read_my_zone_pipelined(const Distribution& dist,
   // derived from replicated metadata, so every rank computes the same
   // global round count locally: the surplus rounds of chunk-poor ranks
   // participate with empty chunk lists.
-  std::uint64_t rounds = ceil_div(n, batch);
-  if (collective) {
-    for (int r = 0; r < comm_->size(); ++r) {
-      std::uint64_t count = 0;
-      for (const Box& z : dist.zones_of(r)) count += z.volume();
-      rounds = std::max(rounds, ceil_div(count, batch));
-    }
+  std::uint64_t largest = n;
+  for (int r = 0; r < comm_->size(); ++r) {
+    std::uint64_t count = 0;
+    for (const Box& z : dist.zones_of(r)) count += z.volume();
+    largest = std::max(largest, count);
   }
+  // Without a worker there is no overlap to gain: one round, inline.
+  const int threads = batch > 0 ? 1 : 0;
+  if (batch == 0) batch = std::max<std::uint64_t>(largest, 1);
+  const std::uint64_t rounds = ceil_div(collective ? largest : n, batch);
   if (rounds == 0) return Status::ok();  // every rank agrees: nothing to read
   obs::ScopedSpan span("core.zone_read_pipelined", "core",
                        checked_mul(n, cb));
 
   // One worker keeps the collective call order identical on every rank;
   // the pipeline depth is one round, double-buffered.
-  io::AsyncIoPool pool({.threads = 1, .queue_capacity = 2});
+  io::AsyncIoPool pool({.threads = threads, .queue_capacity = 2});
   std::array<std::vector<std::byte>, 2> staging;
 
   const auto round_chunks = [&](std::uint64_t r) {

@@ -188,7 +188,8 @@ class DrxMpFile {
 
   /// Round-pipelined zone read (docs/ASYNC_IO.md): splits the chunk list
   /// into batches and reads batch r+1 on an I/O worker while batch r is
-  /// scattered into `out`. Active only when io::io_threads() > 0.
+  /// scattered into `out`. `batch` 0 (io::io_threads() == 0) reads one
+  /// round covering the largest zone, inline on the calling thread.
   [[nodiscard]] Status read_my_zone_pipelined(const Distribution& dist, MemoryOrder order,
                                 std::span<std::byte> out, bool collective,
                                 std::span<const Index> chunks, const Box& box,

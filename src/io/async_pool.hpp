@@ -8,8 +8,9 @@
 //
 // Two properties the rest of the stack leans on:
 //  - threads == 0 degrades to *inline* execution: submit() runs the job
-//    (and its completion) on the calling thread before returning, so the
-//    synchronous legacy code paths and the async ones share one shape.
+//    (and its completion) on the calling thread before returning, so a
+//    consumer has one code path for every thread count. Submit with no
+//    lock held that the job itself takes.
 //  - the submission queue is bounded: a fast producer blocks in submit()
 //    rather than queueing unbounded dirty buffers (write-behind
 //    backpressure). Corollary: a job must never submit to its own pool,

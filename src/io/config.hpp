@@ -2,12 +2,12 @@
 //
 // Both knobs are read from the environment once at startup and can be
 // overridden programmatically (tests and benches flip them without
-// re-exec'ing). The zero values select the fully synchronous legacy
-// paths, which are the defaults: async I/O is opt-in.
+// re-exec'ing). Worker threads are opt-in: at the zero defaults every
+// pool runs its jobs inline on the submitting thread, through the same
+// code paths the workers would take.
 //
 //   DRX_IO_THREADS     worker threads per AsyncIoPool consumer
-//                      (0 = no threads; every submission runs inline,
-//                      reproducing the pre-async synchronous semantics)
+//                      (0 = no threads; every submission runs inline)
 //   DRX_PREFETCH_DEPTH chunks of speculative read-ahead issued when a
 //                      cache detects a sequential miss run (0 = off;
 //                      only active when DRX_IO_THREADS > 0)

@@ -488,36 +488,31 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
       return st;
     };
 
+    // Fan the runs out over an I/O pool: the PFS serializes per server,
+    // so runs landing on different servers proceed concurrently
+    // (docs/ASYNC_IO.md). With one run or io_threads() <= 1 the pool has
+    // no workers and runs them in order on this thread.
     const int fan = io::io_threads();
-    if (fan > 1 && runs.size() > 1) {
-      // Fan the runs out over an I/O pool: the PFS serializes per server,
-      // so runs landing on different servers proceed concurrently
-      // (docs/ASYNC_IO.md).
-      io::AsyncIoPool pool(
-          {std::min(fan, static_cast<int>(runs.size())), runs.size()});
-      std::vector<std::future<Status>> results;
-      results.reserve(runs.size());
-      for (const Run& run : runs) {
-        results.push_back(pool.submit_with_future(
-            obs::current_op(), [&do_run, &run] { return do_run(run); }));
-      }
-      std::uint64_t completed_runs = 0;
-      for (std::future<Status>& f : results) {
-        const Status st = f.get();
-        if (st.is_ok()) {
-          ++completed_runs;
-        } else if (io_status.is_ok()) {
-          io_status = st;  // first failure wins; remaining runs still join
-        }
-      }
-      obs::registry().counter(kRuns).add(completed_runs);
-    } else {
-      for (const Run& run : runs) {
-        io_status = do_run(run);
-        if (!io_status.is_ok()) break;
-        obs::registry().counter(kRuns).add();
+    const int threads = fan > 1 && runs.size() > 1
+                            ? std::min(fan, static_cast<int>(runs.size()))
+                            : 0;
+    io::AsyncIoPool pool({threads, runs.size()});
+    std::vector<std::future<Status>> results;
+    results.reserve(runs.size());
+    for (const Run& run : runs) {
+      results.push_back(pool.submit_with_future(
+          obs::current_op(), [&do_run, &run] { return do_run(run); }));
+    }
+    std::uint64_t completed_runs = 0;
+    for (std::future<Status>& f : results) {
+      const Status st = f.get();
+      if (st.is_ok()) {
+        ++completed_runs;
+      } else if (io_status.is_ok()) {
+        io_status = st;  // first failure wins; remaining runs still join
       }
     }
+    obs::registry().counter(kRuns).add(completed_runs);
   }
 
   // Aggregator failures must surface on every rank (collective semantics).

@@ -1,9 +1,11 @@
 // Async-engine tests for ChunkCache (docs/ASYNC_IO.md): read-ahead,
-// write-behind, sticky deferred errors, and thread-safety under
-// many-rank hammering. The synchronous-mode tests live in
-// test_chunk_cache.cpp; everything here opts in via AsyncOptions.
+// write-behind, sticky deferred errors, exclusive writable pins, and
+// thread-safety under many-rank hammering. Tests that need no I/O worker
+// run on both engines (ChunkCacheEngine: inline at 0 threads, and one
+// worker); the basic cache tests live in test_chunk_cache.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -80,11 +82,23 @@ DrxFile make_faulty_file(FaultyStorage::Controls& controls, Shape bounds,
   return std::move(f).value();
 }
 
-TEST(ChunkCacheAsync, RoundTripMatchesSynchronousSemantics) {
+/// Write-behind and the sticky-error contract hold at every pool size:
+/// these run inline (0 threads) and on one worker.
+class ChunkCacheEngine : public ::testing::TestWithParam<int> {
+ protected:
+  [[nodiscard]] ChunkCache::AsyncOptions engine(
+      std::uint64_t prefetch_depth = 4) const {
+    return ChunkCache::AsyncOptions{GetParam(), prefetch_depth};
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(IoThreads, ChunkCacheEngine, ::testing::Values(0, 1));
+
+TEST_P(ChunkCacheEngine, RoundTripMatchesSynchronousSemantics) {
   DrxFile file = make_file(Shape{8, 8}, Shape{2, 2});
   {
-    ChunkCache cache(file, 4, kAsync);
-    ASSERT_TRUE(cache.async());
+    ChunkCache cache(file, 4, engine());
+    EXPECT_EQ(cache.async(), GetParam() > 0);
     for (std::uint64_t q = 0; q < 16; ++q) {
       auto p = cache.pin(q);
       ASSERT_TRUE(p.is_ok());
@@ -200,10 +214,10 @@ TEST(ChunkCacheAsync, MissServedFromWriteBehindQueue) {
   ASSERT_TRUE(cache.flush().is_ok());
 }
 
-TEST(ChunkCacheAsync, DeferredWriteErrorIsStickyAndSurfacedOnce) {
+TEST_P(ChunkCacheEngine, DeferredWriteErrorIsStickyAndSurfacedOnce) {
   FaultyStorage::Controls controls;
   DrxFile file = make_faulty_file(controls, Shape{4, 4}, Shape{2, 2});
-  ChunkCache cache(file, 1, kAsync);
+  ChunkCache cache(file, 1, engine());
 
   auto p = cache.pin(0);
   ASSERT_TRUE(p.is_ok());
@@ -228,11 +242,11 @@ TEST(ChunkCacheAsync, DeferredWriteErrorIsStickyAndSurfacedOnce) {
   EXPECT_EQ(cache.last_error().code(), ErrorCode::kIoError);
 }
 
-TEST(ChunkCacheAsync, DestructorDoesNotLoseUnflushedError) {
+TEST_P(ChunkCacheEngine, DestructorDoesNotLoseUnflushedError) {
   FaultyStorage::Controls controls;
   DrxFile file = make_faulty_file(controls, Shape{4, 4}, Shape{2, 2});
   {
-    ChunkCache cache(file, 1, kAsync);
+    ChunkCache cache(file, 1, engine());
     auto p = cache.pin(0);
     ASSERT_TRUE(p.is_ok());
     const double v = 1.0;
@@ -355,10 +369,10 @@ TEST(CachedDrxFileAsync, ReadBoxMatchesSyncModeResult) {
   EXPECT_EQ(out_a, out_s);
 }
 
-TEST(ChunkCacheAsync, FlushSurfacesErrorFromItsOwnWritebacks) {
+TEST_P(ChunkCacheEngine, FlushSurfacesErrorFromItsOwnWritebacks) {
   FaultyStorage::Controls controls;
   DrxFile file = make_faulty_file(controls, Shape{4, 4}, Shape{2, 2});
-  ChunkCache cache(file, 4, kAsync);
+  ChunkCache cache(file, 4, engine());
 
   // Dirty frames stay resident (capacity 4, no eviction): the failing
   // writes are queued by flush() itself, not by earlier evictions.
@@ -388,11 +402,11 @@ TEST(ChunkCacheAsync, FlushSurfacesErrorFromItsOwnWritebacks) {
 // a flusher can never touch one buffer at the same time. Run under
 // -fsanitize=thread (ctest -R Tsan / CI tsan job) this fails on the old
 // code and is quiet on the new design.
-TEST(ChunkCacheAsync, ConcurrentFlushAndSetDoNotRaceOnFrameBuffer) {
+TEST_P(ChunkCacheEngine, ConcurrentFlushAndSetDoNotRaceOnFrameBuffer) {
   FaultyStorage::Controls controls;
   controls.write_delay_ms = 1;  // widen the unlocked write-back window
   DrxFile file = make_faulty_file(controls, Shape{4, 4}, Shape{2, 2});
-  ChunkCache cache(file, 2, ChunkCache::AsyncOptions{1, 0});
+  ChunkCache cache(file, 2, engine(/*prefetch_depth=*/0));
 
   constexpr int kIters = 200;
   std::thread writer([&] {
@@ -419,6 +433,67 @@ TEST(ChunkCacheAsync, ConcurrentFlushAndSetDoNotRaceOnFrameBuffer) {
   double seen = 0;
   std::memcpy(&seen, chunk.data(), sizeof(seen));
   EXPECT_EQ(seen, static_cast<double>(kIters));
+}
+
+// Unused read-ahead must not strand capacity: a loaded speculative frame
+// joins the LRU, so it is evictable (and counted as wasted) before anyone
+// pins it, and a later pin finds room.
+TEST(ChunkCacheAsync, UnpinnedReadAheadIsEvictable) {
+  DrxFile file = make_file(Shape{16, 16}, Shape{2, 2});  // 64 chunks
+  ChunkCache cache(file, 4, ChunkCache::AsyncOptions{1, 0, 1});
+  cache.prefetch(0, 2);
+  ASSERT_TRUE(cache.flush().is_ok());  // read-ahead landed
+  for (std::uint64_t q = 10; q < 20; ++q) {
+    ASSERT_TRUE(cache.pin(q).is_ok());
+    cache.unpin(q, false);
+  }
+  cache.prefetch(2, 2);
+  ASSERT_TRUE(cache.flush().is_ok());
+  auto p = cache.pin(30);
+  ASSERT_TRUE(p.is_ok()) << p.status();
+  cache.unpin(30, false);
+  EXPECT_EQ(cache.stats().prefetch_wasted, 2u);
+}
+
+// Two writers gather whole-chunk patterns into one chunk while a reader
+// scatters it out. A writable pin is exclusive, so the reader sees one
+// pattern (or the initial zeros), never a mix. Runs inline (0 threads),
+// the engine drx::serve uses by default.
+TEST(CachedDrxFileAsync, WritablePinIsExclusive) {
+  DrxFile file = make_file(Shape{32, 32}, Shape{32, 32});  // one chunk
+  CachedDrxFile cached(file, 2, ChunkCache::AsyncOptions{0, 0});
+  const Box whole{{0, 0}, {32, 32}};
+  constexpr std::size_t kElems = 32 * 32;
+  constexpr int kIters = 1000;
+  const auto writer = [&cached, &whole](double value) {
+    const std::vector<double> pattern(kElems, value);
+    for (int i = 0; i < kIters; ++i) {
+      ASSERT_TRUE(cached
+                      .write_box(whole, MemoryOrder::kRowMajor,
+                                 std::as_bytes(std::span(pattern)))
+                      .is_ok());
+    }
+  };
+  std::atomic<bool> torn{false};
+  std::thread a(writer, 1.0);
+  std::thread b(writer, 2.0);
+  std::thread reader([&cached, &whole, &torn] {
+    std::vector<double> out(kElems);
+    for (int i = 0; i < kIters; ++i) {
+      ASSERT_TRUE(cached
+                      .read_box(whole, MemoryOrder::kRowMajor,
+                                std::as_writable_bytes(std::span(out)))
+                      .is_ok());
+      if (std::any_of(out.begin(), out.end(),
+                      [&out](double v) { return v != out[0]; })) {
+        torn.store(true);
+      }
+    }
+  });
+  a.join();
+  b.join();
+  reader.join();
+  EXPECT_FALSE(torn.load());
 }
 
 // Many simpi rank-threads hammering ONE shared cache: the TSan target.
