@@ -214,7 +214,7 @@ int main() {
               "32-chunk pool\n",
               kTouches);
   std::printf("async I/O engine: DRX_IO_THREADS=%d DRX_PREFETCH_DEPTH=%llu "
-              "(0/0 = synchronous legacy path)\n\n",
+              "(0 threads = pool jobs run inline)\n\n",
               io::io_threads(),
               static_cast<unsigned long long>(io::prefetch_depth()));
   bench::Table table({"pattern", "mode", "sim ms", "storage requests",

@@ -31,31 +31,10 @@ Rules (see docs/STATIC_ANALYSIS.md for the full rationale):
                           AxialMapping implementation desynchronize the
                           element bounds from the chunk grid.
 
-  cache-lock-io [--fast]  No blocking chunk I/O (file_->read_chunk /
-                          write_chunk / read_chunks) while holding a
-                          ChunkCache lock (the legacy mu_ or a shard's
-                          .mu). MIGRATED: the interprocedural version is
-                          drx_verify's blocking-under-lock pass
-                          (scripts/drx_verify); this regex approximation
-                          only runs with --fast, as a cheap pre-commit
-                          check that needs no whole-program analysis.
-
   cache-lock-alloc        No chunk-buffer allocation
                           (std::make_unique<std::byte[]>) while holding
                           a ChunkCache lock; buffers come from the
                           recycled free list (take_buffer_locked).
-
-  cache-shard-pair [--fast]  Never lock a second cache shard while one
-                          shard's .mu is held: two util::MutexLock
-                          acquisitions on shard mutexes in one scope
-                          deadlock against the opposite order. Cross-
-                          shard work (capacity borrowing) goes through
-                          the ordered ShardPairLock helper, which is the
-                          only code exempt from this rule. MIGRATED:
-                          drx_verify's lock-order pass owns this
-                          invariant (the cache.shard hierarchy level in
-                          docs/LOCK_ORDER.md); the regex version only
-                          runs with --fast.
 
   element-granular-copy   The data-plane hot paths (scatter/copy_plan,
                           drx_file, chunk_cache, drxmp, and the dra_like /
@@ -106,12 +85,11 @@ MUTEX_VECTOR_MEMBER = re.compile(
 )
 OBS_SLOW_CALL = re.compile(r"\b(?:detail::)?(profile_\w+_slow|record_span)\s*\(")
 AXIAL_EXTEND = re.compile(r"\bmapping\s*\.\s*extend\s*\(")
-CACHE_IO = re.compile(r"file_->(read_chunk|write_chunk|read_chunks)\s*\(")
 CACHE_ALLOC = re.compile(r"std::make_unique<\s*std::byte\[\]\s*>")
 # The legacy global lock (mu_) or a shard lock (s.mu, shards_[i].mu);
 # leaf locks like seq_mu_ / io_mu_ match neither alternative.
 CACHE_LOCK_ACQUIRE = re.compile(
-    r"util::MutexLock\s+\w+\s*\(\s*((?:[\w\[\]\.]+\.)?mu_?)\s*\)")
+    r"util::MutexLock\s+\w+\s*\(\s*(?:[\w\[\]\.]+\.)?mu_?\s*\)")
 POOL_SUBMIT = re.compile(r"(?:\.|->)\s*submit(?:_with_future)?\s*\(")
 OPCTX_ARG = re.compile(r"\bcurrent_op\s*\(\s*\)")
 OPCTX_EMPTY = re.compile(r"\bOpContext\s*\{")
@@ -297,79 +275,55 @@ def lint_mutex_members(path: Path, lines: list[str],
 
 
 def lint_cache_lock(path: Path, lines: list[str],
-                    findings: list[Finding], fast: bool) -> None:
+                    findings: list[Finding]) -> None:
     """Tracks which ChunkCache locks are held, by brace depth.
 
     Recognizes the legacy single lock (`mu_`) and per-shard locks
     (`s.mu`, `shards_[i].mu`); the leaf locks (seq_mu_, error_mu_,
     io_mu_) do not match either form and are exempt by construction.
-
-    cache-lock-io and cache-shard-pair migrated to drx_verify's
-    interprocedural passes (blocking-under-lock / lock-order) and are
-    emitted only when `fast` is set; cache-lock-alloc has no drx_verify
-    counterpart and always runs.
+    Blocking I/O and shard-pair nesting under these locks are
+    drx_verify's (blocking-under-lock / lock-order passes).
     """
     depth = 0
-    # (brace depth at acquisition, is-a-shard-lock)
-    held_stack: list[tuple[int, bool]] = []
+    held_depths: list[int] = []  # brace depth at each acquisition
     suspended = False  # between lock.unlock() and lock.lock()
-    shard_exempt = False  # inside the ordered ShardPairLock helper
     active: dict[str, int] = {}
     for i, raw in enumerate(lines):
         code = strip_comments_and_strings(raw)
         if (re.match(r"^\w[\w:<>,&*\s]*ChunkCache::[\w:]+\s*\(", code)
                 or re.match(r"^ChunkCache::[\w:]+\s*\(", code)):
-            held_stack.clear()
+            held_depths.clear()
             suspended = False
             active.clear()
-            shard_exempt = ("ShardPairLock" in code
-                            or "lock_shard_pair" in code)
             # *_locked helpers run with their shard's mu held by contract.
             if re.search(r"ChunkCache::[\w:]*\w+_locked\s*\(", code):
-                held_stack.append((depth, True))
+                held_depths.append(depth)
         m = SUPPRESS.search(raw)
         if m:
             active[m.group(1)] = i
 
-        allowed = suppressions_for(lines, i, active)
-        lm = CACHE_LOCK_ACQUIRE.search(code)
-        if lm:
-            is_shard = lm.group(1).endswith(".mu")
-            if (fast and is_shard and not shard_exempt
-                    and any(s for _, s in held_stack) and not suspended
-                    and "cache-shard-pair" not in allowed):
-                findings.append(Finding(
-                    path, i + 1, "cache-shard-pair",
-                    "second cache-shard lock taken while one is held; "
-                    "nesting shard mutexes deadlocks against the "
-                    "opposite order — use the ordered ShardPairLock "
-                    "helper"))
-            held_stack.append((depth, is_shard))
+        if CACHE_LOCK_ACQUIRE.search(code):
+            held_depths.append(depth)
             suspended = False
         if re.search(r"\block\.unlock\s*\(\s*\)", code):
             suspended = True
         elif re.search(r"\block\.lock\s*\(\s*\)", code):
             suspended = False
 
-        held = bool(held_stack) and not suspended
-        if held:
-            if (fast and CACHE_IO.search(code)
-                    and "cache-lock-io" not in allowed):
-                findings.append(Finding(
-                    path, i + 1, "cache-lock-io",
-                    "blocking chunk I/O while holding a cache lock"))
-            if CACHE_ALLOC.search(code) and "cache-lock-alloc" not in allowed:
-                findings.append(Finding(
-                    path, i + 1, "cache-lock-alloc",
-                    "chunk-buffer allocation while holding a cache lock; "
-                    "use take_buffer_locked()"))
+        if (held_depths and not suspended and CACHE_ALLOC.search(code)
+                and "cache-lock-alloc" not in suppressions_for(
+                    lines, i, active)):
+            findings.append(Finding(
+                path, i + 1, "cache-lock-alloc",
+                "chunk-buffer allocation while holding a cache lock; "
+                "use take_buffer_locked()"))
 
         depth += code.count("{") - code.count("}")
-        while held_stack and depth < held_stack[-1][0]:
-            held_stack.pop()
+        while held_depths and depth < held_depths[-1]:
+            held_depths.pop()
 
 
-def lint_tree(root: Path, fast: bool = False) -> list[Finding]:
+def lint_tree(root: Path) -> list[Finding]:
     findings: list[Finding] = []
     src = root / "src"
     if not src.is_dir():
@@ -384,7 +338,7 @@ def lint_tree(root: Path, fast: bool = False) -> list[Finding]:
         if rel != "src/util/sync.hpp":
             lint_mutex_members(path, lines, findings)
         if rel == "src/core/chunk_cache.cpp":
-            lint_cache_lock(path, lines, findings, fast)
+            lint_cache_lock(path, lines, findings)
     return findings
 
 
@@ -401,16 +355,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="print only the finding count")
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="also run the regex approximations of rules that migrated "
-             "to drx_verify (cache-lock-io, cache-shard-pair) — a cheap "
-             "pre-commit stand-in for the whole-program passes")
     args = parser.parse_args(argv)
 
     root = Path(args.root) if args.root else Path(__file__).resolve().parent.parent
     try:
-        findings = lint_tree(root, fast=args.fast)
+        findings = lint_tree(root)
     except (FileNotFoundError, UnicodeDecodeError) as err:
         print(f"lint_drx: {err}", file=sys.stderr)
         return 2

@@ -84,6 +84,22 @@ class TestDoctorCli(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("dropped", err)
 
+    def test_window_stall_is_advisory(self):
+        # Four epochs without byte movement, then resumption: io-stall is
+        # reported, and like every analysis verdict it never gates.
+        epochs = [
+            {"t_us": (i + 1) * 1000, "span_us": 1000,
+             "metrics": {"counters": {"pfs.bytes_read": b} if b else {},
+                         "histograms": {}}}
+            for i, b in enumerate([100, 0, 0, 0, 0, 100])]
+        doc = self._trace("series.json", {
+            "format": "drx-window", "version": 1, "epoch_deltas": epochs})
+        code, out, err = run_doctor("--window", doc)
+        self.assertEqual(code, 0, f"stdout:\n{out}\nstderr:\n{err}")
+        self.assertIn("io-stall", out)
+        code, _, _ = run_doctor("--strict", "--window", doc)
+        self.assertEqual(code, 0)
+
     def test_malformed_input_beats_strict_gate(self):
         path = self.tmp / "broken.json"
         path.write_text("]", encoding="utf-8")

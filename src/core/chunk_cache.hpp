@@ -15,7 +15,7 @@
 // locks. A shard whose frames are all pinned borrows capacity from a
 // sibling through the ordered two-shard lock (ShardPairLock) instead of
 // failing the pin — the ONLY sanctioned way to hold two shard mutexes at
-// once (scripts/lint_drx.py: cache-shard-pair).
+// once (drx_verify's lock-order pass, docs/LOCK_ORDER.md cache.shard).
 //
 // Fast path: resident, clean-of-writers chunks are *published* to a
 // per-shard table of atomic slots; a published chunk read
@@ -285,7 +285,7 @@ class ChunkCache final : public io::PrefetchSink {
   /// One lock shard: an independent cache slice over the addresses that
   /// hash to it. Lock order: a shard's `mu` may be held while taking the
   /// leaf locks seq_mu_ / error_mu_ / io_mu_; never another shard's `mu`
-  /// except through ShardPairLock (lint: cache-shard-pair).
+  /// except through ShardPairLock (drx_verify lock-order: cache.shard).
   struct Shard {
     mutable util::Mutex mu;
     util::CondVar cv;  ///< load completion / queue-drain / unpin signal

@@ -681,61 +681,6 @@ void analyze_flight(const JsonValue& doc, std::vector<Finding>& out) {
           path});
 }
 
-void analyze_series(const JsonValue& doc, std::vector<Finding>& out,
-                    std::size_t min_stall_samples) {
-  const JsonValue* samples = doc.find("samples");
-  if (samples == nullptr || !samples->is_array() ||
-      samples->array.size() < 2) {
-    return;
-  }
-
-  // Total byte movement per sample: any counter whose name mentions
-  // "bytes" (core.bytes_read, pfs.bytes_written, mpio.bytes_read, ...).
-  std::vector<double> activity;
-  std::vector<double> t_us;
-  activity.reserve(samples->array.size());
-  for (const JsonValue& s : samples->array) {
-    double total = 0.0;
-    if (const JsonValue* counters = s.find("counters");
-        counters != nullptr && counters->is_object()) {
-      for (const auto& [name, v] : counters->object) {
-        if (name.find("bytes") != std::string::npos) total += v.as_number();
-      }
-    }
-    activity.push_back(total);
-    t_us.push_back(s.number_at("t_us"));
-  }
-
-  // Longest run of zero-delta samples with activity resuming afterwards.
-  std::size_t best_len = 0;
-  std::size_t best_end = 0;
-  std::size_t run = 0;
-  for (std::size_t i = 1; i < activity.size(); ++i) {
-    if (activity[i] - activity[i - 1] <= 0.0) {
-      ++run;
-    } else {
-      if (run > best_len) {
-        best_len = run;
-        best_end = i - 1;
-      }
-      run = 0;
-    }
-  }
-  if (best_len >= min_stall_samples) {
-    const double stall_ms =
-        (t_us[best_end] - t_us[best_end - best_len]) / 1000.0;
-    out.push_back(Finding{
-        "io-stall", Severity::kWarn, static_cast<double>(best_len),
-        format("I/O stalled for %zu consecutive samples (~%.1f ms) before "
-               "resuming - possible flush stall or lost overlap",
-               best_len, stall_ms)});
-  }
-  out.push_back(Finding{
-      "series", Severity::kInfo, static_cast<double>(samples->array.size()),
-      format("time series: %zu samples spanning %.1f ms",
-             samples->array.size(), (t_us.back() - t_us.front()) / 1000.0)});
-}
-
 namespace {
 
 const HistogramSample* find_histogram(const MetricsSnapshot& snap,
@@ -770,16 +715,30 @@ void analyze_window(const JsonValue& doc, std::vector<Finding>& out) {
   MetricsSnapshot fast;
   MetricsSnapshot baseline;
   std::size_t trailing_epochs = 0;
+  // Per epoch: did any counter whose name mentions "bytes"
+  // (core.bytes_read, pfs.bytes_written, ...) move, and over what span.
+  std::vector<bool> moved;
+  std::vector<std::uint64_t> span_us;
   if (const JsonValue* deltas = doc.find("epoch_deltas");
       deltas != nullptr && deltas->is_array() && !deltas->array.empty()) {
-    for (std::size_t i = 0; i + 1 < deltas->array.size(); ++i) {
-      const JsonValue* m = deltas->array[i].find("metrics");
-      if (m != nullptr) baseline.merge(metrics_from_json(*m));
-      ++trailing_epochs;
-    }
-    if (const JsonValue* m = deltas->array.back().find("metrics");
-        m != nullptr) {
-      fast = metrics_from_json(*m);
+    for (std::size_t i = 0; i < deltas->array.size(); ++i) {
+      const JsonValue& e = deltas->array[i];
+      MetricsSnapshot delta;
+      if (const JsonValue* m = e.find("metrics"); m != nullptr) {
+        delta = metrics_from_json(*m);
+      }
+      moved.push_back(std::any_of(
+          delta.counters.begin(), delta.counters.end(),
+          [](const CounterSample& c) {
+            return c.value != 0 && c.name.find("bytes") != std::string::npos;
+          }));
+      span_us.push_back(e.uint_at("span_us"));
+      if (i + 1 < deltas->array.size()) {
+        baseline.merge(delta);
+        ++trailing_epochs;
+      } else {
+        fast = std::move(delta);
+      }
     }
   }
   // With no completed epoch yet, the merged view is the only window —
@@ -860,6 +819,35 @@ void analyze_window(const JsonValue& doc, std::vector<Finding>& out) {
                  static_cast<unsigned long long>(base_s.p95),
                  trailing_epochs)});
     }
+  }
+
+  // ---- io-stall -------------------------------------------------------
+  // The longest run of flat epochs that activity resumed after; a
+  // trailing flat tail is a job that ended, not a stall.
+  std::size_t best_len = 0;
+  std::size_t best_end = 0;  // index of the epoch that resumed
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < moved.size(); ++i) {
+    if (!moved[i]) {
+      ++run;
+      continue;
+    }
+    if (run > best_len) {
+      best_len = run;
+      best_end = i;
+    }
+    run = 0;
+  }
+  if (best_len >= kStallEpochs) {
+    std::uint64_t stall_us = 0;
+    for (std::size_t i = best_end - best_len; i < best_end; ++i) {
+      stall_us += span_us[i];
+    }
+    out.push_back(Finding{
+        "io-stall", Severity::kWarn, static_cast<double>(best_len),
+        format("I/O stalled for %zu consecutive epochs (~%.1f ms) before "
+               "resuming - possible flush stall or lost overlap",
+               best_len, static_cast<double>(stall_us) / 1000.0)});
   }
 
   out.push_back(Finding{

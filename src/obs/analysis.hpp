@@ -149,14 +149,6 @@ void analyze_trace(const TraceSummary& t, std::vector<Finding>& out);
 /// that was in flight when things went wrong.
 void analyze_flight(const JsonValue& doc, std::vector<Finding>& out);
 
-// ---- time-series analysis -------------------------------------------------
-
-/// Detects I/O stalls in a "drx-series" document: >= `min_stall_samples`
-/// consecutive samples with zero byte-counter movement while activity
-/// resumes later (flush stalls, lost overlap).
-void analyze_series(const JsonValue& doc, std::vector<Finding>& out,
-                    std::size_t min_stall_samples = 3);
-
 // ---- live-window analysis -------------------------------------------------
 
 /// Multi-window burn-rate thresholds (both the fast and slow window must
@@ -176,11 +168,17 @@ inline constexpr double kRegressErrorRatio = 8.0;
 /// detectors: quantile math over a handful of samples is noise.
 inline constexpr std::uint64_t kWindowMinCount = 16;
 
+/// io-stall: at least this many consecutive epochs with no byte-counter
+/// movement, followed by an epoch with some.
+inline constexpr std::size_t kStallEpochs = 3;
+
 /// Digests a "drx-window" document (obs/window.hpp): evaluates each
 /// embedded SLO target over the fast window (latest completed epoch) and
 /// the slow window (full ring horizon) — the slo-burn-rate detector —
-/// and compares the latest epoch's latency p95 against the merged
-/// trailing-epoch baseline (window-regression, *_us histograms only).
+/// compares the latest epoch's latency p95 against the merged
+/// trailing-epoch baseline (window-regression, *_us histograms only),
+/// and scans the epoch deltas for I/O stalls (io-stall: flush stalls,
+/// lost overlap).
 void analyze_window(const JsonValue& doc, std::vector<Finding>& out);
 
 }  // namespace drx::obs::analysis

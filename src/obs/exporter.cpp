@@ -350,7 +350,7 @@ void listener_loop(int listen_fd) {
 void stop_exporter_at_exit() { stop_exporter(); }
 
 /// DRX_METRICS_PORT autostart. Static-init ordering is safe for the same
-/// reason the sampler's is: everything touched is function-local
+/// reason the window ticker's is: everything touched is function-local
 /// leaked state.
 struct EnvInit {
   EnvInit() {

@@ -67,11 +67,11 @@ std::uint64_t now_ns() {
 thread_local Registry* tls_registry = nullptr;
 thread_local int tls_rank = -1;
 
-/// Rank registries currently installed by live RankScopes, so a sampler
-/// thread can see in-flight rank increments before they fold. A scope
-/// unregisters *before* merging into its parent: a concurrent
+/// Rank registries currently installed by live RankScopes, so a window
+/// epoch capture can see in-flight rank increments before they fold. A
+/// scope unregisters *before* merging into its parent: a concurrent
 /// live_snapshot may transiently undercount (monotonically recovered by
-/// the next sample) but never double-counts.
+/// the next capture) but never double-counts.
 util::Mutex g_live_mu;
 std::vector<const Registry*> g_live_registries DRX_GUARDED_BY(g_live_mu);
 

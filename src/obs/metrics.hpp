@@ -173,8 +173,8 @@ Registry& registry() noexcept;
 Registry& process_registry() noexcept;
 
 /// Live whole-process view: the process registry merged with every rank
-/// registry currently installed by a RankScope. This is what a sampler
-/// thread reads mid-run, when rank totals have not folded yet.
+/// registry currently installed by a RankScope. This is what the window
+/// ticker and scrapes read mid-run, when rank totals have not folded yet.
 [[nodiscard]] MetricsSnapshot live_snapshot();
 
 /// Simulated rank of the calling thread, or -1 outside any RankScope.

@@ -1,8 +1,12 @@
 #include "obs/window.hpp"
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <thread>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -24,7 +28,7 @@ struct WindowState {
   util::Mutex mu;
   // Oldest first; trimmed to cfg.epochs + 1 entries so consecutive-pair
   // deltas yield up to cfg.epochs completed epochs.
-  std::vector<Epoch> ring DRX_GUARDED_BY(mu);
+  std::deque<Epoch> ring DRX_GUARDED_BY(mu);
   WindowConfig override_cfg DRX_GUARDED_BY(mu);
   bool has_override DRX_GUARDED_BY(mu) = false;
   bool env_parsed DRX_GUARDED_BY(mu) = false;
@@ -34,6 +38,11 @@ struct WindowState {
   // concurrent tickers from stacking duplicate captures meanwhile.
   bool capture_in_flight DRX_GUARDED_BY(mu) = false;
   std::atomic<bool> enabled{true};
+  // Series ticker (DRX_STATS_SERIES). The condition variable, not a
+  // sleep, makes stop_window_ticker prompt at millisecond cadences.
+  util::CondVar ticker_cv;
+  bool ticker_stop DRX_GUARDED_BY(mu) = false;
+  std::thread ticker DRX_GUARDED_BY(mu);
 };
 
 WindowState& state() {
@@ -44,17 +53,20 @@ WindowState& state() {
 WindowConfig parse_env(const char* env) {
   WindowConfig cfg;
   char* end = nullptr;
-  const unsigned long long secs = std::strtoull(env, &end, 10);
-  if (end == env || secs == 0 || secs > 86400) {
-    DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch seconds in '" << env
+  const unsigned long long epoch = std::strtoull(env, &end, 10);
+  const bool millis = end[0] == 'm' && end[1] == 's';
+  // At most one day, in either unit.
+  if (end == env || epoch == 0 || epoch > (millis ? 86400000 : 86400)) {
+    DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch in '" << env
                    << "', keeping default";
     return cfg;
   }
-  cfg.epoch_ms = static_cast<std::uint64_t>(secs) * 1000;
+  if (millis) end += 2;
+  cfg.epoch_ms = static_cast<std::uint64_t>(millis ? epoch : epoch * 1000);
   if (*end == 'x') {
     const char* epochs_str = end + 1;
     const unsigned long long n = std::strtoull(epochs_str, &end, 10);
-    if (end == epochs_str || *end != '\0' || n == 0 || n > 1024) {
+    if (end == epochs_str || *end != '\0' || n == 0 || n > 4096) {
       DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch count in '" << env
                      << "', keeping default";
     } else {
@@ -104,9 +116,50 @@ void capture(bool force) {
     // capture keeps the ring homogeneous (next tick recaptures).
     if (!s.ring.empty() && s.ring.back().t_us > now_us) return;
     s.ring.push_back(Epoch{now_us, std::move(snap)});
-    while (s.ring.size() > cfg.epochs + 1) s.ring.erase(s.ring.begin());
+    while (s.ring.size() > cfg.epochs + 1) s.ring.pop_front();
   }
 }
+
+void ticker_main() {
+  WindowState& s = state();
+  util::MutexLock lock(s.mu);
+  while (!s.ticker_stop) {
+    // Record first so even a run shorter than one epoch gets a point.
+    lock.unlock();
+    window_record_epoch();
+    lock.lock();
+    const std::uint64_t epoch_ms = config_locked(s).epoch_ms;
+    s.ticker_cv.wait_for(
+        lock, std::chrono::milliseconds(static_cast<std::int64_t>(epoch_ms)),
+        [&] {
+          s.mu.assert_held();
+          return s.ticker_stop;
+        });
+  }
+}
+
+void stop_and_dump_at_exit() {
+  stop_window_ticker();
+  window_record_epoch();  // close the tail since the last tick
+  const char* path = std::getenv("DRX_STATS_SERIES");
+  const Status st = write_window(path != nullptr ? path : "");
+  if (!st.is_ok()) {
+    std::fprintf(stderr, "[drx E] DRX_STATS_SERIES dump failed: %s\n",
+                 st.message().c_str());
+  }
+}
+
+/// Series mode: DRX_STATS_SERIES starts the ticker at startup and dumps
+/// the ring at exit.
+struct EnvInit {
+  EnvInit() {
+    const char* path = std::getenv("DRX_STATS_SERIES");
+    if (path == nullptr || path[0] == '\0') return;
+    start_window_ticker();
+    std::atexit(stop_and_dump_at_exit);
+  }
+};
+EnvInit g_env_init;
 
 }  // namespace
 
@@ -126,6 +179,7 @@ void set_window_config(const WindowConfig& cfg) {
     if (s.override_cfg.epochs == 0) s.override_cfg.epochs = 1;
     s.has_override = true;
   }
+  s.env_parsed = false;
   s.ring.clear();
 }
 
@@ -152,6 +206,34 @@ void window_clear() {
   WindowState& s = state();
   util::MutexLock lock(s.mu);
   s.ring.clear();
+}
+
+void start_window_ticker() {
+  stop_window_ticker();
+  WindowState& s = state();
+  util::MutexLock lock(s.mu);
+  s.ring.clear();
+  s.ticker_stop = false;
+  s.ticker = std::thread(ticker_main);
+}
+
+void stop_window_ticker() {
+  WindowState& s = state();
+  std::thread ticker;
+  {
+    util::MutexLock lock(s.mu);
+    if (!s.ticker.joinable()) return;
+    s.ticker_stop = true;
+    ticker = std::move(s.ticker);
+  }
+  s.ticker_cv.notify_all();
+  ticker.join();
+}
+
+bool window_ticker_running() {
+  WindowState& s = state();
+  util::MutexLock lock(s.mu);
+  return s.ticker.joinable();
 }
 
 WindowView window_view() {

@@ -20,9 +20,16 @@
 // epoch is stale, and every consumer (the exporter's scrape handler, the
 // listener's idle loop, window_view() itself) ticks on entry — so a
 // process with no scraper pays nothing at all.
+//
+// Series mode: with DRX_STATS_SERIES=<path> set, a ticker thread records
+// an epoch every epoch_ms instead, and the ring is dumped to <path> as a
+// drx-window document at exit — a fine-grained time series (e.g.
+// DRX_STATS_WINDOW=20msx4096) whose epoch deltas feed drx_doctor's
+// io-stall detector.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -41,15 +48,17 @@ struct WindowConfig {
   }
 };
 
-/// DRX_STATS_WINDOW syntax: "<epoch-seconds>" or
-/// "<epoch-seconds>x<epochs>" (e.g. "10x6"); unset keeps the defaults.
-/// Out-of-range pieces fall back to the defaults rather than erroring:
-/// telemetry must never take the process down.
+/// DRX_STATS_WINDOW syntax: "<epoch>[x<epochs>]", where the epoch is
+/// seconds ("10x6") or milliseconds with an "ms" suffix ("20msx4096");
+/// unset keeps the defaults. Out-of-range pieces fall back to the
+/// defaults rather than erroring: telemetry must never take the process
+/// down.
 [[nodiscard]] WindowConfig window_config() noexcept;
 
 /// Programmatic override (tests/benches); clears the ring, since epochs
 /// captured under another cadence would mislabel the horizon. An
-/// epoch_ms of 0 restores the DRX_STATS_WINDOW / default behavior.
+/// epoch_ms of 0 restores the DRX_STATS_WINDOW / default behavior,
+/// re-reading the variable.
 void set_window_config(const WindowConfig& cfg);
 
 /// Window engine master switch (bench ablation: the windowed-metrics
@@ -62,9 +71,20 @@ void set_window_enabled(bool on) noexcept;
 /// Cheap when nothing is due (one mutex + one clock read).
 void window_tick();
 
-/// Unconditionally captures an epoch boundary now (tests; the exporter
-/// calls window_tick instead).
+/// Unconditionally captures an epoch boundary now (the ticker, the end of
+/// simpi::run, tests; the exporter calls window_tick instead).
 void window_record_epoch();
+
+/// Starts the series ticker: a thread that records an epoch every
+/// epoch_ms of the current config. Clears the ring first, so a restart
+/// begins a fresh series; replaces a ticker that is already running.
+void start_window_ticker();
+
+/// Stops and joins the ticker; the ring survives. Prompt (the thread
+/// waits on a condition variable) and safe when not running.
+void stop_window_ticker();
+
+[[nodiscard]] bool window_ticker_running();
 
 /// Drops every captured epoch. Registry::reset() calls this so windowed
 /// views never subtract a pre-reset cumulative snapshot from a post-reset
@@ -101,7 +121,7 @@ struct EpochDelta {
 /// drx_doctor --window ingests.
 void window_to_json(JsonWriter& w);
 
-/// Writes the drx-window document to `path` (DRX_WINDOW_DUMP at exit).
+/// Writes the drx-window document to `path` (DRX_STATS_SERIES at exit).
 [[nodiscard]] Status write_window(const std::string& path);
 
 }  // namespace drx::obs

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
+#include "obs/window.hpp"
 
 namespace drx::simpi {
 
@@ -42,9 +42,9 @@ void run(int nprocs, const std::function<void(Comm&)>& body) {
     });
   }
   for (auto& t : threads) t.join();
-  // Rank registries just folded into the process registry; take one final
-  // sample so jobs shorter than DRX_STATS_INTERVAL still get an endpoint.
-  if (obs::sampler_running()) obs::sampler_sample_now();
+  // Rank registries just folded into the process registry; record one
+  // final epoch so jobs shorter than a series epoch still get an endpoint.
+  if (obs::window_ticker_running()) obs::window_record_epoch();
 }
 
 }  // namespace drx::simpi

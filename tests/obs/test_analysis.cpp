@@ -1,5 +1,6 @@
 // Detector unit tests (obs/analysis.hpp) on synthetic inputs: imbalance
-// math, profile/metrics/trace/series detectors, and report rendering.
+// math, profile/metrics/trace/window-series detectors, and report
+// rendering.
 #include "obs/analysis.hpp"
 
 #include <gtest/gtest.h>
@@ -312,45 +313,52 @@ TEST(TraceAnalysis, DroppedEventsBecomeError) {
 }
 
 TEST(TraceAnalysis, RejectsNonTraceDocuments) {
-  auto doc = json_parse("{\"format\":\"drx-series\"}");
+  auto doc = json_parse("{\"format\":\"drx-window\"}");
   ASSERT_TRUE(doc.is_ok());
   EXPECT_FALSE(summarize_trace(doc.value()).is_ok());
 }
 
-std::string series_doc(const std::vector<double>& bytes) {
-  std::string s = "{\"format\":\"drx-series\",\"version\":1,\"samples\":[";
+/// A drx-window document whose epoch i moved bytes[i] bytes (1 ms each);
+/// a zero still appears as a counter, as a hand-made document might.
+std::string series_doc(const std::vector<std::uint64_t>& bytes) {
+  std::string s =
+      "{\"format\":\"drx-window\",\"version\":1,\"epoch_deltas\":[";
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     if (i != 0) s += ",";
-    s += "{\"t_us\":" + std::to_string(i * 1000) +
-         ",\"counters\":{\"pfs.bytes_read\":" +
-         std::to_string(static_cast<long long>(bytes[i])) + "}}";
+    s += "{\"t_us\":" + std::to_string((i + 1) * 1000) +
+         ",\"span_us\":1000,\"metrics\":{\"counters\":{"
+         "\"pfs.bytes_read\":" + std::to_string(bytes[i]) +
+         ",\"serve.requests\":1},\"histograms\":{}}}";
   }
   s += "]}";
   return s;
 }
 
 TEST(SeriesAnalysis, DetectsStallWithResumption) {
-  // Activity, then 4 flat samples, then resumption.
-  auto doc = series_doc({0, 100, 200, 200, 200, 200, 200, 300, 400});
-  auto parsed = json_parse(doc);
+  // Activity, then 4 flat epochs (other counters still move), then
+  // resumption.
+  auto parsed = json_parse(series_doc({100, 100, 0, 0, 0, 0, 100, 100}));
   ASSERT_TRUE(parsed.is_ok());
   std::vector<Finding> fs;
-  analyze_series(parsed.value(), fs);
+  analyze_window(parsed.value(), fs);
   const Finding* stall = find_by_id(fs, "io-stall");
   ASSERT_NE(stall, nullptr);
   EXPECT_EQ(stall->severity, Severity::kWarn);
   EXPECT_DOUBLE_EQ(stall->score, 4.0);
-  EXPECT_NE(find_by_id(fs, "series"), nullptr);
+  EXPECT_NE(stall->message.find("~4.0 ms"), std::string::npos)
+      << stall->message;
+  EXPECT_NE(find_by_id(fs, "window"), nullptr);
 }
 
 TEST(SeriesAnalysis, TrailingFlatTailIsNotAStall) {
-  // The run never resumes (job simply ended): no stall finding.
-  auto parsed = json_parse(series_doc({0, 100, 200, 200, 200, 200, 200}));
+  // The run never resumes (job simply ended), and two flat epochs are
+  // below the bar: no stall finding.
+  auto parsed = json_parse(series_doc({100, 0, 0, 100, 0, 0, 0, 0, 0}));
   ASSERT_TRUE(parsed.is_ok());
   std::vector<Finding> fs;
-  analyze_series(parsed.value(), fs);
+  analyze_window(parsed.value(), fs);
   EXPECT_EQ(find_by_id(fs, "io-stall"), nullptr);
-  EXPECT_NE(find_by_id(fs, "series"), nullptr);
+  EXPECT_NE(find_by_id(fs, "window"), nullptr);
 }
 
 TEST(Report, TextAndJsonRenderings) {

@@ -1,11 +1,15 @@
 // Sliding-window metric views (obs/window.hpp): snapshot-delta math,
-// epoch ring behavior, the Registry::reset() ring-clear contract, SLO
-// evaluation, and the drx-window document + analyze_window detectors.
+// epoch ring behavior, DRX_STATS_WINDOW parsing, the series ticker, the
+// Registry::reset() ring-clear contract, SLO evaluation, and the
+// drx-window document + analyze_window detectors.
 #include "obs/window.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "obs/analysis.hpp"
 #include "obs/json.hpp"
@@ -23,6 +27,7 @@ class WindowTest : public ::testing::Test {
     window_clear();
   }
   void TearDown() override {
+    stop_window_ticker();
     set_window_config(WindowConfig{0, 0});  // back to env/default
     set_slo_targets({});
     set_window_enabled(true);
@@ -73,6 +78,107 @@ TEST_F(WindowTest, DefaultConfigIsTenSecondsBySixEpochs) {
   EXPECT_GT(cfg.epoch_ms, 0u);
   EXPECT_GT(cfg.epochs, 0u);
   EXPECT_EQ(cfg.horizon_ms(), cfg.epoch_ms * cfg.epochs);
+}
+
+/// window_config() under DRX_STATS_WINDOW=`spec`; restores the variable.
+WindowConfig config_for(const char* spec) {
+  const char* prev = std::getenv("DRX_STATS_WINDOW");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("DRX_STATS_WINDOW", spec, 1);
+  set_window_config(WindowConfig{0, 0});  // re-reads the variable
+  const WindowConfig cfg = window_config();
+  if (prev != nullptr) {
+    setenv("DRX_STATS_WINDOW", saved.c_str(), 1);
+  } else {
+    unsetenv("DRX_STATS_WINDOW");
+  }
+  set_window_config(WindowConfig{0, 0});
+  return cfg;
+}
+
+void expect_config(const char* spec, std::uint64_t epoch_ms,
+                   std::size_t epochs) {
+  const WindowConfig cfg = config_for(spec);
+  EXPECT_EQ(cfg.epoch_ms, epoch_ms) << "DRX_STATS_WINDOW=" << spec;
+  EXPECT_EQ(cfg.epochs, epochs) << "DRX_STATS_WINDOW=" << spec;
+}
+
+TEST_F(WindowTest, SpecTakesSecondsOrMilliseconds) {
+  expect_config("20ms", 20, 6);
+  expect_config("20msx4096", 20, 4096);
+  expect_config("10", 10000, 6);  // a bare number is seconds
+  expect_config("10x6", 10000, 6);
+  expect_config("3x4", 3000, 4);
+}
+
+TEST_F(WindowTest, BadSpecFallsBackToDefaults) {
+  // A bad epoch drops the whole spec.
+  expect_config("abc", 10000, 6);
+  expect_config("0", 10000, 6);
+  expect_config("0msx4", 10000, 6);
+  expect_config("86401", 10000, 6);  // over a day
+  // A bad count or trailing garbage keeps the epoch, not the count.
+  expect_config("20msx0", 20, 6);
+  expect_config("20x4097", 20000, 6);
+  expect_config("20x4q", 20000, 6);
+  expect_config("20q", 20000, 6);
+}
+
+TEST_F(WindowTest, TickerRecordsEpochsUntilStopped) {
+  stop_window_ticker();
+  set_window_config(WindowConfig{1, 4096});
+  start_window_ticker();
+  EXPECT_TRUE(window_ticker_running());
+  // Each check ticks lazily and may add one capture of its own, so only
+  // ring entries beyond the number of checks prove the ticker ran.
+  std::size_t checks = 0;
+  std::size_t epochs = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((epochs = window_epochs().size()) < ++checks + 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(epochs, checks + 2);
+
+  stop_window_ticker();
+  EXPECT_FALSE(window_ticker_running());
+  stop_window_ticker();  // idempotent
+  EXPECT_FALSE(window_ticker_running());
+  EXPECT_GE(window_epochs().size(), 2u);  // the series survives the stop
+}
+
+TEST_F(WindowTest, TickerStopIsPrompt) {
+  stop_window_ticker();
+  set_window_config(WindowConfig{60000, 4});
+  start_window_ticker();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  stop_window_ticker();  // must not sit out the 60 s epoch
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  EXPECT_FALSE(window_ticker_running());
+}
+
+TEST_F(WindowTest, TickerRestartWithNewConfigClearsTheRing) {
+  stop_window_ticker();
+  set_window_config(WindowConfig{1, 4096});
+  start_window_ticker();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (window_epochs().size() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_GE(window_epochs().size(), 3u);
+
+  set_window_config(WindowConfig{3600000, 4});
+  start_window_ticker();  // restart while running
+  EXPECT_TRUE(window_ticker_running());
+  stop_window_ticker();
+  EXPECT_EQ(window_config().epoch_ms, 3600000u);
+  // At most the restarted ticker's first capture is left: no completed
+  // epoch from the old series survives.
+  EXPECT_TRUE(window_epochs().empty());
 }
 
 TEST_F(WindowTest, ViewIsDeltaSinceOldestEpoch) {

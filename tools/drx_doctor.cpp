@@ -4,12 +4,12 @@
 //   --metrics <snapshot.bin>   binary DRX_METRICS snapshot
 //   --profile <profile.json>   DRX_PROFILE access heatmaps
 //   --trace <trace.json>       DRX_TRACE Trace Event Format output
-//   --series <series.json>     DRX_STATS_INTERVAL time series
 //   --bench <report.json>      DRX_BENCH_JSON report file (one doc/line)
 //   --flight <flight.json>     flight-recorder post-mortem dump
-//   --window <window.json>     drx-window live-telemetry document (the
-//                              exporter's /window.json — SLO burn rates
-//                              and in-window latency regressions)
+//   --window <window.json>     drx-window document: the exporter's
+//                              /window.json or a DRX_STATS_SERIES dump
+//                              (SLO burn rates, in-window latency
+//                              regressions, I/O stalls)
 //
 // and runs the obs::analysis detectors: rank/server/aggregator imbalance,
 // cache thrash, prefetch effectiveness, dropped traces, critical path,
@@ -87,15 +87,6 @@ int analyze_trace_file(const std::string& path, Report& report) {
   return 0;
 }
 
-int analyze_series_file(const std::string& path, Report& report) {
-  std::string raw;
-  if (!read_file(path, raw)) return fail_input(path, "cannot read");
-  auto doc = drx::obs::json_parse(raw);
-  if (!doc.is_ok()) return fail_input(path, doc.status().to_string());
-  drx::obs::analysis::analyze_series(doc.value(), report.findings);
-  return 0;
-}
-
 int analyze_flight_file(const std::string& path, Report& report) {
   std::string raw;
   if (!read_file(path, raw)) return fail_input(path, "cannot read");
@@ -152,7 +143,6 @@ void usage() {
                "                  [--metrics <snapshot.bin>]\n"
                "                  [--profile <profile.json>]\n"
                "                  [--trace <trace.json>]\n"
-               "                  [--series <series.json>]\n"
                "                  [--bench <report.json>]\n"
                "                  [--flight <flight.json>]\n"
                "                  [--window <window.json>]\n");
@@ -171,8 +161,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--strict") {
       strict = true;
     } else if (arg == "--metrics" || arg == "--profile" || arg == "--trace" ||
-               arg == "--series" || arg == "--bench" ||
-               arg == "--flight" || arg == "--window") {
+               arg == "--bench" || arg == "--flight" || arg == "--window") {
       if (i + 1 >= argc) {
         usage();
         return 2;
@@ -194,7 +183,6 @@ int main(int argc, char** argv) {
     if (kind == "metrics") rc = analyze_metrics_file(path, report);
     if (kind == "profile") rc = analyze_profile_file(path, report);
     if (kind == "trace") rc = analyze_trace_file(path, report);
-    if (kind == "series") rc = analyze_series_file(path, report);
     if (kind == "bench") rc = analyze_bench_file(path, report);
     if (kind == "flight") rc = analyze_flight_file(path, report);
     if (kind == "window") rc = analyze_window_file(path, report);
