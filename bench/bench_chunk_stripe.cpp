@@ -57,17 +57,13 @@ Sample run(std::uint64_t chunk_side, std::uint64_t stripe) {
     std::vector<std::byte> staging(checked_size(
         checked_mul(sample_chunks.size(), f.chunk_bytes())));
     comm.barrier();
-    const auto before = fs.server_stats();
+    const bench::PfsPhase phase(fs, comm);
     DRX_CHECK(
         f.read_chunks(sample_chunks, staging, /*collective=*/false).is_ok());
     comm.barrier();
     if (comm.rank() == 0) {
-      const auto after = fs.server_stats();
-      const double ms = pfs::Pfs::phase_elapsed_us(before, after) / 1000.0;
-      pfs::IoStats delta;
-      for (std::size_t s = 0; s < after.size(); ++s) {
-        delta += after[s] - before[s];
-      }
+      const double ms = phase.elapsed_ms();
+      const pfs::IoStats delta = phase.delta();
       const double mb = static_cast<double>(delta.bytes_read) / 1e6;
       // All 4 ranks sample half the grid in total.
       const double total_chunks =

@@ -8,8 +8,9 @@
 // (no sieving: one access per piece) upward.
 // Expected shape: with the gap below the hole size the aggregator issues
 // per-piece requests and pays per-request overhead; once the gap covers
-// the hole, runs coalesce, requests collapse, and time drops to the
-// sequential-scan floor — at the cost of reading ~2x the payload bytes.
+// the hole, runs coalesce to one request per server (sieving stays inside
+// one server's datafile), and time drops to the sequential-scan floor —
+// at the cost of reading ~2x the payload bytes.
 #include <vector>
 
 #include "bench_util.hpp"
@@ -60,17 +61,13 @@ Sample run(std::uint64_t gap) {
                Datatype::bytes(1), ft);
     std::vector<std::byte> buf(checked_size(kCell * kCellsPerRank));
     comm.barrier();
-    const auto before = fs.server_stats();
+    const bench::PfsPhase phase(fs, comm);
     DRX_CHECK(
         f.read_at_all(0, buf.data(), buf.size(), Datatype::bytes(1)).is_ok());
     comm.barrier();
     if (comm.rank() == 0) {
-      const auto after = fs.server_stats();
-      sample.read_ms = pfs::Pfs::phase_elapsed_us(before, after) / 1000.0;
-      pfs::IoStats delta;
-      for (std::size_t s = 0; s < after.size(); ++s) {
-        delta += after[s] - before[s];
-      }
+      sample.read_ms = phase.elapsed_ms();
+      const pfs::IoStats delta = phase.delta();
       sample.requests = delta.read_requests;
       sample.bytes_read = delta.bytes_read;
     }
@@ -101,8 +98,9 @@ int main() {
          bench::strf("%.2f", payload_mb)});
   }
   table.print();
-  std::printf("\nexpected shape: requests collapse and time drops once the "
-              "gap reaches the hole size (1 KiB); the price is ~2x payload "
-              "bytes read — the canonical sieving trade.\n");
+  std::printf("\nexpected shape: requests collapse to one per server and "
+              "time drops once the gap reaches the hole size (1 KiB); the "
+              "price is ~2x payload bytes read — the canonical sieving "
+              "trade.\n");
   return 0;
 }

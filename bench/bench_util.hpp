@@ -17,6 +17,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "pfs/pfs.hpp"
+#include "simpi/comm.hpp"
 
 namespace drx::bench {
 
@@ -113,12 +114,18 @@ inline void write_json_report(const std::string& bench_name,
   out << w.str() << '\n';
 }
 
-/// Captures per-server stats around a phase and reports simulated elapsed
-/// time (max per-server busy delta) plus aggregate deltas.
+/// Captures per-server stats around a multi-rank phase and reports
+/// simulated elapsed time (max per-server busy delta) plus aggregate
+/// deltas. Construct it on every rank after the previous phase's barrier:
+/// it snapshots, then barriers, so no rank's I/O in the phase can reach
+/// the PFS before every rank has its "before" snapshot (independent I/O
+/// needs this; two-phase I/O happens to allreduce first).
 class PfsPhase {
  public:
-  explicit PfsPhase(const pfs::Pfs& fs)
-      : fs_(&fs), before_(fs.server_stats()) {}
+  PfsPhase(const pfs::Pfs& fs, simpi::Comm& comm)
+      : fs_(&fs), before_(fs.server_stats()) {
+    comm.barrier();
+  }
 
   [[nodiscard]] double elapsed_ms() const {
     return pfs::Pfs::phase_elapsed_us(before_, fs_->server_stats()) / 1000.0;

@@ -50,7 +50,7 @@ Sample run_drx(int nprocs, std::uint64_t n, std::uint64_t chunk) {
     std::vector<double> buf(static_cast<std::size_t>(zone.volume()), 1.0);
     comm.barrier();
     {
-      bench::PfsPhase phase(fs);
+      bench::PfsPhase phase(fs, comm);
       DRX_CHECK(f.write_my_zone(dist, MemoryOrder::kRowMajor,
                                 std::as_bytes(std::span<const double>(buf)))
                     .is_ok());
@@ -59,7 +59,7 @@ Sample run_drx(int nprocs, std::uint64_t n, std::uint64_t chunk) {
     }
     comm.barrier();
     {
-      bench::PfsPhase phase(fs);
+      bench::PfsPhase phase(fs, comm);
       DRX_CHECK(f.read_my_zone(dist, MemoryOrder::kRowMajor,
                                std::as_writable_bytes(std::span<double>(buf)))
                     .is_ok());
@@ -84,7 +84,7 @@ Sample run_dra(int nprocs, std::uint64_t n, std::uint64_t chunk) {
     std::vector<double> buf(static_cast<std::size_t>(zone.volume()), 1.0);
     comm.barrier();
     {
-      bench::PfsPhase phase(fs);
+      bench::PfsPhase phase(fs, comm);
       DRX_CHECK(f.write_my_zone(dist, MemoryOrder::kRowMajor,
                                 std::as_bytes(std::span<const double>(buf)))
                     .is_ok());
@@ -93,7 +93,7 @@ Sample run_dra(int nprocs, std::uint64_t n, std::uint64_t chunk) {
     }
     comm.barrier();
     {
-      bench::PfsPhase phase(fs);
+      bench::PfsPhase phase(fs, comm);
       DRX_CHECK(f.read_my_zone(dist, MemoryOrder::kRowMajor,
                                std::as_writable_bytes(std::span<double>(buf)))
                     .is_ok());

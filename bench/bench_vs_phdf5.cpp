@@ -70,20 +70,15 @@ Sample run_drx(int nprocs, bool collective) {
                               collective)
                   .is_ok());
     comm.barrier();
-    const auto before = fs.server_stats();
+    const bench::PfsPhase phase(fs, comm);
     DRX_CHECK(f.read_my_zone(dist, MemoryOrder::kRowMajor,
                              std::as_writable_bytes(std::span<double>(buf)),
                              collective)
                   .is_ok());
     comm.barrier();
     if (comm.rank() == 0) {
-      const auto after = fs.server_stats();
-      sample.read_ms = pfs::Pfs::phase_elapsed_us(before, after) / 1000.0;
-      pfs::IoStats delta;
-      for (std::size_t s = 0; s < after.size(); ++s) {
-        delta += after[s] - before[s];
-      }
-      sample.requests = delta.read_requests;
+      sample.read_ms = phase.elapsed_ms();
+      sample.requests = phase.delta().read_requests;
     }
     DRX_CHECK(f.close().is_ok());
   });
@@ -126,19 +121,14 @@ Sample run_btree(int nprocs) {
         cs.chunk_bounds_for(Shape{kN, kN}), comm.size());
     std::vector<std::byte> chunk(static_cast<std::size_t>(chunk_bytes));
     comm.barrier();
-    const auto before = fs.server_stats();
+    const bench::PfsPhase phase(fs, comm);
     for (const Index& c : dist.chunks_of(comm.rank())) {
       DRX_CHECK(store.value().read_chunk(c, chunk).is_ok());
     }
     comm.barrier();
     if (comm.rank() == 0) {
-      const auto after = fs.server_stats();
-      sample.read_ms = pfs::Pfs::phase_elapsed_us(before, after) / 1000.0;
-      pfs::IoStats delta;
-      for (std::size_t s = 0; s < after.size(); ++s) {
-        delta += after[s] - before[s];
-      }
-      sample.requests = delta.read_requests;
+      sample.read_ms = phase.elapsed_ms();
+      sample.requests = phase.delta().read_requests;
     }
   });
   return sample;

@@ -290,32 +290,42 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
     reg.counter(writing ? kWritten : kRead).add(total);
   }
 
-  // ---- Phase 0: local request list and global file-domain bounds -------
+  // ---- Phase 0: local request list; stop if no rank asked for a byte.
   std::vector<FileExtent> extents;
   if (total != 0) {
     extents = state_->view.map_range(
         checked_mul(offset_etypes, state_->view.etype().size()), total);
   }
-  std::uint64_t my_lo = UINT64_MAX;
   std::uint64_t my_hi = 0;
   for (const FileExtent& e : extents) {
-    my_lo = std::min(my_lo, e.offset);
     my_hi = std::max(my_hi, e.offset + e.length);
   }
-  const std::uint64_t lo = comm.allreduce_value(my_lo, simpi::ReduceOp::kMin);
-  const std::uint64_t hi = comm.allreduce_value(my_hi, simpi::ReduceOp::kMax);
-  if (lo >= hi) return Status::ok();  // nothing requested anywhere
+  if (comm.allreduce_value(my_hi, simpi::ReduceOp::kMax) == 0) {
+    return Status::ok();  // nothing requested anywhere
+  }
 
-  // File domain split evenly over all ranks acting as aggregators.
-  const std::uint64_t domain = ceil_div(hi - lo, static_cast<std::uint64_t>(p));
+  // Server-aligned file domains (Liao & Choudhary, SC'08): each PFS server
+  // belongs to exactly one of the first A = min(P, S) ranks, so every
+  // datafile sees a single aggregator issuing its requests in order.
+  // Ranks >= A only ship and receive pieces.
+  const pfs::FileHandle& handle = state_->handle;
+  const auto nservers = static_cast<std::size_t>(state_->fs->num_servers());
+  const std::size_t naggs = std::min(np, nservers);
   const auto aggregator_of = [&](std::uint64_t off) {
-    return static_cast<std::size_t>((off - lo) / domain);
+    return handle.locate(off).server * naggs / nservers;
   };
-  const auto domain_end = [&](std::size_t a) {
-    return lo + checked_mul(domain, static_cast<std::uint64_t>(a) + 1);
+  // End of the owner run starting at `off`: the first stripe boundary
+  // whose stripe belongs to another aggregator.
+  const auto owner_run_end = [&](std::uint64_t off, std::uint64_t limit) {
+    const std::size_t a = aggregator_of(off);
+    std::uint64_t end = off;
+    do {
+      end += handle.locate(end).stripe_left;
+    } while (end < limit && aggregator_of(end) == a);
+    return std::min(end, limit);
   };
 
-  // ---- Phase 1: split extents at domain boundaries, mail to aggregators.
+  // ---- Phase 1: split extents where the owner changes, mail to aggregators.
   // Request wire format per aggregator: u64 npieces, then (off, len) pairs;
   // for writes the piece payloads follow, concatenated in the same order.
   std::vector<std::byte> payload;  // packed user data (write) or staging (read)
@@ -333,15 +343,12 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
   {
     std::uint64_t pos = 0;
     for (const FileExtent& e : extents) {
-      std::uint64_t off = e.offset;
-      std::uint64_t remaining = e.length;
-      while (remaining > 0) {
-        const std::size_t a = aggregator_of(off);
-        const std::uint64_t take = std::min(remaining, domain_end(a) - off);
-        pieces.push_back(LocalPiece{a, off, take, pos});
-        off += take;
-        pos += take;
-        remaining -= take;
+      const std::uint64_t e_end = e.offset + e.length;
+      for (std::uint64_t off = e.offset; off < e_end;) {
+        const std::uint64_t end = owner_run_end(off, e_end);
+        pieces.push_back(LocalPiece{aggregator_of(off), off, end - off, pos});
+        pos += end - off;
+        off = end;
       }
     }
   }
@@ -380,8 +387,9 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
     inbound = comm.alltoallv_bytes(to_agg);
   }
 
-  // ---- Phase 2: aggregate. Parse inbound pieces, order by file offset,
-  // coalesce, and hit the PFS with large accesses.
+  // ---- Phase 2: aggregate. Parse inbound pieces, cut them into datafile
+  // fragments, order by (server, local offset), coalesce per server, and
+  // hit each server with its runs in ascending order.
   std::vector<Piece> agg_pieces;
   std::vector<const std::byte*> agg_payload;  // write: per-piece payload ptr
   std::vector<std::uint64_t> reply_sizes(np, 0);
@@ -410,22 +418,48 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
     reply_sizes[src] = reply_pos;
   }
 
-  std::vector<std::size_t> order(agg_pieces.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (agg_pieces[a].offset != agg_pieces[b].offset) {
-      return agg_pieces[a].offset < agg_pieces[b].offset;
+  /// One stripe-bounded slice of a piece: a contiguous range of one
+  /// server's datafile.
+  struct Fragment {
+    std::size_t server;
+    std::uint64_t local, length;
+    std::size_t piece;        ///< index into agg_pieces
+    std::uint64_t piece_pos;  ///< byte position within the piece
+  };
+  std::vector<Fragment> frags;
+  std::uint64_t max_file_end = 0;
+  for (std::size_t i = 0; i < agg_pieces.size(); ++i) {
+    const Piece& piece = agg_pieces[i];
+    const std::uint64_t piece_end = piece.offset + piece.length;
+    max_file_end = std::max(max_file_end, piece_end);
+    for (std::uint64_t off = piece.offset; off < piece_end;) {
+      const pfs::Location at = handle.locate(off);
+      const std::uint64_t take = std::min(piece_end - off, at.stripe_left);
+      frags.push_back(
+          Fragment{at.server, at.local, take, i, off - piece.offset});
+      off += take;
     }
-    return agg_pieces[a].source < agg_pieces[b].source;
-  });
+  }
+  // Stable: fragments at one offset keep (source, message) order, so
+  // overlapping writes resolve the same way on every run.
+  std::stable_sort(frags.begin(), frags.end(),
+                   [](const Fragment& a, const Fragment& b) {
+                     return a.server != b.server ? a.server < b.server
+                                                 : a.local < b.local;
+                   });
 
   std::vector<std::vector<std::byte>> replies(np);
   for (std::size_t src = 0; src < np; ++src) {
     replies[src].resize(checked_size(writing ? 0 : reply_sizes[src]));
   }
 
+  // EOF is checked here, before any device access: read_local reads
+  // datafile holes as zeros and cannot see the logical file size.
   Status io_status;
-  if (!agg_pieces.empty()) {
+  if (!writing && max_file_end > handle.size()) {
+    io_status = Status(ErrorCode::kOutOfRange, "read past end of file");
+  }
+  if (!agg_pieces.empty() && io_status.is_ok()) {
     // Aggregated file access: the paper's amortization step, where many
     // small per-rank requests become few large device accesses.
     obs::ScopedSpan io_span("mpio.coll.io", "mpio");
@@ -433,86 +467,111 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
     static const obs::MetricId kRuns = obs::counter_id("mpio.agg_runs");
     obs::registry().counter(kPieces).add(agg_pieces.size());
 
-    // Coalesce the sorted pieces into device-access runs.
+    // Coalesce the sorted fragments into one device access per locally
+    // contiguous run of a datafile: exact-adjacent for writes, within the
+    // sieve gap for reads (holes inside one datafile, never another
+    // server's stripes).
     struct Run {
-      std::size_t begin, end;        ///< range in `order`
-      std::uint64_t off, end_off;    ///< file byte range covered
+      std::size_t begin, end;          ///< range in `frags`
+      std::uint64_t local, end_local;  ///< datafile byte range covered
+      std::uint64_t file_end;          ///< max global end of its bytes
     };
     std::vector<Run> runs;
-    std::size_t run_begin = 0;
     const std::uint64_t gap_allowed =
         writing ? 0 : g_read_sieve_gap.load(std::memory_order_relaxed);
-    while (run_begin < order.size()) {
-      const std::uint64_t run_off = agg_pieces[order[run_begin]].offset;
-      std::uint64_t run_end_off =
-          run_off + agg_pieces[order[run_begin]].length;
-      std::size_t run_end = run_begin + 1;
-      while (run_end < order.size()) {
-        const Piece& nxt = agg_pieces[order[run_end]];
-        if (nxt.offset > run_end_off + gap_allowed) break;
-        run_end_off = std::max(run_end_off, nxt.offset + nxt.length);
-        ++run_end;
+    const auto frag_file_end = [&](const Fragment& f) {
+      return agg_pieces[f.piece].offset + f.piece_pos + f.length;
+    };
+    for (std::size_t i = 0; i < frags.size(); ++i) {
+      const Fragment& f = frags[i];
+      if (!runs.empty() && frags[runs.back().begin].server == f.server &&
+          f.local <= runs.back().end_local + gap_allowed) {
+        Run& run = runs.back();
+        run.end = i + 1;
+        run.end_local = std::max(run.end_local, f.local + f.length);
+        run.file_end = std::max(run.file_end, frag_file_end(f));
+      } else {
+        runs.push_back(Run{i, i + 1, f.local, f.local + f.length,
+                           frag_file_end(f)});
       }
-      runs.push_back(Run{run_begin, run_end, run_off, run_end_off});
-      run_begin = run_end;
     }
 
     // Aggregator attribution must be captured here: fan-out pool threads
     // run outside this rank's RankScope.
     const int agg_rank = obs::current_rank();
     const auto do_run = [&, agg_rank](const Run& run) -> Status {
-      obs::profile_aggregator(agg_rank, 1, run.end_off - run.off);
-      std::vector<std::byte> staging(checked_size(run.end_off - run.off));
+      const std::size_t server = frags[run.begin].server;
+      obs::profile_aggregator(agg_rank, 1, run.end_local - run.local);
+      std::vector<std::byte> staging(checked_size(run.end_local - run.local));
       if (writing) {
         // Assemble then write. Exact-adjacency coalescing means every byte
-        // of the staging buffer is covered by some piece.
+        // of the staging buffer is covered by some fragment.
         for (std::size_t i = run.begin; i < run.end; ++i) {
-          const Piece& piece = agg_pieces[order[i]];
-          std::memcpy(staging.data() + (piece.offset - run.off),
-                      agg_payload[order[i]], checked_size(piece.length));
+          const Fragment& f = frags[i];
+          std::memcpy(staging.data() + (f.local - run.local),
+                      agg_payload[f.piece] + f.piece_pos,
+                      checked_size(f.length));
         }
-        return state_->handle.write_at(run.off, staging);
+        return state_->handle.write_local(server, run.local, staging,
+                                          run.file_end);
       }
-      Status st = state_->handle.read_at(run.off, staging);
+      Status st = state_->handle.read_local(server, run.local, staging);
       if (st.is_ok()) {
-        // Runs cover disjoint file ranges, so their reply targets are
-        // disjoint too: scattering from workers is race-free.
+        // Every fragment has its own slice of its source's reply, so
+        // scattering from workers is race-free.
         for (std::size_t i = run.begin; i < run.end; ++i) {
-          const Piece& piece = agg_pieces[order[i]];
+          const Fragment& f = frags[i];
+          const Piece& piece = agg_pieces[f.piece];
           std::memcpy(replies[static_cast<std::size_t>(piece.source)].data() +
-                          piece.reply_pos,
-                      staging.data() + (piece.offset - run.off),
-                      checked_size(piece.length));
+                          piece.reply_pos + f.piece_pos,
+                      staging.data() + (f.local - run.local),
+                      checked_size(f.length));
         }
       }
       return st;
     };
 
-    // Fan the runs out over an I/O pool: the PFS serializes per server,
-    // so runs landing on different servers proceed concurrently
-    // (docs/ASYNC_IO.md). With one run or io_threads() <= 1 the pool has
-    // no workers and runs them in order on this thread.
-    const int fan = io::io_threads();
-    const int threads = fan > 1 && runs.size() > 1
-                            ? std::min(fan, static_cast<int>(runs.size()))
-                            : 0;
-    io::AsyncIoPool pool({threads, runs.size()});
-    std::vector<std::future<Status>> results;
-    results.reserve(runs.size());
-    for (const Run& run : runs) {
-      results.push_back(pool.submit_with_future(
-          obs::current_op(), [&do_run, &run] { return do_run(run); }));
-    }
-    std::uint64_t completed_runs = 0;
-    for (std::future<Status>& f : results) {
-      const Status st = f.get();
-      if (st.is_ok()) {
-        ++completed_runs;
-      } else if (io_status.is_ok()) {
-        io_status = st;  // first failure wins; remaining runs still join
+    // One job per server, issuing that server's runs in ascending order, so
+    // fan-out can overlap servers (the PFS serializes per server,
+    // docs/ASYNC_IO.md) but never reorder one server's requests. With one
+    // server or io_threads() <= 1 the pool has no workers and runs the
+    // jobs in order on this thread.
+    std::vector<std::size_t> job_begin;  ///< first run of each server
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      if (r == 0 || frags[runs[r].begin].server !=
+                        frags[runs[r - 1].begin].server) {
+        job_begin.push_back(r);
       }
     }
-    obs::registry().counter(kRuns).add(completed_runs);
+    job_begin.push_back(runs.size());
+    const std::size_t njobs = job_begin.size() - 1;
+    const int fan = io::io_threads();
+    const int threads = fan > 1 && njobs > 1
+                            ? std::min(fan, static_cast<int>(njobs))
+                            : 0;
+    std::atomic<std::uint64_t> completed_runs{0};
+    io::AsyncIoPool pool({threads, njobs});
+    std::vector<std::future<Status>> results;
+    results.reserve(njobs);
+    for (std::size_t j = 0; j < njobs; ++j) {
+      const std::size_t first = job_begin[j];
+      const std::size_t last = job_begin[j + 1];
+      results.push_back(
+          pool.submit_with_future(obs::current_op(), [&, first, last] {
+            for (std::size_t r = first; r < last; ++r) {
+              DRX_RETURN_IF_ERROR(do_run(runs[r]));
+              completed_runs.fetch_add(1, std::memory_order_relaxed);
+            }
+            return Status::ok();
+          }));
+    }
+    for (std::future<Status>& f : results) {
+      const Status st = f.get();
+      if (!st.is_ok() && io_status.is_ok()) {
+        io_status = st;  // first failure wins; remaining jobs still join
+      }
+    }
+    obs::registry().counter(kRuns).add(completed_runs.load());
   }
 
   // Aggregator failures must surface on every rank (collective semantics).

@@ -80,9 +80,10 @@ class File {
   [[nodiscard]] std::uint64_t position() const;
 
   // ---- collective I/O ---------------------------------------------------
-  // Two-phase: requests are exchanged, file space is partitioned among all
-  // ranks acting as aggregators, aggregators perform large coalesced
-  // accesses, and payloads are redistributed with alltoallv.
+  // Two-phase: requests are exchanged, each PFS server's stripes belong to
+  // one of the first min(P, servers) ranks acting as aggregators, each
+  // aggregator issues one access per contiguous run of a server's
+  // datafile, and payloads are redistributed with alltoallv.
 
   [[nodiscard]] Status read_all(void* buf, std::uint64_t count,
                   const simpi::Datatype& memtype);

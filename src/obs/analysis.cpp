@@ -146,27 +146,11 @@ ImbalanceStat rank_chunk_imbalance(const ProfileSnapshot& p) {
       [](const ChunkCell& c) { return c.rank >= 0; });
 }
 
-ImbalanceStat rank_pfs_imbalance(const ProfileSnapshot& p) {
-  return reduce_imbalance(
-      p.pfs, p.ranks, [](const PfsCell& c) { return c.rank; },
-      [](const PfsCell& c) { return static_cast<double>(c.bytes); },
-      [](const PfsCell& c) { return c.rank >= 0; });
-}
-
 ImbalanceStat pfs_server_imbalance(const ProfileSnapshot& p) {
   return reduce_imbalance(
       p.pfs, {}, [](const PfsCell& c) { return static_cast<int>(c.server); },
       [](const PfsCell& c) { return static_cast<double>(c.bytes); },
       [](const PfsCell&) { return true; });
-}
-
-ImbalanceStat aggregator_imbalance(const ProfileSnapshot& p) {
-  // Not seeded with p.ranks: two-phase I/O legitimately appoints a subset
-  // of ranks as aggregators, so only ranks that aggregated are compared.
-  return reduce_imbalance(
-      p.aggregator, {}, [](const AggCell& c) { return c.rank; },
-      [](const AggCell& c) { return static_cast<double>(c.bytes); },
-      [](const AggCell& c) { return c.rank >= 0; });
 }
 
 void analyze_profile(const ProfileSnapshot& p, std::vector<Finding>& out) {
@@ -187,22 +171,10 @@ void analyze_profile(const ProfileSnapshot& p, std::vector<Finding>& out) {
     }
     out.push_back(std::move(f));
   }
-  if (const ImbalanceStat s = rank_pfs_imbalance(p); s.n >= 2) {
-    out.push_back(Finding{
-        "pfs-rank-imbalance", severity_for_ratio(s.ratio), s.ratio,
-        format("rank %d does %.1fx mean pfs bytes (max %.0f vs mean %.0f)",
-               s.argmax, s.ratio, s.max, s.mean)});
-  }
   if (const ImbalanceStat s = pfs_server_imbalance(p); s.n >= 2) {
     out.push_back(Finding{
         "pfs-hot-server", severity_for_ratio(s.ratio), s.ratio,
         format("pfs server %d serves %.1fx mean bytes - striping imbalance",
-               s.argmax, s.ratio)});
-  }
-  if (const ImbalanceStat s = aggregator_imbalance(p); s.n >= 2) {
-    out.push_back(Finding{
-        "aggregator-skew", severity_for_ratio(s.ratio), s.ratio,
-        format("aggregator on rank %d moves %.1fx mean device bytes",
                s.argmax, s.ratio)});
   }
 }

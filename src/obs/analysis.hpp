@@ -5,9 +5,9 @@
 // synthetic inputs.
 //
 // The detectors encode the paper's performance story: balanced zone
-// partitions (rank imbalance), even striping (hot pfs servers), two-phase
-// aggregation that actually amortizes (aggregator skew), and a cache/
-// read-ahead pipeline that overlaps instead of thrashing.
+// partitions (rank imbalance), even striping (hot pfs servers; two-phase
+// aggregators own whole servers, so this also covers aggregator skew), and
+// a cache/read-ahead pipeline that overlaps instead of thrashing.
 #pragma once
 
 #include <cstdint>
@@ -80,14 +80,8 @@ inline constexpr double kErrorRatio = 4.0;
 /// traffic count as zero load: an idle participant IS the skew.
 [[nodiscard]] ImbalanceStat rank_chunk_imbalance(const ProfileSnapshot& p);
 
-/// Per-rank pfs bytes ("rank 3 does 2.4x mean pfs bytes").
-[[nodiscard]] ImbalanceStat rank_pfs_imbalance(const ProfileSnapshot& p);
-
 /// Per-server pfs bytes (hot server / striping imbalance).
 [[nodiscard]] ImbalanceStat pfs_server_imbalance(const ProfileSnapshot& p);
-
-/// Per-rank aggregator device-access bytes (two-phase skew).
-[[nodiscard]] ImbalanceStat aggregator_imbalance(const ProfileSnapshot& p);
 
 /// Runs every profile detector. Imbalance findings are always emitted
 /// (info when balanced) so balanced and skewed runs are comparable.

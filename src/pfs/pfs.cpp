@@ -59,6 +59,44 @@ struct FileHandle::State {
     std::vector<Piece> pieces;
   };
 
+  /// One device access on `server`'s datafile. The range may cross a
+  /// sparse hole whose stripes were never materialized on this server;
+  /// holes read as zeros.
+  [[nodiscard]] Status read_datafile(std::size_t server, std::uint64_t local,
+                                     std::span<std::byte> out) {
+    obs::profile_pfs(/*write=*/false, static_cast<std::uint32_t>(server),
+                     out.size());
+    obs::ScopedSpan seg_span("pfs.server_read", "pfs", out.size());
+    util::MutexLock lock(servers[server]->mu);
+    BlockDevice& device = *datafiles[server];
+    const std::uint64_t end = checked_add(local, out.size());
+    if (end > device.size()) DRX_RETURN_IF_ERROR(device.truncate(end));
+    return device.read(local, out);
+  }
+
+  /// One device access on `server`'s datafile, zero-filling any gap.
+  [[nodiscard]] Status write_datafile(std::size_t server, std::uint64_t local,
+                                      std::span<const std::byte> data) {
+    obs::profile_pfs(/*write=*/true, static_cast<std::uint32_t>(server),
+                     data.size());
+    obs::ScopedSpan seg_span("pfs.server_write", "pfs", data.size());
+    util::MutexLock lock(servers[server]->mu);
+    return datafiles[server]->write(local, data);
+  }
+
+  void grow_logical_size(std::uint64_t end) {
+    util::MutexLock lock(size_mu);
+    logical_size = std::max(logical_size, end);
+  }
+
+  [[nodiscard]] Location locate(std::uint64_t offset) const {
+    const std::uint64_t n = servers.size();
+    const std::uint64_t stripe_idx = offset / stripe;
+    const std::uint64_t within = offset % stripe;
+    return Location{static_cast<std::size_t>(stripe_idx % n),
+                    (stripe_idx / n) * stripe + within, stripe - within};
+  }
+
   /// Splits a global byte range at stripe boundaries and coalesces
   /// locally-contiguous runs per server (one request per run, as a real
   /// PFS client would issue). Runs of different servers interleave in the
@@ -69,24 +107,21 @@ struct FileHandle::State {
     // Index of the open segment per server, or npos.
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     std::vector<std::size_t> open(servers.size(), kNone);
-    const std::uint64_t n = servers.size();
     std::uint64_t pos = offset;
     std::uint64_t remaining = length;
     std::uint64_t buf = 0;
     while (remaining > 0) {
-      const std::uint64_t stripe_idx = pos / stripe;
-      const std::uint64_t within = pos % stripe;
-      const std::uint64_t take = std::min(remaining, stripe - within);
-      const std::size_t server = static_cast<std::size_t>(stripe_idx % n);
-      const std::uint64_t local = (stripe_idx / n) * stripe + within;
-      std::size_t& idx = open[server];
+      const Location at = locate(pos);
+      const std::uint64_t take = std::min(remaining, at.stripe_left);
+      std::size_t& idx = open[at.server];
       if (idx != kNone &&
-          segs[idx].local_offset + segs[idx].length == local) {
+          segs[idx].local_offset + segs[idx].length == at.local) {
         segs[idx].length += take;
         segs[idx].pieces.push_back(Piece{buf, take});
       } else {
         idx = segs.size();
-        segs.push_back(Segment{server, local, take, {Piece{buf, take}}});
+        segs.push_back(
+            Segment{at.server, at.local, take, {Piece{buf, take}}});
       }
       pos += take;
       buf += take;
@@ -109,21 +144,8 @@ Status FileHandle::read_at(std::uint64_t offset, std::span<std::byte> out) {
   std::vector<std::byte> staging;
   for (const auto& seg : state_->map_range(offset, out.size())) {
     staging.resize(checked_size(seg.length));
-    obs::profile_pfs(/*write=*/false,
-                     static_cast<std::uint32_t>(seg.server), seg.length);
-    {
-      obs::ScopedSpan seg_span("pfs.server_read", "pfs", seg.length);
-      util::MutexLock lock(state_->servers[seg.server]->mu);
-      BlockDevice& device = *state_->datafiles[seg.server];
-      // The range is inside the logical file size (checked above) but may
-      // cross a sparse hole whose stripes were never materialized on this
-      // server; holes read as zeros.
-      const std::uint64_t end = seg.local_offset + seg.length;
-      if (end > device.size()) {
-        DRX_RETURN_IF_ERROR(device.truncate(end));
-      }
-      DRX_RETURN_IF_ERROR(device.read(seg.local_offset, staging));
-    }
+    DRX_RETURN_IF_ERROR(
+        state_->read_datafile(seg.server, seg.local_offset, staging));
     std::uint64_t run = 0;
     for (const auto& piece : seg.pieces) {
       std::memcpy(out.data() + piece.buf_offset, staging.data() + run,
@@ -148,16 +170,36 @@ Status FileHandle::write_at(std::uint64_t offset,
                   checked_size(piece.length));
       run += piece.length;
     }
-    obs::profile_pfs(/*write=*/true,
-                     static_cast<std::uint32_t>(seg.server), seg.length);
-    obs::ScopedSpan seg_span("pfs.server_write", "pfs", seg.length);
-    util::MutexLock lock(state_->servers[seg.server]->mu);
     DRX_RETURN_IF_ERROR(
-        state_->datafiles[seg.server]->write(seg.local_offset, staging));
+        state_->write_datafile(seg.server, seg.local_offset, staging));
   }
-  util::MutexLock lock(state_->size_mu);
-  state_->logical_size =
-      std::max(state_->logical_size, checked_add(offset, data.size()));
+  state_->grow_logical_size(checked_add(offset, data.size()));
+  return Status::ok();
+}
+
+Location FileHandle::locate(std::uint64_t offset) const {
+  DRX_CHECK(valid());
+  return state_->locate(offset);
+}
+
+Status FileHandle::read_local(std::size_t server, std::uint64_t local,
+                              std::span<std::byte> out) {
+  DRX_CHECK(valid());
+  DRX_CHECK(server < state_->servers.size());
+  obs::ScopedSpan span("pfs.read", "pfs", out.size());
+  obs::StageTimer io(obs::Stage::kIoService);
+  return state_->read_datafile(server, local, out);
+}
+
+Status FileHandle::write_local(std::size_t server, std::uint64_t local,
+                               std::span<const std::byte> data,
+                               std::uint64_t file_end) {
+  DRX_CHECK(valid());
+  DRX_CHECK(server < state_->servers.size());
+  obs::ScopedSpan span("pfs.write", "pfs", data.size());
+  obs::StageTimer io(obs::Stage::kIoService);
+  DRX_RETURN_IF_ERROR(state_->write_datafile(server, local, data));
+  state_->grow_logical_size(file_end);
   return Status::ok();
 }
 

@@ -13,6 +13,7 @@
 // table.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -35,6 +36,13 @@ struct PfsConfig {
 
 class Pfs;
 
+/// Where a global file byte lives under the striping layout.
+struct Location {
+  std::size_t server;         ///< I/O server holding the byte
+  std::uint64_t local;        ///< offset within that server's datafile
+  std::uint64_t stripe_left;  ///< bytes from here to the end of the stripe
+};
+
 /// An open striped file. Cheap handle; the state lives in the Pfs.
 class FileHandle {
  public:
@@ -47,6 +55,21 @@ class FileHandle {
 
   /// Writes, extending and zero-filling as needed.
   [[nodiscard]] Status write_at(std::uint64_t offset, std::span<const std::byte> data);
+
+  /// The server and datafile offset of global byte `offset`.
+  [[nodiscard]] Location locate(std::uint64_t offset) const;
+
+  /// Reads [local, local+out.size()) of `server`'s datafile in one device
+  /// access. Holes read as zeros; the caller checks the logical size.
+  [[nodiscard]] Status read_local(std::size_t server, std::uint64_t local,
+                                  std::span<std::byte> out);
+
+  /// Writes `data` at `local` in `server`'s datafile in one device access,
+  /// then grows the logical size to at least `file_end` (the global end
+  /// offset of the bytes written).
+  [[nodiscard]] Status write_local(std::size_t server, std::uint64_t local,
+                                   std::span<const std::byte> data,
+                                   std::uint64_t file_end);
 
   [[nodiscard]] std::uint64_t size() const;
   [[nodiscard]] Status truncate(std::uint64_t new_size);

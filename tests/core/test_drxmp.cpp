@@ -261,5 +261,55 @@ TEST(DrxMp, OpenMissingFileFailsEverywhere) {
   });
 }
 
+TEST(DrxMp, ZoneCollectiveCostsTheSameSimulatedTimeEveryCall) {
+  // Each PFS server belongs to one aggregator, which issues the server's
+  // runs in datafile order, so a call's straggler time is fixed by the
+  // cost model, not by which rank thread reaches a server first.
+  pfs::Pfs fs(cfg(8, 64 * 1024));
+  constexpr std::size_t kReps = 50;
+  std::vector<double> write_us, read_us;
+  simpi::run(4, [&](simpi::Comm& comm) {
+    DrxMpFile f = DrxMpFile::create(comm, fs, "zones", Shape{512, 512},
+                                    Shape{16, 16}, dbl_opts())
+                      .value();
+    const Distribution dist = f.block_distribution();
+    const Box box = f.zone_element_box(dist, comm.rank());
+    std::vector<double> zone(static_cast<std::size_t>(box.volume()));
+    fill_zone(box, MemoryOrder::kRowMajor, zone);
+    std::vector<double> back(zone.size());
+    // Round 0 is untimed: the first write finds every datafile head at
+    // offset 0 and so skips the one seek every later call pays.
+    for (std::size_t rep = 0; rep <= kReps; ++rep) {
+      for (const bool writing : {true, false}) {
+        std::vector<pfs::IoStats> before;
+        comm.barrier();
+        if (comm.rank() == 0) before = fs.server_stats();
+        comm.barrier();
+        const Status st =
+            writing
+                ? f.write_my_zone(dist, MemoryOrder::kRowMajor,
+                                  std::as_bytes(std::span<const double>(zone)))
+                : f.read_my_zone(
+                      dist, MemoryOrder::kColMajor,
+                      std::as_writable_bytes(std::span<double>(back)));
+        ASSERT_TRUE(st.is_ok()) << st;
+        comm.barrier();
+        if (comm.rank() == 0 && rep > 0) {
+          (writing ? write_us : read_us)
+              .push_back(pfs::Pfs::phase_elapsed_us(before, fs.server_stats()));
+        }
+      }
+    }
+    check_zone(box, MemoryOrder::kColMajor, back);
+    ASSERT_TRUE(f.close().is_ok());
+  });
+  ASSERT_EQ(write_us.size(), kReps);
+  ASSERT_EQ(read_us.size(), kReps);
+  for (std::size_t rep = 1; rep < kReps; ++rep) {
+    EXPECT_NEAR(write_us[rep], write_us[0], 1e-3) << "rep " << rep;
+    EXPECT_NEAR(read_us[rep], read_us[0], 1e-3) << "rep " << rep;
+  }
+}
+
 }  // namespace
 }  // namespace drx::core

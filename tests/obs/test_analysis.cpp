@@ -81,18 +81,9 @@ TEST(ProfileDetectors, AnalyzeProfileFlagsSkewAndSuggestsCyclic) {
   EXPECT_NE(rank->message.find("rank 0"), std::string::npos);
   EXPECT_NE(rank->message.find("BLOCK_CYCLIC"), std::string::npos);
 
-  const Finding* pfs_rank = find_by_id(fs, "pfs-rank-imbalance");
-  ASSERT_NE(pfs_rank, nullptr);
-  EXPECT_EQ(pfs_rank->severity, Severity::kWarn);  // 9000 vs mean 3000 = 3.0x
-  EXPECT_NEAR(pfs_rank->score, 3.0, 1e-12);
-
   const Finding* server = find_by_id(fs, "pfs-hot-server");
   ASSERT_NE(server, nullptr);  // server 0: 10000 vs server 1: 2000
   EXPECT_EQ(server->severity, Severity::kWarn);
-
-  const Finding* agg = find_by_id(fs, "aggregator-skew");
-  ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->severity, Severity::kWarn);
 }
 
 TEST(ProfileDetectors, BalancedProfileStaysInfo) {

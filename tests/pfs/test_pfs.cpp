@@ -93,6 +93,30 @@ TEST(Pfs, SequentialWholeFileWriteIsOneRequestPerServer) {
   }
 }
 
+TEST(Pfs, LocalAccessHitsOneDatafileAndGrowsSize) {
+  // 4 servers, 16-byte stripes: local bytes [16, 32) of server 1 are
+  // global bytes [80, 96) (stripe 5).
+  Pfs fs(small_config());
+  FileHandle h = fs.create("f").value();
+  const auto data = pattern(16);
+  ASSERT_TRUE(h.write_local(1, 16, data, /*file_end=*/96).is_ok());
+  EXPECT_EQ(h.size(), 96u);
+  const auto stats = fs.server_stats();
+  EXPECT_EQ(stats[1].write_requests, 1u);
+  EXPECT_EQ(stats[0].write_requests + stats[2].write_requests +
+                stats[3].write_requests,
+            0u);
+
+  std::vector<std::byte> global(16);
+  ASSERT_TRUE(h.read_at(80, global).is_ok());
+  EXPECT_EQ(global, data);
+  // Server 0's datafile was never written: a hole reads as zeros.
+  std::vector<std::byte> hole(32, std::byte{0xFF});
+  ASSERT_TRUE(h.read_local(0, 0, hole).is_ok());
+  EXPECT_EQ(hole, std::vector<std::byte>(32));
+  EXPECT_EQ(h.size(), 96u);
+}
+
 TEST(Pfs, ScatteredAccessCausesSeeks) {
   Pfs fs(small_config(1, 16));
   auto f = fs.create("f").value();

@@ -11,7 +11,7 @@
 //                              (SLO burn rates, in-window latency
 //                              regressions, I/O stalls)
 //
-// and runs the obs::analysis detectors: rank/server/aggregator imbalance,
+// and runs the obs::analysis detectors: rank/server imbalance,
 // cache thrash, prefetch effectiveness, dropped traces, critical path,
 // and I/O stalls. Output is a human report, or strict JSON with --json.
 //
