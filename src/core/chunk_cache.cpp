@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <thread>
 
@@ -470,8 +471,9 @@ void ChunkCache::submit_writes(const std::vector<std::uint64_t>& addresses) {
   }
 }
 
-Result<std::span<std::byte>> ChunkCache::pin(std::uint64_t address,
-                                             bool writable) {
+Result<std::span<std::byte>> ChunkCache::pin_frame(std::uint64_t address,
+                                                   bool writable,
+                                                   bool overwrite) {
   const std::size_t cb = chunk_size();
   const std::size_t si = shard_index(address);
   Shard& s = shards_[si];
@@ -538,22 +540,6 @@ restart:
     return std::span<std::byte>(frame.data.get(), cb);
   }
 
-  ++s.stats.misses;
-  obs::registry().counter(kMisses).add();
-  obs::profile_chunk(obs::ChunkOp::kCacheMiss, address, 0);
-
-  // Sequential-scan detector (async mode only): consecutive miss
-  // addresses accumulate a run; once it is long enough, read ahead.
-  std::uint64_t readahead_want = 0;
-  if (async() && prefetch_depth_ > 0) {
-    util::MutexLock seq(seq_mu_);
-    seq_run_ = (last_miss_ != kNoAddress && address == last_miss_ + 1)
-                   ? seq_run_ + 1
-                   : 1;
-    last_miss_ = address;
-    if (seq_run_ >= kSequentialThreshold) readahead_want = prefetch_depth_;
-  }
-
   obs::ScopedSpan fault_span("core.cache_fault", "core", file_->chunk_bytes());
   // Fault handling (eviction, frame reservation, readahead setup) is
   // cache-fault time; stopped before the storage read below so the I/O
@@ -590,13 +576,23 @@ restart:
     goto restart;
   }
 
+  // Counted only now: a pin that waited above restarts, and may end as a
+  // hit or fault again, so counting earlier would count it twice.
+  ++s.stats.misses;
+  obs::registry().counter(kMisses).add();
+  obs::profile_chunk(obs::ChunkOp::kCacheMiss, address, 0);
+  // An overwrite reads nothing, so it is no demand the sequential-scan
+  // detector should follow.
+  const std::uint64_t readahead_want =
+      overwrite ? 0 : note_sequential(address, address);
+
   // Miss served from the write-behind queue: the newest bytes for this
   // chunk sit in a queued (not yet completed) write; copying them is both
   // correct and cheaper than re-reading the file.
   if (auto pw = s.pending_writes.find(address); pw != s.pending_writes.end()) {
     Frame frame;
     frame.data = take_buffer_locked(s);
-    std::memcpy(frame.data.get(), pw->second.data.get(), cb);
+    if (!overwrite) std::memcpy(frame.data.get(), pw->second.data.get(), cb);
     frame.pins = 1;
     frame.write_pins = writable ? 1 : 0;
     frame.dirty = true;  // storage still holds stale bytes for this chunk
@@ -613,14 +609,17 @@ restart:
   }
 
   // Reserve the frame (loading, pinned) so concurrent pins wait instead
-  // of double-faulting, then do the read outside the lock.
+  // of double-faulting, then do the read outside the lock. An overwrite
+  // pin skips the read: its holder replaces every byte, and the
+  // exclusive writable pin keeps everyone else off the stale buffer
+  // until then.
   std::byte* buffer = nullptr;
   {
     Frame frame;
     frame.data = take_buffer_locked(s);
     frame.pins = 1;
     frame.write_pins = writable ? 1 : 0;
-    frame.loading = true;
+    frame.loading = !overwrite;
     buffer = frame.data.get();
     const auto [pos, inserted] = s.frames.emplace(address, std::move(frame));
     DRX_CHECK(inserted);
@@ -628,17 +627,13 @@ restart:
   lock.unlock();
 
   if (!write_submits.empty()) submit_writes(write_submits);
+  if (overwrite) return std::span<std::byte>(buffer, cb);
   if (readahead_want > 0) {
     // Reserving read-ahead frames locks other shards, so it happens only
     // after this shard's lock is dropped (one shard lock at a time).
-    const std::uint64_t first = address + 1;
-    const std::uint64_t run = reserve_readahead(first, readahead_want);
-    if (run > 0) {
-      pool_->submit(
-          obs::current_op(),
-          [this, first, run] { return run_prefetch_job(first, run); },
-          nullptr, io::AsyncIoPool::JobClass::kBackground);
-    }
+    std::vector<std::uint64_t> job;
+    read_ahead(address, readahead_want, job);
+    submit_fill(std::move(job));
   }
 
   fault_timer.stop();
@@ -711,27 +706,40 @@ void ChunkCache::unpin(std::uint64_t address, bool dirty, bool writable) {
   maybe_publish_locked(s, address, frame);
 }
 
-std::uint64_t ChunkCache::reserve_readahead(std::uint64_t first,
-                                            std::uint64_t want) {
+std::uint64_t ChunkCache::note_sequential(std::uint64_t front,
+                                          std::uint64_t back) {
+  if (!async() || prefetch_depth_ == 0) return 0;
+  util::MutexLock seq(seq_mu_);
+  seq_run_ = (last_miss_ != kNoAddress && front == last_miss_ + 1)
+                 ? seq_run_ + 1
+                 : 1;
+  last_miss_ = back;
+  return seq_run_ >= kSequentialThreshold ? prefetch_depth_ : 0;
+}
+
+void ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
+                              std::vector<std::uint64_t>& job) {
   const std::uint64_t total = file_->metadata().mapping.total_chunks();
   // Never let speculation displace more than half the pool.
-  const std::uint64_t cap =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(capacity_) / 2);
-  want = std::min(want, cap);
-  std::vector<std::uint64_t> write_submits;
+  const std::size_t cap = std::max<std::size_t>(1, capacity_ / 2);
+  // One in-flight load per shard per job: run_prefetch_job recomputes
+  // the same bitmask from the job's addresses to pair the decrement.
   std::uint64_t participating = 0;  // shard bitmask; shard_count_ <= 64
-  std::uint64_t run = 0;
-  while (run < want) {
-    const std::uint64_t address = first + run;
-    if (address >= total) break;
+  for (const std::uint64_t address : job) {
+    participating |= std::uint64_t{1} << shard_index(address);
+  }
+  std::vector<std::uint64_t> write_submits;
+  for (const std::uint64_t address : addresses) {
+    if (job.size() >= cap) break;
+    if (address >= total) continue;
     const std::size_t si = shard_index(address);
     Shard& s = shards_[si];
     util::MutexLock lock(s.mu);
-    // Stop at resident frames (cached or in flight) and at queued writes:
-    // the newest bytes for a queued-write chunk are not on storage yet.
+    // Skip resident frames (cached or in flight) and queued writes: the
+    // newest bytes for a queued-write chunk are not on storage yet.
     if (s.frames.count(address) != 0 ||
         s.pending_writes.count(address) != 0) {
-      break;
+      continue;
     }
     // Make room by evicting unpinned frames; their dirty write-backs are
     // deferred to the pool, so speculation never blocks on I/O here.
@@ -747,34 +755,64 @@ std::uint64_t ChunkCache::reserve_readahead(std::uint64_t first,
     frame.prefetched = true;
     const auto [pos, inserted] = s.frames.emplace(address, std::move(frame));
     DRX_CHECK(inserted);
-    // One in-flight load per shard per job: run_prefetch_job recomputes
-    // the same bitmask from (first, run) to pair the decrement.
     if ((participating & (std::uint64_t{1} << si)) == 0) {
       participating |= std::uint64_t{1} << si;
       ++s.loads_inflight;
     }
     ++s.stats.prefetch_issued;
     obs::registry().counter(kPrefIssued).add();
-    ++run;
+    job.push_back(address);
   }
   if (!write_submits.empty()) submit_writes(write_submits);
-  if (run > 0) {
-    // Keep the detector's run alive across the hits the prefetch creates.
-    util::MutexLock seq(seq_mu_);
-    last_miss_ = first + run - 1;
-  }
-  return run;
+}
+
+void ChunkCache::read_ahead(std::uint64_t after, std::uint64_t want,
+                            std::vector<std::uint64_t>& job) {
+  std::vector<std::uint64_t> window(checked_size(want));
+  std::iota(window.begin(), window.end(), after + 1);
+  reserve_fill(window, job);
+  // Keep the detector's run alive across the hits the window creates.
+  util::MutexLock seq(seq_mu_);
+  last_miss_ = window.back();
+}
+
+void ChunkCache::submit_fill(std::vector<std::uint64_t> job) {
+  if (job.empty()) return;
+  pool_->submit(
+      obs::current_op(),
+      [this, job = std::move(job)] { return run_prefetch_job(job); }, nullptr,
+      io::AsyncIoPool::JobClass::kBackground);
 }
 
 void ChunkCache::prefetch(std::uint64_t first, std::uint64_t count) {
-  if (!async() || count == 0) return;
-  const std::uint64_t run = reserve_readahead(first, count);
-  if (run > 0) {
-    pool_->submit(
-        obs::current_op(),
-        [this, first, run] { return run_prefetch_job(first, run); }, nullptr,
-        io::AsyncIoPool::JobClass::kBackground);
+  std::vector<std::uint64_t> addresses(checked_size(count));
+  std::iota(addresses.begin(), addresses.end(), first);
+  prefetch(addresses);
+}
+
+void ChunkCache::prefetch(std::span<const std::uint64_t> addresses) {
+  if (!async() || addresses.empty()) return;
+  std::vector<std::uint64_t> job;
+  reserve_fill(addresses, job);
+  submit_fill(std::move(job));
+}
+
+void ChunkCache::prefetch_chunks(std::span<const std::uint64_t> addresses) {
+  if (!async() || addresses.empty()) return;
+  std::vector<std::uint64_t> job;
+  reserve_fill(addresses, job);
+  if (job.empty()) return;
+  // The pins these frames serve will hit, so the detector never sees them
+  // as misses: feed it the reserved run's address span instead. A run
+  // that continues the previous one (a scan of small boxes) carries its
+  // read-ahead window in the same job; read_chunks_stored still gives
+  // the window its own request unless it follows the run on storage.
+  const auto [lo, hi] = std::minmax_element(job.begin(), job.end());
+  const std::uint64_t last = *hi;
+  if (const std::uint64_t want = note_sequential(*lo, last)) {
+    read_ahead(last, want, job);
   }
+  submit_fill(std::move(job));
 }
 
 Status ChunkCache::run_write_job(std::uint64_t address) {
@@ -838,36 +876,29 @@ Status ChunkCache::run_write_job(std::uint64_t address) {
   }
 }
 
-Status ChunkCache::run_prefetch_job(std::uint64_t first, std::uint64_t count) {
+Status ChunkCache::run_prefetch_job(std::span<const std::uint64_t> addresses) {
   const std::size_t cb = chunk_size();
-  const std::size_t total = checked_size(count) * cb;
-  auto staging = std::make_unique<std::byte[]>(total);
+  auto staging = std::make_unique<std::byte[]>(addresses.size() * cb);
+  // Fetch stored bytes under the io mutex, decode into staging outside
+  // it: frames are published already-decoded, so readers never pay codec
+  // latency, and decode overlaps concurrent I/O.
+  std::vector<std::byte> stored;
+  std::vector<DrxFile::StoredRef> refs;
   Status st;
-  if (file_->compressed()) {
-    // Fetch stored bytes under the io mutex, decompress into staging
-    // outside it: frames are published already-decoded, so readers
-    // never pay codec latency, and decode overlaps concurrent I/O.
-    std::vector<std::byte> stored;
-    std::vector<DrxFile::StoredRef> refs;
-    {
-      util::MutexLock io(io_mu_);
-      st = file_->read_chunks_stored(first, count, stored, refs);
-    }
-    for (std::size_t i = 0; st.is_ok() && i < refs.size(); ++i) {
-      st = file_->decode_chunk(
-          refs[i].codec,
-          std::span<const std::byte>(stored.data() + refs[i].offset,
-                                     refs[i].size),
-          std::span<std::byte>(staging.get() + i * cb, cb));
-    }
-  } else {
+  {
     util::MutexLock io(io_mu_);
-    st = file_->read_chunks(first, count,
-                            std::span<std::byte>(staging.get(), total));
+    st = file_->read_chunks_stored(addresses, stored, refs);
+  }
+  for (std::size_t i = 0; st.is_ok() && i < refs.size(); ++i) {
+    st = file_->decode_chunk(
+        refs[i].codec,
+        std::span<const std::byte>(stored.data() + refs[i].offset,
+                                   refs[i].size),
+        std::span<std::byte>(staging.get() + i * cb, cb));
   }
   std::uint64_t participating = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t address = first + i;
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    const std::uint64_t address = addresses[i];
     const std::size_t si = shard_index(address);
     participating |= std::uint64_t{1} << si;
     Shard& s = shards_[si];
@@ -890,7 +921,7 @@ Status ChunkCache::run_prefetch_job(std::uint64_t first, std::uint64_t count) {
       s.frames.erase(it);
     }
   }
-  // Mirror of reserve_readahead's once-per-shard increment.
+  // Mirror of reserve_fill's once-per-shard increment.
   for (std::size_t si = 0; si < shard_count_; ++si) {
     if ((participating & (std::uint64_t{1} << si)) == 0) continue;
     Shard& s = shards_[si];
@@ -1114,17 +1145,31 @@ Status CachedDrxFile::write_box(const Box& box, MemoryOrder order,
                  Index(file_->bounds().begin(), file_->bounds().end())};
   const Box clipped = box.intersect(full);
   if (clipped.empty()) return Status::ok();
-  // Partially covered chunks are read-modify-write: the pin faults the
-  // chunk in, gather overwrites the clipped region, and the dirty unpin
-  // schedules write-back.
-  file_->prefetch_box(clipped);
+  // Fully covered chunks take overwrite pins, which read nothing (as
+  // DrxFile::write_box's memset). Partially covered ones are
+  // read-modify-write: only they are prefetched, the pin faults them in,
+  // gather overwrites the clipped region, and the dirty unpin schedules
+  // write-back.
+  const Box chunks = space_.covering_chunks(clipped);
+  std::vector<std::uint64_t> partial;
+  for_each_index(chunks, [&](const Index& c) {
+    const Box chunk_box = space_.chunk_box(c);
+    if (chunk_box.intersect(clipped) != chunk_box) {
+      partial.push_back(file_->chunk_address(c));
+    }
+  });
+  // prefetch(), not the demand hint: it must not start read-ahead of the
+  // whole chunks this call is about to overwrite.
+  cache_.prefetch(partial);
   Status result;
-  for_each_index(space_.covering_chunks(clipped), [&](const Index& c) {
+  for_each_index(chunks, [&](const Index& c) {
     if (!result.is_ok()) return;
-    const Box clip = space_.chunk_box(c).intersect(clipped);
+    const Box chunk_box = space_.chunk_box(c);
+    const Box clip = chunk_box.intersect(clipped);
     if (clip.empty()) return;
     const std::uint64_t q = file_->chunk_address(c);
-    auto pinned = cache_.pin(q, /*writable=*/true);
+    auto pinned = clip == chunk_box ? cache_.pin_overwrite(q)
+                                    : cache_.pin(q, /*writable=*/true);
     if (!pinned.is_ok()) {
       result = pinned.status();
       return;

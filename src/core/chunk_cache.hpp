@@ -36,10 +36,14 @@
 //    error (sticky: last_error() keeps reporting it, and the destructor
 //    logs it rather than dropping a failed final flush on the floor). A
 //    write-back failure never surfaces from an unrelated pin();
-//  - read-ahead (io_threads > 0 only): a detectably sequential miss run
-//    (consecutive miss addresses) speculatively faults the next
-//    DRX_PREFETCH_DEPTH chunk addresses into frames with ONE coalesced
-//    storage read, before they are pinned.
+//  - fills (io_threads > 0 only): a box hint (DrxFile::prefetch_box) or
+//    explicit prefetch faults its chunks into frames before they are
+//    pinned, with ONE storage read per run that is contiguous on storage
+//    (DrxFile::read_chunks_stored groups the list by storage position);
+//  - read-ahead (io_threads > 0 only): a detectably sequential demand
+//    run (consecutive miss addresses, or hinted runs that continue one
+//    another) speculatively faults the next DRX_PREFETCH_DEPTH chunk
+//    addresses the same way.
 #pragma once
 
 #include <atomic>
@@ -140,7 +144,18 @@ class ChunkCache final : public io::PrefetchSink {
   /// correct for every caller); unpin() must be called with the same
   /// flag.
   [[nodiscard]] Result<std::span<std::byte>> pin(std::uint64_t address,
-                                   bool writable = true);
+                                   bool writable = true) {
+    return pin_frame(address, writable, /*overwrite=*/false);
+  }
+
+  /// Writable pin for a caller that replaces EVERY byte of the chunk
+  /// before unpin(address, /*dirty=*/true): a miss takes a frame without
+  /// reading storage, so the span's initial contents are unspecified.
+  /// Otherwise exactly pin(address, /*writable=*/true).
+  [[nodiscard]] Result<std::span<std::byte>> pin_overwrite(
+      std::uint64_t address) {
+    return pin_frame(address, /*writable=*/true, /*overwrite=*/true);
+  }
 
   /// Releases a pin; `dirty` marks the buffer modified (written back on
   /// eviction or flush — write-back, not write-through). `writable` must
@@ -219,16 +234,23 @@ class ChunkCache final : public io::PrefetchSink {
   /// Flush + drop all unpinned frames (cold-cache tool for benches).
   [[nodiscard]] Status invalidate();
 
-  /// Speculatively faults chunks [first, first + count) into frames using
-  /// one coalesced read on the I/O pool. Advisory: resident chunks, full
-  /// capacity, or a pool without workers reduce or drop the request.
-  /// Never blocks on the I/O it starts.
+  /// Speculatively faults the chunks at `addresses` into frames with one
+  /// job on the I/O pool, which reads them with
+  /// DrxFile::read_chunks_stored (one request per run that is contiguous
+  /// on storage). Fetches exactly the chunks listed and never feeds the
+  /// sequential detector. Advisory: resident and write-queued chunks are
+  /// skipped, and a full pool or one without workers reduces or drops the
+  /// request. Never blocks on the I/O it starts.
+  void prefetch(std::span<const std::uint64_t> addresses);
+  /// prefetch() over chunks [first, first + count).
   void prefetch(std::uint64_t first, std::uint64_t count);
 
-  /// io::PrefetchSink — DrxFile::prefetch_box() lands here.
-  void prefetch_range(std::uint64_t first, std::uint64_t count) override {
-    prefetch(first, count);
-  }
+  /// io::PrefetchSink — DrxFile::prefetch_box() lands here: a demand
+  /// hint. Fills like prefetch(), and a hinted run that reserved frames
+  /// feeds the sequential detector (it stands for the misses its pins
+  /// will no longer take), so a run that continues the previous one also
+  /// reads ahead.
+  void prefetch_chunks(std::span<const std::uint64_t> addresses) override;
 
   /// First write-back failure observed (deferred or not). Sticky: remains
   /// observable after flush() has returned it.
@@ -402,10 +424,27 @@ class ChunkCache final : public io::PrefetchSink {
   /// The sticky error if a caller has not seen it yet (marks surfaced).
   [[nodiscard]] Status take_unsurfaced_error();
 
-  /// Reserves loading frames for a contiguous eligible run starting at
-  /// `first`, locking one shard at a time; returns the run length
-  /// (0 = nothing to do). Called with no shard lock held.
-  std::uint64_t reserve_readahead(std::uint64_t first, std::uint64_t want);
+  /// pin() and pin_overwrite(); `overwrite` skips the storage read.
+  [[nodiscard]] Result<std::span<std::byte>> pin_frame(std::uint64_t address,
+                                                       bool writable,
+                                                       bool overwrite);
+
+  /// Reserves loading frames for the eligible chunks of `addresses`, in
+  /// order (resident, in-flight and write-queued chunks are skipped),
+  /// appending each to `job` until the job holds half the pool. Locks
+  /// one shard at a time; called with no shard lock held.
+  void reserve_fill(std::span<const std::uint64_t> addresses,
+                    std::vector<std::uint64_t>& job);
+  /// Feeds one demand run, the addresses front..back (a miss: front ==
+  /// back), to the sequential detector; returns the read-ahead window to
+  /// follow it with (0 = none).
+  std::uint64_t note_sequential(std::uint64_t front, std::uint64_t back);
+  /// Reserves the read-ahead window after..after + want into `job`.
+  void read_ahead(std::uint64_t after, std::uint64_t want,
+                  std::vector<std::uint64_t>& job);
+  /// Submits `job` (reserved by reserve_fill) to the pool as one
+  /// background run_prefetch_job; an empty job is dropped.
+  void submit_fill(std::vector<std::uint64_t> job);
 
   /// Chunk-sized frame buffer from the shard free list (evictions recycle
   /// their buffers there), allocating only when the list is empty — so
@@ -418,7 +457,7 @@ class ChunkCache final : public io::PrefetchSink {
   // Pool jobs (run on workers, or inline on the submitter at 0 threads).
   // Submitted with no shard lock held: inline jobs take shard locks.
   [[nodiscard]] Status run_write_job(std::uint64_t address);
-  [[nodiscard]] Status run_prefetch_job(std::uint64_t first, std::uint64_t count);
+  [[nodiscard]] Status run_prefetch_job(std::span<const std::uint64_t> addresses);
 
   [[nodiscard]] Status flush_shard_locked(Shard& s, util::MutexLock& lock)
       DRX_REQUIRES(s.mu);
@@ -439,12 +478,13 @@ class ChunkCache final : public io::PrefetchSink {
   // caller-owned DrxFile; there is no member field to annotate.
   util::Mutex io_mu_;  ///< serializes DrxFile storage access (leaf)
 
-  // Sequential-scan detector: a miss at last_miss_ + 1 extends the run;
-  // anything else restarts it. Read-ahead fires once the run reaches
+  // Sequential-scan detector: a demand run (a miss, or a hinted run that
+  // reserved frames) starting at last_miss_ + 1 extends the run; anything
+  // else restarts it. Read-ahead fires once the run reaches
   // kSequentialThreshold, and sets last_miss_ to the end of the issued
-  // window so prefetch hits keep the run alive. Global across shards
-  // (consecutive addresses hash to different shards) under the leaf lock
-  // seq_mu_.
+  // window so prefetch hits keep the run alive. Resident hits never feed
+  // it. Global across shards (consecutive addresses hash to different
+  // shards) under the leaf lock seq_mu_.
   static constexpr int kSequentialThreshold = 2;
   static constexpr std::uint64_t kNoAddress = ~std::uint64_t{0};
   mutable util::Mutex seq_mu_;
@@ -533,7 +573,9 @@ class CachedDrxFile {
 
   /// Writes `in` (linearized in `order`) over element box
   /// [box.lo, box.hi) through the pool with writable pins and dirty
-  /// unpins — write-back, not write-through.
+  /// unpins — write-back, not write-through. Chunks the box covers whole
+  /// take overwrite pins (no storage read); only the partially covered
+  /// ones are prefetched and read.
   [[nodiscard]] Status write_box(const Box& box, MemoryOrder order,
                    std::span<const std::byte> in);
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "core/scatter.hpp"
@@ -333,69 +334,18 @@ Status DrxFile::read_chunk(std::uint64_t address, std::span<std::byte> out) {
   return data_->read_at(checked_mul(address, meta_.chunk_bytes()), out);
 }
 
-Status DrxFile::read_chunks(std::uint64_t first_address, std::uint64_t count,
-                            std::span<std::byte> out) {
-  DRX_CHECK(out.size() == checked_mul(count, meta_.chunk_bytes()));
-  if (count == 0) return Status::ok();
-  if (compressed()) {
-    const auto start = std::chrono::steady_clock::now();
-    const std::size_t cb = checked_size(meta_.chunk_bytes());
-    std::vector<std::byte> scratch;
-    std::vector<StoredRef> refs;
-    DRX_RETURN_IF_ERROR(read_chunks_stored(first_address, count, scratch, refs));
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      DRX_RETURN_IF_ERROR(decode_chunk(
-          refs[i].codec,
-          std::span<const std::byte>(scratch.data() + refs[i].offset,
-                                     refs[i].size),
-          out.subspan(i * cb, cb)));
-    }
-    record_effective_read_bw(out.size(), start);
-    return Status::ok();
-  }
-  static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
-  static const obs::MetricId kBatches =
-      obs::counter_id("core.chunk_read_batches");
-  static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
-  obs::registry().counter(kReads).add(count);
-  obs::registry().counter(kBatches).add();
-  obs::registry().counter(kBytes).add(out.size());
-  if (obs::profile_enabled()) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      obs::profile_chunk(obs::ChunkOp::kRead, first_address + i,
-                         meta_.chunk_bytes());
-    }
-  }
-  obs::ScopedSpan span("core.read_chunks_batch", "core", out.size());
-  obs::StageTimer io(obs::Stage::kIoService);
-  return data_->read_at(checked_mul(first_address, meta_.chunk_bytes()), out);
-}
-
 void DrxFile::prefetch_box(const Box& box) {
   if (prefetch_sink_ == nullptr) return;
   const Box clipped = box.intersect(Box{Index(rank(), 0), bounds()});
   if (clipped.empty()) return;
-  // Element box -> covering chunk-index box -> sorted linear addresses ->
-  // maximal contiguous runs, one hint per run.
-  Box chunks(Index(rank(), 0), Index(rank(), 0));
-  for (std::size_t d = 0; d < rank(); ++d) {
-    chunks.lo[d] = clipped.lo[d] / meta_.chunk_shape[d];
-    chunks.hi[d] = (clipped.hi[d] - 1) / meta_.chunk_shape[d] + 1;
-  }
+  // The plain address list: grouping by storage position needs the slot
+  // table, which only read_chunks_stored reads (under the cache's io
+  // mutex, while write-behind may move slots).
   std::vector<std::uint64_t> addresses;
-  addresses.reserve(checked_size(chunks.volume()));
-  for_each_index(chunks, [&](const Index& c) {
+  for_each_index(chunk_space_.covering_chunks(clipped), [&](const Index& c) {
     addresses.push_back(meta_.mapping.address_of(c));
   });
-  std::sort(addresses.begin(), addresses.end());
-  std::size_t run_begin = 0;
-  for (std::size_t i = 1; i <= addresses.size(); ++i) {
-    if (i == addresses.size() || addresses[i] != addresses[i - 1] + 1) {
-      prefetch_sink_->prefetch_range(addresses[run_begin],
-                                     static_cast<std::uint64_t>(i - run_begin));
-      run_begin = i;
-    }
-  }
+  prefetch_sink_->prefetch_chunks(addresses);
 }
 
 Status DrxFile::write_chunk(std::uint64_t address,
@@ -537,87 +487,124 @@ Status DrxFile::decode_chunk(codec::CodecId chunk_codec,
   return st;
 }
 
-Status DrxFile::read_chunks_stored(std::uint64_t first_address,
-                                   std::uint64_t count,
+Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
                                    std::vector<std::byte>& scratch,
                                    std::vector<StoredRef>& refs) {
   refs.clear();
   scratch.clear();
-  if (count == 0) return Status::ok();
-  const std::uint64_t cb = meta_.chunk_bytes();
-  if (!compressed()) {
-    scratch.resize(checked_size(checked_mul(count, cb)));
-    DRX_RETURN_IF_ERROR(read_chunks(first_address, count, scratch));
-    refs.reserve(checked_size(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      refs.push_back(StoredRef{codec::CodecId::kNone,
-                               checked_size(checked_mul(i, cb)),
-                               static_cast<std::uint32_t>(cb)});
+  if (addresses.empty()) return Status::ok();
+  const std::uint64_t total = meta_.mapping.total_chunks();
+  for (const std::uint64_t q : addresses) {
+    if (q >= total) {
+      return Status(ErrorCode::kOutOfRange, "chunk address out of range");
     }
-    return Status::ok();
   }
-  if (first_address + count > meta_.chunk_table.size()) {
-    return Status(ErrorCode::kOutOfRange, "chunk range out of range");
-  }
+  const std::size_t n = addresses.size();
+  const std::uint64_t cb = meta_.chunk_bytes();
   static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
   static const obs::MetricId kBatches =
       obs::counter_id("core.chunk_read_batches");
   static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
-  obs::registry().counter(kReads).add(count);
+  obs::registry().counter(kReads).add(n);
   obs::registry().counter(kBatches).add();
-  obs::registry().counter(kBytes).add(checked_mul(count, cb));
+  obs::registry().counter(kBytes).add(checked_mul(n, cb));
   if (obs::profile_enabled()) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      obs::profile_chunk(obs::ChunkOp::kRead, first_address + i,
-                         checked_size(cb));
+    for (const std::uint64_t q : addresses) {
+      obs::profile_chunk(obs::ChunkOp::kRead, q, checked_size(cb));
     }
   }
 
-  // Slots of consecutive addresses are usually physically consecutive
-  // (they were created in address order): fetch the whole byte span in
-  // one request when it is dense enough, else fall back to one request
-  // per chunk packed tight into the scratch buffer.
-  std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t hi = 0;
-  std::uint64_t hi_cap = 0;
-  std::uint64_t live = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const ChunkSlot& s = meta_.chunk_table[first_address + i];
-    lo = std::min(lo, s.offset);
-    hi = std::max(hi, s.offset + s.stored);
-    hi_cap = std::max(hi_cap, s.offset + s.capacity);
-    live += s.stored;
-  }
-  // Read through the last slot's capacity slack (when those bytes exist on
-  // disk) so consecutive batch reads over a packed layout stay
-  // head-contiguous — a streaming scan then costs one seek total, not one
-  // per batch.
-  hi = std::max(hi, std::min(hi_cap, data_->size()));
-  const std::uint64_t span_bytes = hi - lo;
-  obs::ScopedSpan span("core.read_chunks_batch", "core",
-                       checked_size(live));
-  refs.reserve(checked_size(count));
-  if (live * 2 >= span_bytes) {
-    scratch.resize(checked_size(span_bytes));
-    obs::StageTimer io(obs::Stage::kIoService);
-    DRX_RETURN_IF_ERROR(data_->read_at(lo, scratch));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const ChunkSlot& s = meta_.chunk_table[first_address + i];
-      refs.push_back(StoredRef{static_cast<codec::CodecId>(s.codec),
-                               checked_size(s.offset - lo), s.stored});
+  // Group by where the chunks sit in the .xta, not by address: compressed
+  // slots sit wherever they were last written, so address neighbours may
+  // be far apart while storage neighbours are not. Walking the list in
+  // storage order, a group grows while the next chunk follows the
+  // previous one on storage (Metadata::follows_on_storage) or, for
+  // compressed slots, while reading the hole up to it keeps the group at
+  // least half live bytes (cheaper than a seek). Each group is one
+  // request. Raw chunks never read holes: a raw list costs one request
+  // per run of consecutive addresses.
+  struct Piece {
+    std::uint64_t offset;
+    std::uint64_t capacity;
+    std::uint32_t stored;
+    codec::CodecId codec;
+  };
+  std::vector<Piece> pieces;
+  pieces.reserve(n);
+  for (const std::uint64_t q : addresses) {
+    const Metadata::StorageExtent e = meta_.storage_extent(q);
+    if (compressed()) {
+      const ChunkSlot& s = meta_.chunk_table[q];
+      pieces.push_back(
+          Piece{e.offset, e.capacity, s.stored,
+                static_cast<codec::CodecId>(s.codec)});
+    } else {
+      pieces.push_back(Piece{e.offset, e.capacity,
+                             static_cast<std::uint32_t>(cb),
+                             codec::CodecId::kNone});
     }
-    return Status::ok();
   }
-  scratch.resize(checked_size(live));
-  std::size_t pos = 0;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return pieces[a].offset < pieces[b].offset;
+  });
+  struct Group {
+    std::size_t begin;  // [begin, end) into `order`
+    std::size_t end;
+    std::uint64_t lo;
+    std::uint64_t hi;
+    std::uint64_t live;    // stored bytes
+    std::uint64_t hi_cap;  // end of the last reservation
+  };
+  std::vector<Group> groups;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Piece& p = pieces[order[k]];
+    const std::uint64_t end = p.offset + p.stored;
+    if (!groups.empty()) {
+      Group& g = groups.back();
+      const bool dense = compressed() && (g.live + p.stored) * 2 >= end - g.lo;
+      if (dense || meta_.follows_on_storage(addresses[order[k - 1]],
+                                            addresses[order[k]])) {
+        g.end = k + 1;
+        g.hi = std::max(g.hi, end);
+        g.live += p.stored;
+        g.hi_cap = std::max(g.hi_cap, p.offset + p.capacity);
+        continue;
+      }
+    }
+    groups.push_back(Group{k, k + 1, p.offset, end, p.stored,
+                           p.offset + p.capacity});
+  }
+  // Read through a run's last capacity slack (when those bytes exist on
+  // disk) so consecutive batch reads over a packed layout stay
+  // head-contiguous: a streaming scan then costs one seek total, not one
+  // per batch. A lone chunk reads its live bytes only; the next request
+  // rarely starts where its slot ends.
+  for (Group& g : groups) {
+    if (g.end - g.begin > 1) {
+      g.hi = std::max(g.hi, std::min(g.hi_cap, data_->size()));
+    }
+  }
+
+  std::uint64_t scratch_bytes = 0;
+  for (const Group& g : groups) scratch_bytes += g.hi - g.lo;
+  scratch.resize(checked_size(scratch_bytes));
+  refs.resize(n);
+  obs::ScopedSpan span("core.read_chunks_batch", "core",
+                       checked_size(scratch_bytes));
   obs::StageTimer io(obs::Stage::kIoService);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const ChunkSlot& s = meta_.chunk_table[first_address + i];
+  std::size_t pos = 0;
+  for (const Group& g : groups) {
     DRX_RETURN_IF_ERROR(data_->read_at(
-        s.offset, std::span<std::byte>(scratch.data() + pos, s.stored)));
-    refs.push_back(StoredRef{static_cast<codec::CodecId>(s.codec), pos,
-                             s.stored});
-    pos += s.stored;
+        g.lo, std::span<std::byte>(scratch.data() + pos,
+                                   checked_size(g.hi - g.lo))));
+    for (std::size_t k = g.begin; k < g.end; ++k) {
+      const Piece& p = pieces[order[k]];
+      refs[order[k]] =
+          StoredRef{p.codec, pos + checked_size(p.offset - g.lo), p.stored};
+    }
+    pos += checked_size(g.hi - g.lo);
   }
   return Status::ok();
 }

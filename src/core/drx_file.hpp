@@ -172,15 +172,19 @@ class DrxFile {
                                     std::span<const std::byte> stored,
                                     std::span<std::byte> raw) const;
 
-  /// Stored-side counterpart of read_chunks: fetches `count` chunks at
-  /// consecutive addresses into `scratch`, coalescing neighbouring
-  /// slots into one storage request when the file layout allows, and
-  /// records where each chunk landed in `refs`. Decode the refs with
-  /// `decode_chunk` outside the storage lock.
-  [[nodiscard]] Status read_chunks_stored(std::uint64_t first_address,
-                                          std::uint64_t count,
-                                          std::vector<std::byte>& scratch,
-                                          std::vector<StoredRef>& refs);
+  /// Fetches the stored bytes of the chunks at `addresses` (any order)
+  /// into `scratch` and records where each landed in `refs` (same order
+  /// as `addresses`). The one place a fill is split into storage
+  /// requests: the list is sorted by storage position and each maximal
+  /// run that is contiguous on storage (Metadata::follows_on_storage) is
+  /// one request; compressed slots also join a request across a hole
+  /// while it stays at least half live bytes. Reads the slot table, so
+  /// callers that share the file with write-behind hold the same lock.
+  /// Decode the refs with `decode_chunk` outside that lock. The fill
+  /// primitive behind ChunkCache's box hints and sequential read-ahead.
+  [[nodiscard]] Status read_chunks_stored(
+      std::span<const std::uint64_t> addresses,
+      std::vector<std::byte>& scratch, std::vector<StoredRef>& refs);
 
   /// Run-coalesced scatter/gather between a chunk buffer and a
   /// box-linearized user buffer for the element range `clip` (which lies
@@ -193,13 +197,6 @@ class DrxFile {
   void gather_chunk(std::span<std::byte> chunk, const Box& clip,
                     const Box& box, MemoryOrder order,
                     std::span<const std::byte> in) const;
-
-  /// Reads `count` chunks at consecutive linear addresses starting at
-  /// `first_address` with ONE storage request (chunk addresses are
-  /// contiguous in the .xta by construction) — the coalescing primitive
-  /// behind sequential read-ahead. `out` must hold count * chunk_bytes().
-  [[nodiscard]] Status read_chunks(std::uint64_t first_address, std::uint64_t count,
-                     std::span<std::byte> out);
 
   // ---- prefetch hints (docs/ASYNC_IO.md) --------------------------------
   // Layers that know future access patterns announce them here; a cache

@@ -51,6 +51,32 @@ std::uint64_t Metadata::stored_live_bytes() const {
   return total;
 }
 
+Metadata::StorageExtent Metadata::storage_extent(std::uint64_t address) const {
+  if (!compressed()) {
+    const std::uint64_t cb = chunk_bytes();
+    return StorageExtent{checked_mul(address, cb), cb};
+  }
+  DRX_CHECK(address < chunk_table.size());
+  const ChunkSlot& s = chunk_table[checked_size(address)];
+  return StorageExtent{s.offset, s.capacity};
+}
+
+bool Metadata::follows_on_storage(std::uint64_t prev,
+                                  std::uint64_t next) const {
+  const StorageExtent p = storage_extent(prev);
+  return storage_extent(next).offset == p.offset + p.capacity;
+}
+
+std::uint64_t Metadata::address_order_runs() const {
+  const std::uint64_t total = mapping.total_chunks();
+  if (total == 0) return 0;
+  std::uint64_t runs = 1;
+  for (std::uint64_t q = 1; q < total; ++q) {
+    if (!follows_on_storage(q - 1, q)) ++runs;
+  }
+  return runs;
+}
+
 std::vector<std::byte> Metadata::to_bytes() const {
   ByteWriter payload;
   payload.put_u8(static_cast<std::uint8_t>(dtype));

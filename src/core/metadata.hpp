@@ -92,6 +92,25 @@ struct Metadata {
   /// and capacity padding); the numerator of drx_inspect's ratio.
   [[nodiscard]] std::uint64_t stored_live_bytes() const;
 
+  /// Byte range chunk `address` reserves in the .xta: its slot (offset,
+  /// capacity) when compressed, [address, address + 1) x chunk_bytes()
+  /// when raw.
+  struct StorageExtent {
+    std::uint64_t offset = 0;
+    std::uint64_t capacity = 0;
+  };
+  [[nodiscard]] StorageExtent storage_extent(std::uint64_t address) const;
+  /// The one definition of "contiguous on storage": chunk `next` starts
+  /// exactly where chunk `prev`'s reservation ends. Cache fills
+  /// (DrxFile::read_chunks_stored) and address_order_runs() both use it.
+  [[nodiscard]] bool follows_on_storage(std::uint64_t prev,
+                                        std::uint64_t next) const;
+  /// Maximal storage-contiguous runs met when the chunks are walked in
+  /// address order: 1 means an address-order scan is one sequential pass
+  /// (always so for raw arrays); up to total_chunks() when every address
+  /// neighbour sits elsewhere in the .xta.
+  [[nodiscard]] std::uint64_t address_order_runs() const;
+
   /// The one sanctioned axial-vector mutation (scripts/lint_drx.py rule
   /// `axial-mutation`): grows dimension `dim` by `delta` elements,
   /// extending the chunk grid through the axial mapping when the new

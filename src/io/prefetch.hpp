@@ -5,19 +5,20 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace drx::io {
 
 /// Receiver of speculative chunk-read hints. Implementations must treat
-/// hints as advisory: dropping one is always legal, and prefetch_range
+/// hints as advisory: dropping one is always legal, and prefetch_chunks
 /// must never block on the I/O it starts.
 class PrefetchSink {
  public:
   virtual ~PrefetchSink() = default;
 
-  /// Hints that linear chunk addresses [first, first + count) are about
+  /// Hints that the chunks at linear `addresses` (any order) are about
   /// to be read. Thread-safe.
-  virtual void prefetch_range(std::uint64_t first, std::uint64_t count) = 0;
+  virtual void prefetch_chunks(std::span<const std::uint64_t> addresses) = 0;
 };
 
 }  // namespace drx::io

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "codec/codec.hpp"
 #include "core/chunk_cache.hpp"
 #include "simpi/runtime.hpp"
 #include "util/rng.hpp"
@@ -433,6 +434,299 @@ TEST_P(ChunkCacheEngine, ConcurrentFlushAndSetDoNotRaceOnFrameBuffer) {
   double seen = 0;
   std::memcpy(&seen, chunk.data(), sizeof(seen));
   EXPECT_EQ(seen, static_cast<double>(kIters));
+}
+
+/// Writes `value(i, j)` over the whole array through the uncached file,
+/// one chunk-row band at a time: a compressed array relocates every slot
+/// in band order, so its slots are not in address order (F* addresses
+/// run down columns).
+template <typename F>
+void write_row_bands(DrxFile& file, std::uint64_t band, F value) {
+  const std::uint64_t rows = file.bounds()[0];
+  const std::uint64_t cols = file.bounds()[1];
+  for (std::uint64_t r = 0; r < rows; r += band) {
+    const Box b{{r, 0}, {r + band, cols}};
+    std::vector<double> vals;
+    for_each_index(b, [&](const Index& idx) {
+      vals.push_back(value(idx[0], idx[1]));
+    });
+    ASSERT_TRUE(
+        file.write_box(b, MemoryOrder::kRowMajor, std::as_bytes(std::span(vals)))
+            .is_ok());
+  }
+}
+
+double unique_value(std::uint64_t i, std::uint64_t j) {
+  return static_cast<double>(i * 1000 + j) + 0.25;  // incompressible
+}
+
+// A box hint fills by storage position: on a band-written compressed
+// array the 3x3-chunk box is three storage-contiguous rows of chunks,
+// so three read requests, where address-ordered runs (each a column of
+// chunks 8 slots apart on storage) cost one request per chunk. On a raw
+// array storage order is address order, so nothing changes there.
+TEST(CachedDrxFileAsync, BoxFillsCoalesceByStoragePosition) {
+  for (const codec::CodecId c : {codec::CodecId::kRle, codec::CodecId::kNone}) {
+    DrxFile::Options options;
+    options.dtype = ElementType::kDouble;
+    options.codec = c;
+    auto created = DrxFile::create(std::make_unique<pfs::MemStorage>(),
+                                   std::make_unique<pfs::MemStorage>(),
+                                   Shape{64, 64}, Shape{8, 8}, options);
+    ASSERT_TRUE(created.is_ok()) << created.status();
+    DrxFile file = std::move(created).value();
+    write_row_bands(file, 8, unique_value);
+    auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
+    CachedDrxFile cached(file, 32, kAsync);
+
+    const Box box{{8, 8}, {32, 32}};  // chunks 1..3 x 1..3
+    std::vector<double> out(checked_size(box.volume()));
+    const std::uint64_t reads_before = io.read_requests;
+    ASSERT_TRUE(cached
+                    .read_box(box, MemoryOrder::kRowMajor,
+                              std::as_writable_bytes(std::span(out)))
+                    .is_ok());
+    // Compressed: one request per storage row. Raw: one per address run
+    // (a column of chunks), as before.
+    EXPECT_EQ(io.read_requests - reads_before, 3u) << codec::codec_name(c);
+    std::size_t k = 0;
+    for_each_index(box, [&](const Index& idx) {
+      EXPECT_EQ(out[k++], unique_value(idx[0], idx[1]));
+    });
+  }
+}
+
+// Read-ahead under read_box: the box hint reserves the chunk a one-chunk
+// read_box is about to pin, so the pin hits and the miss detector never
+// sees the scan. Hinted runs feed the detector instead, so a scan of
+// one-chunk boxes in address order reads ahead like a scan of misses.
+TEST(CachedDrxFileAsync, ScanOfOneChunkBoxesReadsAhead) {
+  DrxFile file = make_file(Shape{512, 512}, Shape{16, 16});  // 1024 chunks
+  write_row_bands(file, 16, unique_value);
+  auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
+  constexpr std::uint64_t kDepth = 8;
+  CachedDrxFile cached(file, 64, ChunkCache::AsyncOptions{2, kDepth});
+  const std::uint64_t total = file.metadata().mapping.total_chunks();
+  ASSERT_EQ(total, 1024u);
+
+  const std::uint64_t reads_before = io.read_requests;
+  std::vector<double> out(16 * 16);
+  for (std::uint64_t q = 0; q < total; ++q) {
+    const Index c = file.metadata().mapping.index_of(q);
+    const Box box{{c[0] * 16, c[1] * 16}, {c[0] * 16 + 16, c[1] * 16 + 16}};
+    ASSERT_TRUE(cached
+                    .read_box(box, MemoryOrder::kRowMajor,
+                              std::as_writable_bytes(std::span(out)))
+                    .is_ok());
+    std::size_t k = 0;
+    for_each_index(box, [&](const Index& idx) {
+      ASSERT_EQ(out[k++], unique_value(idx[0], idx[1]));
+    });
+  }
+  ASSERT_TRUE(cached.flush().is_ok());
+  // One request per read-ahead window (plus the two that start the run),
+  // not one per chunk.
+  EXPECT_LE(io.read_requests - reads_before, (total + kDepth - 1) / kDepth + 2);
+  EXPECT_GT(cached.stats().prefetch_useful, 0u);
+}
+
+// Hot-set hits never feed the detector: re-reading resident chunks
+// reserves nothing, so it issues no read-ahead.
+TEST(CachedDrxFileAsync, ResidentBoxesDoNotReadAhead) {
+  DrxFile file = make_file(Shape{64, 64}, Shape{8, 8});  // 64 chunks
+  CachedDrxFile cached(file, 64, ChunkCache::AsyncOptions{2, 8});
+  const Box box{{0, 0}, {8, 64}};  // chunks (0, 0..7), addresses 0, 8, ...
+  std::vector<double> out(checked_size(box.volume()));
+  ASSERT_TRUE(cached
+                  .read_box(box, MemoryOrder::kRowMajor,
+                            std::as_writable_bytes(std::span(out)))
+                  .is_ok());
+  ASSERT_TRUE(cached.flush().is_ok());
+  const std::uint64_t issued = cached.stats().prefetch_issued;
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(cached
+                    .read_box(box, MemoryOrder::kRowMajor,
+                              std::as_writable_bytes(std::span(out)))
+                    .is_ok());
+  }
+  ASSERT_TRUE(cached.flush().is_ok());
+  EXPECT_EQ(cached.stats().prefetch_issued, issued);
+}
+
+// Box hints and write-behind together over a compressed array: a writer
+// keeps evicting dirty chunks whose first incompressible write-back
+// outgrows the all-zero slot and relocates it on a pool worker, while a
+// reader's box hints fill the same chunks. Grouping a fill by storage
+// position reads the slot table, so it must happen under the same lock
+// as those write-backs, never on the hinting thread.
+TEST(CachedDrxFileAsync, BoxHintsDuringCompressedWriteBehind) {
+  DrxFile::Options options;
+  options.dtype = ElementType::kDouble;
+  options.codec = codec::CodecId::kRle;
+  auto created = DrxFile::create(std::make_unique<pfs::MemStorage>(),
+                                 std::make_unique<pfs::MemStorage>(),
+                                 Shape{128, 128}, Shape{8, 8}, options);
+  ASSERT_TRUE(created.is_ok()) << created.status();
+  DrxFile file = std::move(created).value();
+  CachedDrxFile cached(file, 8, kAsync);
+  constexpr int kIters = 8;
+  // The writer's box is unaligned, so it has partially covered chunks to
+  // prefetch as well as whole ones to overwrite.
+  const Box written{{1, 1}, {127, 127}};
+  const auto value_at = [](int iter, const Index& idx) {
+    return unique_value(idx[0], idx[1]) + iter;  // incompressible
+  };
+  // The created zeros, or the version some write_box left there.
+  const auto plausible = [](double v, const Index& idx) {
+    if (v == 0.0) return true;
+    const double iter = v - unique_value(idx[0], idx[1]);
+    return iter >= 0 && iter < kIters && iter == static_cast<int>(iter);
+  };
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    for (int i = 0; i < kIters; ++i) {
+      std::vector<double> in;
+      for_each_index(written, [&](const Index& idx) {
+        in.push_back(value_at(i, idx));
+      });
+      EXPECT_TRUE(cached
+                      .write_box(written, MemoryOrder::kRowMajor,
+                                 std::as_bytes(std::span(in)))
+                      .is_ok());
+    }
+    writing.store(false);
+  });
+  std::thread reader([&] {
+    for (std::uint64_t i = 0; writing.load() || i < 64; ++i) {
+      const std::uint64_t r = 8 * (i % 13);
+      const std::uint64_t c = 8 * (i * 5 % 11);
+      const Box box{{r, c}, {r + 16, c + 24}};
+      std::vector<double> out(checked_size(box.volume()));
+      ASSERT_TRUE(cached
+                      .read_box(box, MemoryOrder::kRowMajor,
+                                std::as_writable_bytes(std::span(out)))
+                      .is_ok());
+      std::size_t k = 0;
+      for_each_index(box, [&](const Index& idx) {
+        ASSERT_TRUE(plausible(out[k++], idx)) << idx[0] << "," << idx[1];
+      });
+    }
+  });
+  writer.join();
+  reader.join();
+  ASSERT_TRUE(cached.flush().is_ok());
+  for_each_index(Box{{0, 0}, {128, 128}}, [&](const Index& idx) {
+    const bool inside =
+        idx[0] >= 1 && idx[0] < 127 && idx[1] >= 1 && idx[1] < 127;
+    ASSERT_EQ(file.get<double>(idx).value(),
+              inside ? value_at(kIters - 1, idx) : 0.0);
+  });
+}
+
+// A write that covers a chunk whole replaces every byte, so its pin
+// reads nothing: a chunk-aligned 2x2-chunk box on a cold cache costs no
+// device read at all.
+TEST_P(ChunkCacheEngine, AlignedWriteBoxReadsNothing) {
+  DrxFile file = make_file(Shape{8, 8}, Shape{2, 2});
+  auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
+  {
+    CachedDrxFile cached(file, 8, engine());
+    const Box box{{2, 4}, {6, 8}};  // chunks (1..2, 2..3)
+    std::vector<double> in(checked_size(box.volume()));
+    for (std::size_t k = 0; k < in.size(); ++k) in[k] = 7.0 + static_cast<double>(k);
+    const std::uint64_t reads_before = io.read_requests;
+    ASSERT_TRUE(cached
+                    .write_box(box, MemoryOrder::kRowMajor,
+                               std::as_bytes(std::span(in)))
+                    .is_ok());
+    ASSERT_TRUE(cached.flush().is_ok());
+    EXPECT_EQ(io.read_requests - reads_before, 0u);
+  }
+  std::size_t k = 0;
+  for_each_index(Box{{2, 4}, {6, 8}}, [&](const Index& idx) {
+    EXPECT_EQ(file.get<double>(idx).value(), 7.0 + static_cast<double>(k++));
+  });
+}
+
+// An unaligned box still reads (only) the chunks it covers in part, and
+// the bytes of those chunks outside the box survive the write.
+TEST_P(ChunkCacheEngine, UnalignedWriteBoxReadModifyWrites) {
+  DrxFile file = make_file(Shape{8, 8}, Shape{2, 2});  // 4x4 chunks
+  const auto before = [](const Index& idx) {
+    return static_cast<double>(idx[0] * 8 + idx[1]);
+  };
+  for_each_index(Box{{0, 0}, {8, 8}}, [&](const Index& idx) {
+    ASSERT_TRUE(file.set<double>(idx, before(idx)).is_ok());
+  });
+  auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
+  const Box box{{1, 1}, {7, 7}};  // 16 chunks: 4 whole, 12 in part
+  const auto after = [](const Index& idx) {
+    return -1.0 - static_cast<double>(idx[0] * 8 + idx[1]);
+  };
+  {
+    CachedDrxFile cached(file, 16, engine());
+    std::vector<double> in;
+    for_each_index(box, [&](const Index& idx) { in.push_back(after(idx)); });
+    const std::uint64_t reads_before = io.read_requests;
+    ASSERT_TRUE(cached
+                    .write_box(box, MemoryOrder::kRowMajor,
+                               std::as_bytes(std::span(in)))
+                    .is_ok());
+    ASSERT_TRUE(cached.flush().is_ok());
+    const std::uint64_t reads = io.read_requests - reads_before;
+    EXPECT_GT(reads, 0u);
+    // Inline, every partial chunk faults alone; a worker coalesces them
+    // into runs that are contiguous on storage. The 4 whole chunks never
+    // read.
+    EXPECT_LE(reads, 12u);
+    if (GetParam() == 0) {
+      EXPECT_EQ(reads, 12u);
+    }
+  }
+  for_each_index(Box{{0, 0}, {8, 8}}, [&](const Index& idx) {
+    const bool inside = idx[0] >= 1 && idx[0] < 7 && idx[1] >= 1 && idx[1] < 7;
+    EXPECT_EQ(file.get<double>(idx).value(), inside ? after(idx) : before(idx));
+  });
+}
+
+// Overwriting a chunk whose older contents still sit in the write-behind
+// queue: the overwrite pin skips copying the queued bytes (it replaces
+// them all), and the queued write lands before the newer frame is
+// written back, so the last writer wins.
+TEST_P(ChunkCacheEngine, OverwriteOfQueuedWriteBehindIsLastWriterWins) {
+  FaultyStorage::Controls controls;
+  controls.write_delay_ms = 20;  // keep the write-back job in flight
+  DrxFile file = make_faulty_file(controls, Shape{4, 4}, Shape{2, 2});
+  CachedDrxFile cached(file, 1, engine(/*prefetch_depth=*/0));
+  const Box chunk0{{0, 0}, {2, 2}};
+  const Box chunk1{{2, 0}, {4, 2}};
+  const auto fill = [&cached](const Box& b, double v) {
+    const std::vector<double> in(4, v);
+    ASSERT_TRUE(
+        cached.write_box(b, MemoryOrder::kRowMajor, std::as_bytes(std::span(in)))
+            .is_ok());
+  };
+  // Whether the write is still queued when the overwrite arrives is
+  // timing-dependent, so a worker retries until it sees one queue hit.
+  const int attempts = GetParam() > 0 ? 20 : 1;
+  bool queue_hit = false;
+  for (int attempt = 0; attempt < attempts && !queue_hit; ++attempt) {
+    const double newest = 100.0 + attempt;
+    fill(chunk0, newest - 50.0);
+    fill(chunk1, -1.0);  // evicts chunk 0: its write-back is queued
+    fill(chunk0, newest);  // overwrites the queued chunk
+    ASSERT_TRUE(cached.flush().is_ok());
+    for_each_index(chunk0, [&](const Index& idx) {
+      EXPECT_EQ(file.get<double>(idx).value(), newest);
+    });
+    for_each_index(chunk1, [&](const Index& idx) {
+      EXPECT_EQ(file.get<double>(idx).value(), -1.0);
+    });
+    queue_hit = cached.stats().write_queue_hits > 0;
+  }
+  // Inline write-behind completes before the next pin; only a worker
+  // leaves the write queued.
+  EXPECT_EQ(queue_hit, GetParam() > 0);
 }
 
 // Unused read-ahead must not strand capacity: a loaded speculative frame

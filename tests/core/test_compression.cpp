@@ -181,6 +181,41 @@ TEST(Compression, SlotRelocationKeepsDataIntact) {
   });
 }
 
+TEST(Compression, AddressOrderRunsShowsLayoutOrder) {
+  // Create allocates slots in address order: one sequential pass.
+  DrxFile f = make_compressed(Shape{32, 32}, Shape{4, 4});  // 8x8 chunks
+  const std::uint64_t total = f.metadata().mapping.total_chunks();
+  EXPECT_EQ(f.metadata().address_order_runs(), 1u);
+  // Rewriting in row bands relocates every slot in band order, while F*
+  // addresses run down columns: address neighbours are a band apart.
+  for (std::uint64_t r = 0; r < 32; r += 4) {
+    const Box band{{r, 0}, {r + 4, 32}};
+    std::vector<double> vals;
+    for_each_index(band, [&](const Index& idx) {
+      vals.push_back(static_cast<double>(idx[0] * 32 + idx[1]) + 0.5);
+    });
+    ASSERT_TRUE(f.write_box(band, MemoryOrder::kRowMajor,
+                            std::as_bytes(std::span(vals)))
+                    .is_ok());
+  }
+  EXPECT_EQ(f.metadata().address_order_runs(), total);
+  // Storage order is row-major over the grid: chunk (0, c) is followed on
+  // storage by chunk (0, c + 1), not by its address neighbour (1, c).
+  const Metadata& m = f.metadata();
+  EXPECT_TRUE(m.follows_on_storage(m.mapping.address_of(Index{0, 0}),
+                                   m.mapping.address_of(Index{0, 1})));
+  EXPECT_FALSE(m.follows_on_storage(m.mapping.address_of(Index{0, 0}),
+                                    m.mapping.address_of(Index{1, 0})));
+
+  // Raw chunks sit at address x chunk_bytes: always one run.
+  auto raw = DrxFile::create(std::make_unique<pfs::MemStorage>(),
+                             std::make_unique<pfs::MemStorage>(),
+                             Shape{32, 32}, Shape{4, 4},
+                             compressed_opts(codec::CodecId::kNone));
+  ASSERT_TRUE(raw.is_ok());
+  EXPECT_EQ(raw.value().metadata().address_order_runs(), 1u);
+}
+
 TEST(Compression, CorruptChunkIsCleanErrorAndDumpsFlight) {
   const std::string dump =
       (std::filesystem::temp_directory_path() / "drx-corrupt-flight.json")

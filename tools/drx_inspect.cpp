@@ -81,6 +81,7 @@ int inspect_json(const std::string& name) {
   w.key("chunk_bytes").value(m.chunk_bytes());
   w.key("data_file_bytes").value(m.data_file_bytes());
   w.key("codec").value(codec::codec_name(m.codec));
+  w.key("address_order_runs").value(m.address_order_runs());
   if (m.compressed()) {
     const std::uint64_t live = m.stored_live_bytes();
     w.key("stored_bytes").value(live);
@@ -181,6 +182,11 @@ int inspect(const std::string& name, bool chunk_table) {
               static_cast<unsigned long long>(m.mapping.total_records()));
   std::printf("  codec           : %s\n",
               std::string(codec::codec_name(m.codec)).c_str());
+  // 1 = an address-order scan is one sequential pass over the .xta.
+  std::printf("  address order   : %llu storage-contiguous run(s) of %llu "
+              "chunks\n",
+              static_cast<unsigned long long>(m.address_order_runs()),
+              static_cast<unsigned long long>(m.mapping.total_chunks()));
   if (m.compressed()) {
     const std::uint64_t live = m.stored_live_bytes();
     const double ratio = live == 0
