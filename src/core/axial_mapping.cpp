@@ -226,6 +226,7 @@ Result<AxialMapping> AxialMapping::deserialize(ByteReader& in) {
   m.bounds_.resize(k);
   for (auto& b : m.bounds_) {
     DRX_ASSIGN_OR_RETURN(b, in.get_u64());
+    if (b == 0) return Status(ErrorCode::kCorrupt, "zero chunk-grid bound");
   }
   DRX_ASSIGN_OR_RETURN(m.total_, in.get_u64());
   m.axial_.resize(k);
@@ -240,6 +241,10 @@ Result<AxialMapping> AxialMapping::deserialize(ByteReader& in) {
         DRX_ASSIGN_OR_RETURN(c, in.get_u64());
       }
       DRX_ASSIGN_OR_RETURN(r.file_displacement, in.get_u64());
+      // append() aborts unless start indices strictly increase.
+      if (i > 0 && r.start_index <= m.axial_[d].records().back().start_index) {
+        return Status(ErrorCode::kCorrupt, "axial records out of order");
+      }
       m.axial_[d].append(std::move(r));
     }
   }
@@ -250,22 +255,43 @@ Result<AxialMapping> AxialMapping::deserialize(ByteReader& in) {
     DRX_ASSIGN_OR_RETURN(h.record, in.get_u32());
     DRX_ASSIGN_OR_RETURN(h.start_address, in.get_u64());
     DRX_ASSIGN_OR_RETURN(h.chunk_count, in.get_u64());
-    if (h.dim >= k ||
-        h.record >= m.axial_[h.dim].record_count()) {
+    if (h.dim >= k) {
       return Status(ErrorCode::kCorrupt, "history entry out of range");
     }
     m.history_.push_back(h);
   }
-  // Cross-validate: history must tile [0, total) without gaps.
-  std::uint64_t expect = 0;
-  for (const HistoryEntry& h : m.history_) {
-    if (h.start_address != expect) {
+  if (m.history_.empty() || try_product(m.bounds_) != m.total_) {
+    return Status(ErrorCode::kCorrupt, "chunk totals inconsistent");
+  }
+
+  // address_of/index_of trust every record's start address and
+  // coefficients, so check them all at once: a valid mapping is exactly
+  // what the constructor and extend() build from its initial bounds and
+  // history. Replay them and require equality. A dimension's initial
+  // bound is the start index of its first extension (its record 1). The
+  // replayed bounds never exceed the parsed ones, whose product fits, so
+  // the replay cannot overflow.
+  Shape initial(k);
+  for (std::uint32_t d = 0; d < k; ++d) {
+    const std::vector<ExpansionRecord>& recs = m.axial_[d].records();
+    initial[d] = recs.size() > 1 ? recs[1].start_index : m.bounds_[d];
+    if (initial[d] > m.bounds_[d]) {
+      return Status(ErrorCode::kCorrupt, "axial record past its bound");
+    }
+  }
+  AxialMapping replay(std::move(initial));
+  for (std::size_t i = 1; i < m.history_.size(); ++i) {
+    const HistoryEntry& h = m.history_[i];
+    const std::uint64_t per_index = replay.segment_coeffs(h.dim)[h.dim];
+    const std::uint64_t delta = h.chunk_count / per_index;
+    if (delta == 0 || h.chunk_count % per_index != 0 ||
+        delta > m.bounds_[h.dim] - replay.bounds_[h.dim]) {
       return Status(ErrorCode::kCorrupt, "history does not tile the file");
     }
-    expect += h.chunk_count;
+    replay.extend(h.dim, delta);
   }
-  if (expect != m.total_ || m.total_ != checked_product(m.bounds_)) {
-    return Status(ErrorCode::kCorrupt, "chunk totals inconsistent");
+  if (replay != m) {
+    return Status(ErrorCode::kCorrupt, "mapping does not match its history");
   }
   return m;
 }

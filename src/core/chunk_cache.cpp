@@ -806,7 +806,8 @@ void ChunkCache::prefetch_chunks(std::span<const std::uint64_t> addresses) {
   // as misses: feed it the reserved run's address span instead. A run
   // that continues the previous one (a scan of small boxes) carries its
   // read-ahead window in the same job; read_chunks_stored still gives
-  // the window its own request unless it follows the run on storage.
+  // the window its own request unless the hole to it costs less than a
+  // seek.
   const auto [lo, hi] = std::minmax_element(job.begin(), job.end());
   const std::uint64_t last = *hi;
   if (const std::uint64_t want = note_sequential(*lo, last)) {

@@ -38,7 +38,8 @@
 //    write-back failure never surfaces from an unrelated pin();
 //  - fills (io_threads > 0 only): a box hint (DrxFile::prefetch_box) or
 //    explicit prefetch faults its chunks into frames before they are
-//    pinned, with ONE storage read per run that is contiguous on storage
+//    pinned, with ONE storage read per group of chunks that sit close
+//    enough on storage that reading the holes between them beats a seek
 //    (DrxFile::read_chunks_stored groups the list by storage position);
 //  - read-ahead (io_threads > 0 only): a detectably sequential demand
 //    run (consecutive miss addresses, or hinted runs that continue one
@@ -236,11 +237,12 @@ class ChunkCache final : public io::PrefetchSink {
 
   /// Speculatively faults the chunks at `addresses` into frames with one
   /// job on the I/O pool, which reads them with
-  /// DrxFile::read_chunks_stored (one request per run that is contiguous
-  /// on storage). Fetches exactly the chunks listed and never feeds the
-  /// sequential detector. Advisory: resident and write-queued chunks are
-  /// skipped, and a full pool or one without workers reduces or drops the
-  /// request. Never blocks on the I/O it starts.
+  /// DrxFile::read_chunks_stored (one request per group of chunks whose
+  /// storage holes cost less than a seek). Fetches exactly the chunks
+  /// listed and never feeds the sequential detector. Advisory: resident
+  /// and write-queued chunks are skipped, and a full pool or one without
+  /// workers reduces or drops the request. Never blocks on the I/O it
+  /// starts.
   void prefetch(std::span<const std::uint64_t> addresses);
   /// prefetch() over chunks [first, first + count).
   void prefetch(std::uint64_t first, std::uint64_t count);

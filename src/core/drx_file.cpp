@@ -518,11 +518,11 @@ Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
   // slots sit wherever they were last written, so address neighbours may
   // be far apart while storage neighbours are not. Walking the list in
   // storage order, a group grows while the next chunk follows the
-  // previous one on storage (Metadata::follows_on_storage) or, for
-  // compressed slots, while reading the hole up to it keeps the group at
-  // least half live bytes (cheaper than a seek). Each group is one
-  // request. Raw chunks never read holes: a raw list costs one request
-  // per run of consecutive addresses.
+  // previous one on storage (Metadata::follows_on_storage) or the hole up
+  // to it costs less to read across than the request and seek a new
+  // group would (data sieving: Storage::sieve_gap_bytes, from the
+  // device's own cost model). Each group is one request that copies only
+  // its live bytes (Storage::read_gather), packed into `scratch`.
   struct Piece {
     std::uint64_t offset;
     std::uint64_t capacity;
@@ -554,27 +554,27 @@ Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
     std::size_t end;
     std::uint64_t lo;
     std::uint64_t hi;
-    std::uint64_t live;    // stored bytes
     std::uint64_t hi_cap;  // end of the last reservation
   };
+  const std::uint64_t sieve_gap = data_->sieve_gap_bytes();
   std::vector<Group> groups;
   for (std::size_t k = 0; k < n; ++k) {
     const Piece& p = pieces[order[k]];
     const std::uint64_t end = p.offset + p.stored;
     if (!groups.empty()) {
       Group& g = groups.back();
-      const bool dense = compressed() && (g.live + p.stored) * 2 >= end - g.lo;
-      if (dense || meta_.follows_on_storage(addresses[order[k - 1]],
-                                            addresses[order[k]])) {
+      // Live slots never overlap (Metadata::from_bytes checks), so only a
+      // chunk listed twice starts before the group ends.
+      const std::uint64_t hole = p.offset > g.hi ? p.offset - g.hi : 0;
+      if (hole < sieve_gap || meta_.follows_on_storage(addresses[order[k - 1]],
+                                                       addresses[order[k]])) {
         g.end = k + 1;
         g.hi = std::max(g.hi, end);
-        g.live += p.stored;
         g.hi_cap = std::max(g.hi_cap, p.offset + p.capacity);
         continue;
       }
     }
-    groups.push_back(Group{k, k + 1, p.offset, end, p.stored,
-                           p.offset + p.capacity});
+    groups.push_back(Group{k, k + 1, p.offset, end, p.offset + p.capacity});
   }
   // Read through a run's last capacity slack (when those bytes exist on
   // disk) so consecutive batch reads over a packed layout stay
@@ -587,24 +587,25 @@ Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
     }
   }
 
-  std::uint64_t scratch_bytes = 0;
-  for (const Group& g : groups) scratch_bytes += g.hi - g.lo;
-  scratch.resize(checked_size(scratch_bytes));
+  std::uint64_t live_bytes = 0;
+  for (const Piece& p : pieces) live_bytes += p.stored;
+  scratch.resize(checked_size(live_bytes));
   refs.resize(n);
   obs::ScopedSpan span("core.read_chunks_batch", "core",
-                       checked_size(scratch_bytes));
+                       checked_size(live_bytes));
   obs::StageTimer io(obs::Stage::kIoService);
+  std::vector<pfs::GatherPiece> gather;
   std::size_t pos = 0;
   for (const Group& g : groups) {
-    DRX_RETURN_IF_ERROR(data_->read_at(
-        g.lo, std::span<std::byte>(scratch.data() + pos,
-                                   checked_size(g.hi - g.lo))));
+    gather.clear();
     for (std::size_t k = g.begin; k < g.end; ++k) {
       const Piece& p = pieces[order[k]];
-      refs[order[k]] =
-          StoredRef{p.codec, pos + checked_size(p.offset - g.lo), p.stored};
+      gather.push_back(pfs::GatherPiece{
+          p.offset, std::span<std::byte>(scratch.data() + pos, p.stored)});
+      refs[order[k]] = StoredRef{p.codec, pos, p.stored};
+      pos += p.stored;
     }
-    pos += checked_size(g.hi - g.lo);
+    DRX_RETURN_IF_ERROR(data_->read_gather(g.lo, g.hi, gather));
   }
   return Status::ok();
 }

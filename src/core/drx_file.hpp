@@ -175,11 +175,15 @@ class DrxFile {
   /// Fetches the stored bytes of the chunks at `addresses` (any order)
   /// into `scratch` and records where each landed in `refs` (same order
   /// as `addresses`). The one place a fill is split into storage
-  /// requests: the list is sorted by storage position and each maximal
-  /// run that is contiguous on storage (Metadata::follows_on_storage) is
-  /// one request; compressed slots also join a request across a hole
-  /// while it stays at least half live bytes. Reads the slot table, so
-  /// callers that share the file with write-behind hold the same lock.
+  /// requests: the list is sorted by storage position and a request
+  /// grows across each next chunk that is contiguous on storage
+  /// (Metadata::follows_on_storage) or whose hole is cheaper to read
+  /// than the request and seek it saves (Storage::sieve_gap_bytes, from
+  /// the device's cost model; raw and compressed arrays alike). Each
+  /// request copies only live bytes (Storage::read_gather): `scratch`
+  /// holds the chunks' stored bytes packed back to back, never a hole.
+  /// Reads the slot table, so callers that share the file with
+  /// write-behind hold the same lock.
   /// Decode the refs with `decode_chunk` outside that lock. The fill
   /// primitive behind ChunkCache's box hints and sequential read-ahead.
   [[nodiscard]] Status read_chunks_stored(

@@ -157,6 +157,14 @@ Result<Metadata> Metadata::from_bytes(std::span<const std::byte> data) {
   if (meta.mapping.rank() != k) {
     return Status(ErrorCode::kCorrupt, "mapping rank mismatch");
   }
+  // chunk_bytes() and data_file_bytes() abort on overflow; a hostile
+  // shape must fail here instead.
+  const std::optional<std::uint64_t> chunk_elems = try_product(meta.chunk_shape);
+  const std::optional<std::uint64_t> chunk_sz =
+      chunk_elems ? try_mul(*chunk_elems, meta.element_bytes()) : std::nullopt;
+  if (!chunk_sz || !try_mul(meta.mapping.total_chunks(), *chunk_sz)) {
+    return Status(ErrorCode::kCorrupt, "array size overflows");
+  }
   // The chunk grid must cover the element bounds.
   const Shape expect =
       meta.chunk_space().chunk_bounds_for(meta.element_bounds);
@@ -176,11 +184,12 @@ Result<Metadata> Metadata::from_bytes(std::span<const std::byte> data) {
     meta.codec = static_cast<codec::CodecId>(codec_raw);
     DRX_ASSIGN_OR_RETURN(meta.data_end, body.get_u64());
     DRX_ASSIGN_OR_RETURN(std::uint64_t slots, body.get_u64());
-    if (slots != meta.mapping.total_chunks()) {
+    constexpr std::uint64_t kSlotBytes = 8 + 4 + 4 + 1;
+    if (slots != meta.mapping.total_chunks() ||
+        slots > body.remaining() / kSlotBytes) {
       return Status(ErrorCode::kCorrupt,
                     "chunk table does not match the chunk grid");
     }
-    const std::uint64_t chunk_sz = meta.chunk_bytes();
     meta.chunk_table.resize(checked_size(slots));
     for (ChunkSlot& s : meta.chunk_table) {
       DRX_ASSIGN_OR_RETURN(s.offset, body.get_u64());
@@ -188,14 +197,31 @@ Result<Metadata> Metadata::from_bytes(std::span<const std::byte> data) {
       DRX_ASSIGN_OR_RETURN(s.capacity, body.get_u32());
       DRX_ASSIGN_OR_RETURN(s.codec, body.get_u8());
       if (!codec::valid_codec(s.codec) || s.stored > s.capacity ||
-          checked_add(s.offset, s.capacity) > meta.data_end) {
+          s.capacity > meta.data_end ||
+          s.offset > meta.data_end - s.capacity) {
         return Status(ErrorCode::kCorrupt, "chunk slot out of bounds");
       }
       const bool raw_slot =
           s.codec == static_cast<std::uint8_t>(codec::CodecId::kNone);
-      if (raw_slot ? s.stored != chunk_sz
-                   : (s.stored == 0 || s.stored >= chunk_sz)) {
+      if (raw_slot ? s.stored != *chunk_sz
+                   : (s.stored == 0 || s.stored >= *chunk_sz)) {
         return Status(ErrorCode::kCorrupt, "chunk slot size implausible");
+      }
+    }
+    // Live bytes of two slots never share a byte: cache fills read
+    // across the holes between slots in offset order (data sieving),
+    // which needs every hole to have a non-negative length.
+    std::vector<const ChunkSlot*> by_offset;
+    by_offset.reserve(meta.chunk_table.size());
+    for (const ChunkSlot& s : meta.chunk_table) by_offset.push_back(&s);
+    std::sort(by_offset.begin(), by_offset.end(),
+              [](const ChunkSlot* a, const ChunkSlot* b) {
+                return a->offset < b->offset;
+              });
+    for (std::size_t i = 1; i < by_offset.size(); ++i) {
+      if (by_offset[i - 1]->offset + by_offset[i - 1]->stored >
+          by_offset[i]->offset) {
+        return Status(ErrorCode::kCorrupt, "chunk slots overlap");
       }
     }
   }

@@ -6,6 +6,19 @@
 
 namespace drx::pfs {
 
+Status check_gather(std::uint64_t lo, std::uint64_t hi,
+                    std::span<const GatherPiece> pieces, std::uint64_t size) {
+  if (lo > hi || hi > size) {
+    return Status(ErrorCode::kOutOfRange, "gather range past end of file");
+  }
+  for (const GatherPiece& p : pieces) {
+    if (p.offset < lo || p.offset > hi || p.out.size() > hi - p.offset) {
+      return Status(ErrorCode::kOutOfRange, "gather piece outside its range");
+    }
+  }
+  return Status::ok();
+}
+
 void BlockDevice::charge(std::uint64_t offset, std::uint64_t nbytes,
                          bool is_write) {
   double us = model_->request_overhead_us + model_->network_latency_us;
@@ -59,6 +72,18 @@ Status BlockDevice::read(std::uint64_t offset, std::span<std::byte> out) {
   // Empty spans may carry a null data(), which memcpy must never see.
   if (!out.empty()) {
     std::memcpy(out.data(), data_.data() + offset, out.size());
+  }
+  return Status::ok();
+}
+
+Status BlockDevice::read_gather(std::uint64_t lo, std::uint64_t hi,
+                                std::span<const GatherPiece> pieces) {
+  DRX_RETURN_IF_ERROR(check_gather(lo, hi, pieces, data_.size()));
+  charge(lo, hi - lo, /*is_write=*/false);
+  for (const GatherPiece& p : pieces) {
+    if (!p.out.empty()) {
+      std::memcpy(p.out.data(), data_.data() + p.offset, p.out.size());
+    }
   }
   return Status::ok();
 }

@@ -13,6 +13,18 @@
 
 namespace drx::pfs {
 
+/// One live piece of a sieved read (data sieving): the bytes
+/// [offset, offset + out.size()) land in `out`.
+struct GatherPiece {
+  std::uint64_t offset = 0;
+  std::span<std::byte> out;
+};
+
+/// kOutOfRange unless lo <= hi <= size and every piece lies in [lo, hi).
+[[nodiscard]] Status check_gather(std::uint64_t lo, std::uint64_t hi,
+                                  std::span<const GatherPiece> pieces,
+                                  std::uint64_t size);
+
 class BlockDevice {
  public:
   explicit BlockDevice(const CostModel* model) : model_(model) {
@@ -21,6 +33,12 @@ class BlockDevice {
 
   /// Reads [offset, offset+out.size()); error if the range passes EOF.
   [[nodiscard]] Status read(std::uint64_t offset, std::span<std::byte> out);
+
+  /// Reads [lo, hi) as ONE request (one seek at most, busy time and
+  /// bytes_read for hi - lo) but copies only `pieces`, each of which
+  /// must lie inside [lo, hi); error if hi passes EOF.
+  [[nodiscard]] Status read_gather(std::uint64_t lo, std::uint64_t hi,
+                                   std::span<const GatherPiece> pieces);
 
   /// Writes at offset, zero-filling any gap (sparse write semantics).
   [[nodiscard]] Status write(std::uint64_t offset, std::span<const std::byte> data);

@@ -9,7 +9,9 @@
 // per-request overheads that collective I/O amortizes.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace drx::pfs {
 
@@ -29,6 +31,19 @@ struct CostModel {
 
   /// Per-byte network cost; 0.001 us/byte == 1 GB/s interconnect.
   double network_per_byte_us = 0.001;
+
+  /// Data-sieving break-even: a read that crosses a hole of h < this many
+  /// bytes costs less than the separate request (and seek) it saves,
+  /// i.e. h * per-byte cost < seek + request overhead + latency. About
+  /// 724 KiB under the defaults; 0 when a request costs nothing fixed.
+  [[nodiscard]] std::uint64_t sieve_gap_bytes() const {
+    const double fixed = seek_us + request_overhead_us + network_latency_us;
+    const double per_byte = disk_per_byte_us + network_per_byte_us;
+    if (fixed <= 0.0) return 0;
+    const double gap = per_byte > 0.0 ? std::ceil(fixed / per_byte) : 0x1p64;
+    return gap >= 0x1p64 ? std::numeric_limits<std::uint64_t>::max()
+                         : static_cast<std::uint64_t>(gap);
+  }
 };
 
 /// Counters exposed per server and aggregated per file system.

@@ -3,7 +3,22 @@
 #include <cerrno>
 #include <cstring>
 
+#include "util/checked.hpp"
+
 namespace drx::pfs {
+
+Status Storage::read_gather(std::uint64_t lo, std::uint64_t hi,
+                            std::span<const GatherPiece> pieces) {
+  DRX_RETURN_IF_ERROR(check_gather(lo, hi, pieces, size()));
+  std::vector<std::byte> range(checked_size(hi - lo));
+  DRX_RETURN_IF_ERROR(read_at(lo, range));
+  for (const GatherPiece& p : pieces) {
+    if (!p.out.empty()) {
+      std::memcpy(p.out.data(), range.data() + (p.offset - lo), p.out.size());
+    }
+  }
+  return Status::ok();
+}
 
 Result<std::unique_ptr<PosixStorage>> PosixStorage::open(
     const std::string& path) {

@@ -32,6 +32,20 @@ class Storage {
   [[nodiscard]] virtual std::uint64_t size() const = 0;
   virtual Status truncate(std::uint64_t new_size) = 0;
   virtual Status flush() = 0;
+
+  /// Data sieving: reads [lo, hi) as ONE request but copies only
+  /// `pieces` (each inside [lo, hi)), so the hole bytes between them
+  /// cost transfer time and no copy. kOutOfRange if hi passes EOF or a
+  /// piece leaves the range. The default reads the range with one
+  /// read_at into a temporary; MemStorage gathers on the device itself.
+  [[nodiscard]] virtual Status read_gather(std::uint64_t lo, std::uint64_t hi,
+                                           std::span<const GatherPiece> pieces);
+
+  /// Holes shorter than this are cheaper to read across than to skip
+  /// with a new request. 0 (never read a hole) unless one CostModel
+  /// charges every request of this storage: a real file has no model,
+  /// and a striped file splits a range into one request per server.
+  [[nodiscard]] virtual std::uint64_t sieve_gap_bytes() const { return 0; }
 };
 
 /// In-memory storage with simulated-cost accounting (single "server").
@@ -52,6 +66,14 @@ class MemStorage final : public Storage {
     return device_.truncate(new_size);
   }
   [[nodiscard]] Status flush() override { return Status::ok(); }
+  [[nodiscard]] Status read_gather(
+      std::uint64_t lo, std::uint64_t hi,
+      std::span<const GatherPiece> pieces) override {
+    return device_.read_gather(lo, hi, pieces);
+  }
+  [[nodiscard]] std::uint64_t sieve_gap_bytes() const override {
+    return model_.sieve_gap_bytes();
+  }
 
   [[nodiscard]] const IoStats& stats() const { return device_.stats(); }
 

@@ -132,6 +132,36 @@ TEST(AxialMapping, DeserializeRejectsCorruptHistory) {
   EXPECT_FALSE(AxialMapping::deserialize(r).is_ok());
 }
 
+// Records that parse but that the history never built: F* would trust
+// them and abort (a negative start address) or answer an address past
+// the end of the file (a huge coefficient).
+TEST(AxialMapping, DeserializeRejectsRecordsItsHistoryDidNotBuild) {
+  AxialMapping m(Shape{2, 2});
+  m.extend(0, 1);  // dim 0: sentinel, then a segment at address 4
+  ByteWriter w;
+  m.serialize(w);
+  const std::vector<std::byte> good(w.bytes().begin(), w.bytes().end());
+  // rank u32, 2 bounds, total; dim 0: count u32, two records of
+  // start_index, start_address, 2 coeffs, displacement; then dim 1.
+  constexpr std::size_t kRecord = 5 * 8;
+  constexpr std::size_t kDim0Ext = 4 + 2 * 8 + 8 + 4 + kRecord;
+  constexpr std::size_t kDim1Initial = kDim0Ext + kRecord + 4;
+  const auto patched = [&](std::size_t at, std::uint64_t v) {
+    auto bytes = good;
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+    }
+    ByteReader r(bytes);
+    return AxialMapping::deserialize(r).status().code();
+  };
+  ASSERT_EQ(patched(kDim0Ext + 8, 4), ErrorCode::kOk);  // unchanged value
+  EXPECT_EQ(patched(kDim1Initial + 8, ~std::uint64_t{0}),  // address -1
+            ErrorCode::kCorrupt);
+  EXPECT_EQ(patched(kDim0Ext + 8, 5), ErrorCode::kCorrupt);
+  EXPECT_EQ(patched(kDim0Ext + 3 * 8, std::uint64_t{1} << 40),  // C[1]
+            ErrorCode::kCorrupt);
+}
+
 TEST(AxialMapping, DeserializeRejectsTruncation) {
   AxialMapping m(Shape{2, 2});
   ByteWriter w;

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -41,11 +42,13 @@ class FaultyStorage final : public pfs::Storage {
     std::atomic<int> fail_writes_after{-1};  ///< -1 = never fail
     std::atomic<int> write_delay_ms{0};
     std::atomic<int> writes_seen{0};
+    std::atomic<int> reads_seen{0};
   };
 
   explicit FaultyStorage(Controls& controls) : controls_(&controls) {}
 
   Status read_at(std::uint64_t offset, std::span<std::byte> out) override {
+    controls_->reads_seen.fetch_add(1);
     return inner_.read_at(offset, out);
   }
   Status write_at(std::uint64_t offset,
@@ -66,6 +69,9 @@ class FaultyStorage final : public pfs::Storage {
     return inner_.truncate(new_size);
   }
   Status flush() override { return Status::ok(); }
+  [[nodiscard]] std::uint64_t sieve_gap_bytes() const override {
+    return inner_.sieve_gap_bytes();
+  }
 
  private:
   Controls* controls_;
@@ -460,39 +466,155 @@ double unique_value(std::uint64_t i, std::uint64_t j) {
   return static_cast<double>(i * 1000 + j) + 0.25;  // incompressible
 }
 
-// A box hint fills by storage position: on a band-written compressed
-// array the 3x3-chunk box is three storage-contiguous rows of chunks,
-// so three read requests, where address-ordered runs (each a column of
-// chunks 8 slots apart on storage) cost one request per chunk. On a raw
-// array storage order is address order, so nothing changes there.
+/// A 64x64 array of doubles in 8x8 chunks (512 B each) over `data`,
+/// written one chunk-row band at a time with unique_value.
+DrxFile make_banded_file(codec::CodecId c, std::unique_ptr<pfs::Storage> data) {
+  DrxFile::Options options;
+  options.dtype = ElementType::kDouble;
+  options.codec = c;
+  auto created = DrxFile::create(std::make_unique<pfs::MemStorage>(),
+                                 std::move(data), Shape{64, 64}, Shape{8, 8},
+                                 options);
+  EXPECT_TRUE(created.is_ok()) << created.status();
+  DrxFile file = std::move(created).value();
+  write_row_bands(file, 8, unique_value);
+  return file;
+}
+
+/// Cold-reads the 3x3-chunk box {8..32}^2 of a make_banded_file through
+/// an async cache and checks every value.
+void read_box_cold(DrxFile& file) {
+  CachedDrxFile cached(file, 32, kAsync);
+  const Box box{{8, 8}, {32, 32}};  // chunks 1..3 x 1..3
+  std::vector<double> out(checked_size(box.volume()));
+  EXPECT_TRUE(cached
+                  .read_box(box, MemoryOrder::kRowMajor,
+                            std::as_writable_bytes(std::span(out)))
+                  .is_ok());
+  std::size_t k = 0;
+  for_each_index(box, [&](const Index& idx) {
+    EXPECT_EQ(out[k++], unique_value(idx[0], idx[1]));
+  });
+}
+
+/// Read requests read_box_cold costs over a MemStorage.
+std::uint64_t box_fill_requests(DrxFile& file) {
+  auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
+  const std::uint64_t reads_before = io.read_requests;
+  read_box_cold(file);
+  return io.read_requests - reads_before;
+}
+
+// A box hint fills by storage position and reads across the holes
+// between its chunks whenever that costs less than the seek it saves
+// (data sieving). On a band-written compressed array the 3x3-chunk box
+// is three storage rows of chunks a few KB apart; on a raw array it is
+// three address runs. Either way the holes are far below the default
+// model's ~724 KiB break-even, so the whole box is one request.
 TEST(CachedDrxFileAsync, BoxFillsCoalesceByStoragePosition) {
   for (const codec::CodecId c : {codec::CodecId::kRle, codec::CodecId::kNone}) {
-    DrxFile::Options options;
-    options.dtype = ElementType::kDouble;
-    options.codec = c;
-    auto created = DrxFile::create(std::make_unique<pfs::MemStorage>(),
-                                   std::make_unique<pfs::MemStorage>(),
-                                   Shape{64, 64}, Shape{8, 8}, options);
-    ASSERT_TRUE(created.is_ok()) << created.status();
-    DrxFile file = std::move(created).value();
-    write_row_bands(file, 8, unique_value);
-    auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
-    CachedDrxFile cached(file, 32, kAsync);
+    DrxFile file = make_banded_file(c, std::make_unique<pfs::MemStorage>());
+    EXPECT_EQ(box_fill_requests(file), 1u) << codec::codec_name(c);
+  }
+}
 
-    const Box box{{8, 8}, {32, 32}};  // chunks 1..3 x 1..3
-    std::vector<double> out(checked_size(box.volume()));
-    const std::uint64_t reads_before = io.read_requests;
-    ASSERT_TRUE(cached
-                    .read_box(box, MemoryOrder::kRowMajor,
-                              std::as_writable_bytes(std::span(out)))
-                    .is_ok());
-    // Compressed: one request per storage row. Raw: one per address run
-    // (a column of chunks), as before.
-    EXPECT_EQ(io.read_requests - reads_before, 3u) << codec::codec_name(c);
-    std::size_t k = 0;
-    for_each_index(box, [&](const Index& idx) {
-      EXPECT_EQ(out[k++], unique_value(idx[0], idx[1]));
-    });
+// The rule follows the device, not a constant: on storage whose requests
+// and seeks cost nothing fixed, any hole costs more than the request it
+// saves, so the same box splits back into its three storage-contiguous
+// runs (rows of chunks when compressed, address runs when raw).
+TEST(CachedDrxFileAsync, BoxFillSplitsWhereHolesCostMoreThanSeeks) {
+  pfs::CostModel free_requests;
+  free_requests.seek_us = 0;
+  free_requests.request_overhead_us = 0;
+  free_requests.network_latency_us = 0;
+  for (const codec::CodecId c : {codec::CodecId::kRle, codec::CodecId::kNone}) {
+    DrxFile file = make_banded_file(
+        c, std::make_unique<pfs::MemStorage>(free_requests));
+    EXPECT_EQ(box_fill_requests(file), 3u) << codec::codec_name(c);
+  }
+}
+
+// A striped file splits a read at stripe boundaries into one request
+// per server, so no single cost model prices a joined hole: PfsStorage
+// never sieves, and the box transfers its nine chunks and no hole.
+TEST(CachedDrxFileAsync, BoxFillOverStripedStorageReadsNoHoles) {
+  pfs::Pfs fs(pfs::PfsConfig{});  // 4 servers x 64 KiB stripes
+  for (const codec::CodecId c : {codec::CodecId::kRle, codec::CodecId::kNone}) {
+    auto handle = fs.create("banded." + std::string(codec::codec_name(c)));
+    ASSERT_TRUE(handle.is_ok());
+    DrxFile file = make_banded_file(
+        c, std::make_unique<pfs::PfsStorage>(std::move(handle).value()));
+    EXPECT_EQ(file.data_storage().sieve_gap_bytes(), 0u);
+    const pfs::IoStats before = fs.total_stats();
+    read_box_cold(file);
+    EXPECT_EQ((fs.total_stats() - before).bytes_read, 9 * file.chunk_bytes())
+        << codec::codec_name(c);
+  }
+}
+
+// A fill that reads across a hole copies only its own chunks: a chunk
+// inside the hole whose newest bytes sit in the write-behind queue (or
+// in a dirty frame) keeps them. The stale hole bytes are never cached.
+TEST(CachedDrxFileAsync, SievedHoleNeverOverridesQueuedWriteBehind) {
+  for (const codec::CodecId c : {codec::CodecId::kRle, codec::CodecId::kNone}) {
+    FaultyStorage::Controls controls;
+    DrxFile file =
+        make_banded_file(c, std::make_unique<FaultyStorage>(controls));
+    controls.write_delay_ms = 20;  // keep the write-back in flight
+    // The first three chunks in storage order: the fill asks for the
+    // outer two, so the middle one lies in the hole it reads across.
+    std::vector<std::uint64_t> by_storage(
+        checked_size(file.metadata().mapping.total_chunks()));
+    std::iota(by_storage.begin(), by_storage.end(), std::uint64_t{0});
+    std::sort(by_storage.begin(), by_storage.end(),
+              [&](std::uint64_t a, std::uint64_t b) {
+                return file.metadata().storage_extent(a).offset <
+                       file.metadata().storage_extent(b).offset;
+              });
+    const std::uint64_t a = by_storage[0];
+    const std::uint64_t hole = by_storage[1];
+    const std::uint64_t b = by_storage[2];
+    const std::size_t n = checked_size(file.chunk_bytes()) / sizeof(double);
+
+    ChunkCache cache(file, 4, ChunkCache::AsyncOptions{2, 0});
+    {
+      auto p = cache.pin(hole);
+      ASSERT_TRUE(p.is_ok());
+      auto* v = reinterpret_cast<double*>(p.value().data());
+      std::fill(v, v + n, 7.5);  // compresses: rewritten in place
+      cache.unpin(hole, /*dirty=*/true);
+    }
+    for (std::size_t i = 3; i < 7; ++i) {  // evicts `hole`: write-behind
+      ASSERT_TRUE(cache.pin(by_storage[i]).is_ok());
+      cache.unpin(by_storage[i], false);
+    }
+    const int reads_before = controls.reads_seen.load();
+    const std::uint64_t pair[] = {a, b};
+    cache.prefetch(pair);
+    ASSERT_TRUE(cache.flush().is_ok());
+    EXPECT_EQ(controls.reads_seen.load() - reads_before, 1)
+        << codec::codec_name(c);
+    EXPECT_GT(cache.stats().deferred_writebacks, 0u);
+
+    for (const std::uint64_t q : {a, hole, b}) {
+      auto p = cache.pin(q);
+      ASSERT_TRUE(p.is_ok());
+      const auto* v = reinterpret_cast<const double*>(p.value().data());
+      const Index chunk = file.metadata().mapping.index_of(q);
+      // Element 0 of a chunk is its origin; the last is 7 rows and 7
+      // columns further.
+      EXPECT_EQ(v[0], q == hole ? 7.5 : unique_value(chunk[0] * 8, chunk[1] * 8))
+          << codec::codec_name(c) << " chunk " << q;
+      EXPECT_EQ(v[n - 1],
+                q == hole ? 7.5 : unique_value(chunk[0] * 8 + 7, chunk[1] * 8 + 7))
+          << codec::codec_name(c) << " chunk " << q;
+      cache.unpin(q, false);
+    }
+    std::vector<std::byte> raw(checked_size(file.chunk_bytes()));
+    ASSERT_TRUE(file.read_chunk(hole, raw).is_ok());
+    double seen = 0;
+    std::memcpy(&seen, raw.data() + raw.size() - sizeof(seen), sizeof(seen));
+    EXPECT_EQ(seen, 7.5) << codec::codec_name(c);
   }
 }
 

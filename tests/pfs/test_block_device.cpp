@@ -106,5 +106,65 @@ TEST(BlockDevice, TruncateGrowsWithZeros) {
   EXPECT_EQ(out[9], std::byte{0});
 }
 
+// Data sieving: one request over [lo, hi) — at most one seek, busy time
+// and bytes_read for all hi - lo bytes — that copies only the pieces.
+TEST(BlockDevice, ReadGatherChargesTheRangeAndCopiesOnlyPieces) {
+  const CostModel m = test_model();
+  BlockDevice dev(&m);
+  std::vector<std::byte> data(100);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i);
+  }
+  ASSERT_TRUE(dev.write(0, data).is_ok());
+  const IoStats before = dev.stats();
+
+  std::vector<std::byte> a(4, std::byte{0xEE});
+  std::vector<std::byte> b(6, std::byte{0xEE});
+  const GatherPiece pieces[] = {{10, a}, {40, b}};
+  ASSERT_TRUE(dev.read_gather(10, 46, pieces).is_ok());
+  const IoStats d = dev.stats() - before;
+  EXPECT_EQ(d.read_requests, 1u);
+  EXPECT_EQ(d.seeks, 1u);  // the head was at 100
+  EXPECT_EQ(d.bytes_read, 36u);
+  EXPECT_DOUBLE_EQ(d.busy_us, 1000.0 + 10.0 + 36.0);
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], data[10 + i]);
+  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_EQ(b[i], data[40 + i]);
+
+  // The head ends at hi: the next gather from there does not seek.
+  std::vector<std::byte> c(2);
+  const GatherPiece next[] = {{50, c}};
+  ASSERT_TRUE(dev.read_gather(46, 52, next).is_ok());
+  EXPECT_EQ((dev.stats() - before).seeks, 1u);
+  EXPECT_EQ(c[0], data[50]);
+}
+
+TEST(BlockDevice, ReadGatherRejectsBadRanges) {
+  const CostModel m = test_model();
+  BlockDevice dev(&m);
+  ASSERT_TRUE(dev.write(0, std::vector<std::byte>(64)).is_ok());
+  std::vector<std::byte> out(8);
+  const GatherPiece inside[] = {{0, out}};
+  EXPECT_EQ(dev.read_gather(0, 65, inside).code(), ErrorCode::kOutOfRange);
+  const GatherPiece before_lo[] = {{4, out}};
+  EXPECT_EQ(dev.read_gather(8, 32, before_lo).code(), ErrorCode::kOutOfRange);
+  const GatherPiece past_hi[] = {{28, out}};
+  EXPECT_EQ(dev.read_gather(8, 32, past_hi).code(), ErrorCode::kOutOfRange);
+  // A rejected gather charges nothing.
+  EXPECT_EQ(dev.stats().read_requests, 0u);
+}
+
+// The break-even hole of the cost model: joining pays while the hole's
+// transfer costs less than a seek plus a request.
+TEST(CostModel, SieveGapIsTheSeekAndRequestBreakEven) {
+  EXPECT_EQ(CostModel{}.sieve_gap_bytes(), 740910u);  // 8150 us / 0.011
+  const CostModel m = test_model();                   // 1010 us / 1 us
+  EXPECT_EQ(m.sieve_gap_bytes(), 1010u);
+  CostModel free_requests;
+  free_requests.seek_us = 0;
+  free_requests.request_overhead_us = 0;
+  free_requests.network_latency_us = 0;
+  EXPECT_EQ(free_requests.sieve_gap_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace drx::pfs

@@ -102,5 +102,74 @@ TEST(PfsStorage, Contract) {
   exercise_storage(s);
 }
 
+/// read_gather over `s`: the pieces come back, the hole between them is
+/// never copied, and ranges past EOF or pieces outside the range fail.
+void exercise_gather(Storage& s) {
+  const auto data = pattern(300, 5);
+  ASSERT_TRUE(s.write_at(0, data).is_ok());
+  std::vector<std::byte> a(20, std::byte{0xEE});
+  std::vector<std::byte> b(30, std::byte{0xEE});
+  const GatherPiece pieces[] = {{250, b}, {37, a}};  // any order
+  ASSERT_TRUE(s.read_gather(37, 280, pieces).is_ok());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], data[37 + i]);
+  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_EQ(b[i], data[250 + i]);
+  EXPECT_EQ(s.read_gather(37, 301, pieces).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(s.read_gather(40, 280, pieces).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(s.read_gather(37, 279, pieces).code(), ErrorCode::kOutOfRange);
+}
+
+TEST(MemStorage, ReadGatherIsOneRequestOverTheRange) {
+  MemStorage s;
+  exercise_gather(s);
+  const IoStats before = s.stats();
+  std::vector<std::byte> a(10);
+  std::vector<std::byte> b(10);
+  const GatherPiece pieces[] = {{0, a}, {190, b}};
+  ASSERT_TRUE(s.read_gather(0, 200, pieces).is_ok());
+  const IoStats d = s.stats() - before;
+  EXPECT_EQ(d.read_requests, 1u);
+  EXPECT_LE(d.seeks, 1u);
+  EXPECT_EQ(d.bytes_read, 200u);
+  const CostModel m;
+  EXPECT_DOUBLE_EQ(d.busy_us, m.seek_us + m.request_overhead_us +
+                                  m.network_latency_us +
+                                  200 * (m.disk_per_byte_us +
+                                         m.network_per_byte_us));
+}
+
+TEST(MemStorage, SieveGapFollowsItsCostModel) {
+  CostModel m;
+  m.seek_us = 0;
+  m.request_overhead_us = 0;
+  m.network_latency_us = 0;
+  EXPECT_EQ(MemStorage(m).sieve_gap_bytes(), 0u);
+  EXPECT_EQ(MemStorage().sieve_gap_bytes(), CostModel{}.sieve_gap_bytes());
+}
+
+TEST(PosixStorage, ReadGatherFallback) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "drx_storage_gather.bin")
+          .string();
+  std::remove(path.c_str());
+  auto s = PosixStorage::open(path);
+  ASSERT_TRUE(s.is_ok());
+  exercise_gather(*s.value());
+  EXPECT_EQ(s.value()->sieve_gap_bytes(), 0u);  // no model charges a real file
+  std::remove(path.c_str());
+}
+
+// The base-class fallback over a striped file: one read_at of the range
+// and the same bytes as MemStorage's native gather. A striped read is one
+// request per server, so PfsStorage reads no holes.
+TEST(PfsStorage, ReadGatherFallback) {
+  PfsConfig cfg;
+  cfg.num_servers = 3;
+  cfg.stripe_size = 32;
+  Pfs fs(cfg);
+  PfsStorage s(fs.create("x").value());
+  exercise_gather(s);
+  EXPECT_EQ(s.sieve_gap_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace drx::pfs
