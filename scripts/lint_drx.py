@@ -18,7 +18,7 @@ Rules (see docs/STATIC_ANALYSIS.md for the full rationale):
                           suppression explaining what it serializes.
 
   hot-path-obs-guard      The obs slow paths (detail::profile_*_slow,
-                          record_span) must not be called outside
+                          detail::push_span) must not be called outside
                           src/obs/: hot paths use the inline wrappers
                           that check the relaxed-atomic enabled flag
                           first, so disabled observability costs one
@@ -83,7 +83,7 @@ MUTEX_MEMBER = re.compile(
 MUTEX_VECTOR_MEMBER = re.compile(
     r"^\s*std::vector<\s*(?:util::|drx::util::)(?:Shared)?Mutex\s*>\s+(\w+)\s*;"
 )
-OBS_SLOW_CALL = re.compile(r"\b(?:detail::)?(profile_\w+_slow|record_span)\s*\(")
+OBS_SLOW_CALL = re.compile(r"\b(?:detail::)?(profile_\w+_slow|push_span)\s*\(")
 AXIAL_EXTEND = re.compile(r"\bmapping\s*\.\s*extend\s*\(")
 CACHE_ALLOC = re.compile(r"std::make_unique<\s*std::byte\[\]\s*>")
 # The legacy global lock (mu_) or a shard lock (s.mu, shards_[i].mu);

@@ -494,6 +494,16 @@ class TestLintDrx(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("hot-path-obs-guard", out)
 
+    def test_unguarded_push_span_outside_obs_flagged(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = self._tree(tmp, {
+                "src/core/a.cpp":
+                    "obs::detail::push_span(\"x\", \"core\", t0, 0, 0);\n"})
+            code, out, _ = run_main(lint_drx, ["--root", root])
+        self.assertEqual(code, 1)
+        self.assertIn("hot-path-obs-guard", out)
+        self.assertIn("push_span()", out)
+
     def test_cache_alloc_after_unlock_clean(self):
         body = ("Status ChunkCache::pin(std::uint64_t a) {\n"
                 "  util::MutexLock lock(s.mu);\n"

@@ -1,14 +1,20 @@
-// Always-on flight recorder: the last N span/flow/op records per thread,
-// kept in fixed-size lock-free rings and dumped as JSON on sticky deferred
-// I/O errors, fatal signals (SIGSEGV/SIGABRT), or on demand
-// (docs/OBSERVABILITY.md).
+// The per-thread event ring and its post-mortem dump (docs/OBSERVABILITY.md,
+// "Event ring").
 //
-// Unlike tracing (opt-in via DRX_TRACE, unbounded until flushed), the
-// flight recorder is on by default with no environment variable: memory is
-// fixed (kFlightThreads rings x kFlightRingSize records), recording is a
-// relaxed-atomic fast path plus one clockless ring push, and the only
-// output ever written is a post-mortem. set_flight_enabled(false) exists
-// for benchmarks that want to measure the instrumentation floor.
+// Every span, flow and op summary the recording API in obs/trace.hpp
+// emits is pushed exactly once, onto a fixed-size lock-free ring owned by
+// the calling thread. The ring serves both outputs:
+//
+//  - the flight recorder, always on with no environment variable: the last
+//    N records per thread are dumped as JSON on sticky deferred I/O errors,
+//    fatal signals (SIGSEGV/SIGABRT), or on demand;
+//  - DRX_TRACE: records pushed while tracing is on are drained out of the
+//    ring in batches into the Chrome trace (see obs/trace.hpp).
+//
+// Memory is fixed per thread. Rings of exited threads are reused, so the
+// ring count caps concurrent threads, not lifetime threads.
+// set_flight_enabled(false) exists for benchmarks that want to measure the
+// instrumentation floor.
 //
 // Record names must be string literals: rings store the pointer, and the
 // fatal-signal dump path reads them from a signal handler where no
@@ -40,19 +46,6 @@ void set_flight_enabled(bool enabled) noexcept;
 /// ~511 bytes) so the fatal-signal writer never touches the heap.
 void set_flight_path(const std::string& path) noexcept;
 [[nodiscard]] std::string flight_path();
-
-enum class FlightKind : std::uint8_t {
-  kSpan = 0,     ///< a closed ScopedSpan (dur_ns, arg = bytes)
-  kFlowOut = 1,  ///< AsyncIoPool submit (arg = flow id)
-  kFlowIn = 2,   ///< AsyncIoPool worker dequeue (arg = flow id)
-  kOp = 3,       ///< a closed OpScope (dur_ns, arg = dominant stage index)
-};
-
-/// Pushes one record onto the calling thread's ring. `name` must be a
-/// string literal. Callers guard with flight_enabled().
-void flight_record(FlightKind kind, const char* name, std::uint64_t ts_ns,
-                   std::uint64_t dur_ns, std::uint64_t arg, std::uint64_t op,
-                   std::uint64_t parent) noexcept;
 
 /// Writes every thread's ring to `path` as one JSON object:
 ///   {"format":"drx-flight","version":1,"reason":...,"threads":[...]}

@@ -10,7 +10,7 @@
 // When the OpScope closes it folds the per-stage totals into log2 histograms
 // (obs.op.stage.<stage>_us), bumps a dominant-stage counter
 // (obs.op.dominant.<stage>), and — when tracing / the flight recorder are
-// on — emits an op-summary trace event and a flight record.
+// on — pushes one op-summary record onto the event ring (obs/flight.hpp).
 //
 // Cost discipline: StageTimer reads no clock unless an op is active on the
 // current thread (one thread-local load + compare); add_stage_ns on an
@@ -154,8 +154,8 @@ class StageTimer {
 /// op's stages accumulate once. `name` must be a string literal.
 ///
 /// On close: derives `other` = wall - attributed, records per-stage
-/// histograms + the dominant-stage counter, and emits op-summary trace /
-/// flight records when those sinks are enabled.
+/// histograms + the dominant-stage counter, and pushes an op-summary
+/// record when tracing or the flight recorder is on.
 class OpScope {
  public:
   explicit OpScope(const char* name) noexcept;

@@ -1,15 +1,10 @@
+// DRX_TRACE configuration, the trace clock and the exit-time flush. The
+// events themselves, their ring and the Chrome writer live in flight.cpp.
 #include "obs/trace.hpp"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <set>
-#include <vector>
-
-#include "obs/metrics.hpp"
-#include "util/logging.hpp"
-#include "util/sync.hpp"
 
 namespace drx::obs {
 
@@ -18,73 +13,6 @@ std::atomic<bool> g_trace_enabled{false};
 }  // namespace detail
 
 namespace {
-
-struct TraceEvent {
-  const char* name;
-  const char* category;
-  std::uint64_t ts_ns;
-  std::uint64_t dur_ns;
-  std::uint64_t bytes;
-  std::uint64_t op;  ///< 0 = no op in flight
-  int rank;          ///< -1 = host thread
-  std::uint32_t tid;
-};
-
-/// One side of an async arrow ("s" when out, "f" when in).
-struct FlowEvent {
-  std::uint64_t id;
-  std::uint64_t ts_ns;
-  std::uint64_t op;
-  int rank;
-  std::uint32_t tid;
-  bool out;
-};
-
-/// Per-stage summary of a closed OpScope, rendered as an "X" event with
-/// cat "op" whose args carry the attribution breakdown.
-struct OpEvent {
-  const char* name;
-  std::uint64_t ts_ns;
-  std::uint64_t dur_ns;
-  std::uint64_t op;
-  std::uint64_t stage_ns[kStageCount];
-  std::uint8_t dominant;
-  int rank;
-  std::uint32_t tid;
-};
-
-/// Hard cap so a runaway loop cannot eat the heap; ~64 MB worst case for
-/// spans, far less for flows/op summaries (same cap, smaller records).
-constexpr std::size_t kMaxEvents = 1U << 20;
-
-struct TraceState {
-  util::Mutex mu;
-  std::string path DRX_GUARDED_BY(mu);
-  std::vector<TraceEvent> events DRX_GUARDED_BY(mu);
-  std::vector<FlowEvent> flows DRX_GUARDED_BY(mu);
-  std::vector<OpEvent> ops DRX_GUARDED_BY(mu);
-  std::uint64_t dropped DRX_GUARDED_BY(mu) = 0;
-};
-
-TraceState& state() {
-  static TraceState* s = new TraceState;
-  return *s;
-}
-
-std::uint32_t thread_tid() {
-  static std::atomic<std::uint32_t> next{1};
-  thread_local std::uint32_t tid = next.fetch_add(1);
-  return tid;
-}
-
-/// Bumps the shared drop accounting (trace buffer at capacity).
-void count_drop_locked(TraceState& s) DRX_REQUIRES(s.mu) {
-  ++s.dropped;
-  // Surfaced as a counter so truncated traces are machine-detectable
-  // (drx_doctor flags any nonzero obs.trace.dropped as an error).
-  static const MetricId kDropped = counter_id("obs.trace.dropped");
-  registry().counter(kDropped).add();
-}
 
 void flush_at_exit() {
   const Status s = flush_trace();
@@ -101,12 +29,7 @@ struct EnvInit {
   EnvInit() {
     const char* env = std::getenv("DRX_TRACE");
     if (env != nullptr && env[0] != '\0') {
-      TraceState& s = state();
-      {
-        util::MutexLock lock(s.mu);
-        s.path = env;
-      }
-      detail::g_trace_enabled.store(true, std::memory_order_relaxed);
+      set_trace_path(env);
       std::atexit(flush_at_exit);
     }
   }
@@ -123,251 +46,10 @@ std::uint64_t trace_now_ns() {
           .count());
 }
 
-void set_trace_path(const std::string& path) {
-  TraceState& s = state();
-  util::MutexLock lock(s.mu);
-  s.path = path;
-  detail::g_trace_enabled.store(!path.empty(), std::memory_order_relaxed);
-}
-
-std::string trace_path() {
-  TraceState& s = state();
-  util::MutexLock lock(s.mu);
-  return s.path;
-}
-
-void record_span(const char* name, const char* category, std::uint64_t ts_ns,
-                 std::uint64_t dur_ns, std::uint64_t bytes) {
-  const std::uint64_t op = detail::t_op.op;
-  const int rank = current_rank();
-  const std::uint32_t tid = thread_tid();
-  TraceState& s = state();
-  util::MutexLock lock(s.mu);
-  if (s.events.size() >= kMaxEvents) {
-    count_drop_locked(s);
-    return;
-  }
-  s.events.push_back(
-      TraceEvent{name, category, ts_ns, dur_ns, bytes, op, rank, tid});
-}
-
-namespace detail {
-void record_span_end(const char* name, const char* category,
-                     std::uint64_t start_ns, std::uint64_t bytes,
-                     std::uint64_t span_id, std::uint64_t parent_span) {
-  const std::uint64_t dur_ns = trace_now_ns() - start_ns;
-  if (trace_enabled()) {
-    record_span(name, category, start_ns, dur_ns, bytes);
-  }
-  if (flight_enabled()) {
-    flight_record(FlightKind::kSpan, name, start_ns, dur_ns, bytes,
-                  detail::t_op.op, parent_span);
-  }
-  (void)span_id;
-}
-}  // namespace detail
-
-namespace {
-void record_flow(std::uint64_t flow_id, const OpContext& ctx, bool out) {
-  const std::uint64_t ts_ns = trace_now_ns();
-  if (trace_enabled()) {
-    const int rank = current_rank();
-    const std::uint32_t tid = thread_tid();
-    TraceState& s = state();
-    util::MutexLock lock(s.mu);
-    if (s.flows.size() >= kMaxEvents) {
-      count_drop_locked(s);
-    } else {
-      s.flows.push_back(FlowEvent{flow_id, ts_ns, ctx.op, rank, tid, out});
-    }
-  }
-  if (flight_enabled()) {
-    flight_record(out ? FlightKind::kFlowOut : FlightKind::kFlowIn,
-                  "drx.flow", ts_ns, 0, flow_id, ctx.op, ctx.parent_span);
-  }
-}
-}  // namespace
-
-void record_flow_out(std::uint64_t flow_id, const OpContext& ctx) {
-  record_flow(flow_id, ctx, /*out=*/true);
-}
-
-void record_flow_in(std::uint64_t flow_id, const OpContext& ctx) {
-  record_flow(flow_id, ctx, /*out=*/false);
-}
-
-void record_op_summary(const char* name, std::uint64_t start_ns,
-                       std::uint64_t dur_ns, std::uint64_t op,
-                       const std::uint64_t (&stage_ns)[kStageCount],
-                       Stage dominant) {
-  if (trace_enabled()) {
-    OpEvent e{};
-    e.name = name;
-    e.ts_ns = start_ns;
-    e.dur_ns = dur_ns;
-    e.op = op;
-    for (std::size_t i = 0; i < kStageCount; ++i) e.stage_ns[i] = stage_ns[i];
-    e.dominant = static_cast<std::uint8_t>(dominant);
-    e.rank = current_rank();
-    e.tid = thread_tid();
-    TraceState& s = state();
-    util::MutexLock lock(s.mu);
-    if (s.ops.size() >= kMaxEvents) {
-      count_drop_locked(s);
-    } else {
-      s.ops.push_back(e);
-    }
-  }
-  if (flight_enabled()) {
-    flight_record(FlightKind::kOp, name, start_ns, dur_ns,
-                  static_cast<std::uint64_t>(dominant), op, 0);
-  }
-}
-
-Status write_trace(const std::string& path) {
-  std::vector<TraceEvent> events;
-  std::vector<FlowEvent> flows;
-  std::vector<OpEvent> ops;
-  std::uint64_t dropped = 0;
-  {
-    TraceState& s = state();
-    util::MutexLock lock(s.mu);
-    events = s.events;
-    flows = s.flows;
-    ops = s.ops;
-    dropped = s.dropped;
-  }
-
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status(ErrorCode::kIoError, "cannot open trace file: " + path);
-  }
-
-  // Emitted by hand rather than via JsonWriter: a trace can hold a million
-  // events, and one line per event keeps the file diffable and streamable.
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-
-  // One pseudo-process per rank, named for human consumption.
-  std::set<int> ranks;
-  for (const TraceEvent& e : events) ranks.insert(e.rank);
-  for (const FlowEvent& e : flows) ranks.insert(e.rank);
-  for (const OpEvent& e : ops) ranks.insert(e.rank);
-  for (int r : ranks) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << (r + 1)
-        << ",\"tid\":0,\"args\":{\"name\":\""
-        << (r < 0 ? std::string("host") : "rank " + std::to_string(r))
-        << "\"}}";
-  }
-
-  char buf[256];
-  for (const TraceEvent& e : events) {
-    if (!first) out << ",\n";
-    first = false;
-    const double ts_us = static_cast<double>(e.ts_ns) / 1000.0;
-    const double dur_us = static_cast<double>(e.dur_ns) / 1000.0;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                  "\"pid\":%d,\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f",
-                  e.name, e.category, e.rank + 1, e.tid, ts_us, dur_us);
-    out << buf;
-    if (e.bytes != 0 || e.op != 0) {
-      out << ",\"args\":{";
-      if (e.bytes != 0) out << "\"bytes\":" << e.bytes;
-      if (e.op != 0) {
-        if (e.bytes != 0) out << ",";
-        out << "\"op\":" << e.op;
-      }
-      out << "}";
-    }
-    out << "}";
-  }
-
-  // Flow events: the same (name, cat, id) on both sides tells the viewer
-  // which "s" pairs with which "f"; "bp":"e" binds the arrow head to the
-  // enclosing slice rather than the next one.
-  for (const FlowEvent& e : flows) {
-    if (!first) out << ",\n";
-    first = false;
-    const double ts_us = static_cast<double>(e.ts_ns) / 1000.0;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"drx.flow\",\"cat\":\"flow\",\"ph\":\"%s\","
-                  "\"id\":%llu,\"pid\":%d,\"tid\":%u,\"ts\":%.3f",
-                  e.out ? "s" : "f",
-                  static_cast<unsigned long long>(e.id), e.rank + 1, e.tid,
-                  ts_us);
-    out << buf;
-    if (!e.out) out << ",\"bp\":\"e\"";
-    if (e.op != 0) out << ",\"args\":{\"op\":" << e.op << "}";
-    out << "}";
-  }
-
-  // Op summaries: "X" events with cat "op" carrying stage attribution.
-  for (const OpEvent& e : ops) {
-    if (!first) out << ",\n";
-    first = false;
-    const double ts_us = static_cast<double>(e.ts_ns) / 1000.0;
-    const double dur_us = static_cast<double>(e.dur_ns) / 1000.0;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"cat\":\"op\",\"ph\":\"X\","
-                  "\"pid\":%d,\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,"
-                  "\"args\":{\"op\":%llu",
-                  e.name, e.rank + 1, e.tid, ts_us, dur_us,
-                  static_cast<unsigned long long>(e.op));
-    out << buf;
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-      out << ",\"" << stage_name(static_cast<Stage>(i))
-          << "_ns\":" << e.stage_ns[i];
-    }
-    out << ",\"dominant\":\"" << stage_name(static_cast<Stage>(e.dominant))
-        << "\"}}";
-  }
-
-  // Top-level metadata record: lets tools (drx_doctor) detect a truncated
-  // trace without scanning stderr. Extra top-level keys are legal in the
-  // Trace Event Format's JSON Object form.
-  out << "\n],\"metadata\":{\"events\":" << events.size()
-      << ",\"flows\":" << flows.size() << ",\"ops\":" << ops.size()
-      << ",\"dropped\":" << dropped << "}}\n";
-  if (!out.good()) {
-    return Status(ErrorCode::kIoError, "short write to trace file: " + path);
-  }
-  DRX_LOG_INFO << "wrote " << events.size() << " trace events ("
-               << flows.size() << " flows, " << ops.size() << " ops) to "
-               << path
-               << (dropped != 0
-                       ? " (" + std::to_string(dropped) + " dropped)"
-                       : "");
-  return Status::ok();
-}
-
 Status flush_trace() {
   const std::string path = trace_path();
   if (path.empty()) return Status::ok();
   return write_trace(path);
-}
-
-void clear_trace() {
-  TraceState& s = state();
-  util::MutexLock lock(s.mu);
-  s.events.clear();
-  s.flows.clear();
-  s.ops.clear();
-  s.dropped = 0;
-}
-
-std::size_t trace_event_count() {
-  TraceState& s = state();
-  util::MutexLock lock(s.mu);
-  return s.events.size();
-}
-
-std::uint64_t trace_dropped_count() {
-  TraceState& s = state();
-  util::MutexLock lock(s.mu);
-  return s.dropped;
 }
 
 }  // namespace drx::obs

@@ -1,11 +1,12 @@
-// Per-rank trace spans exported in Chrome "Trace Event Format" JSON
-// (open in chrome://tracing or https://ui.perfetto.dev).
+// Event recording API and the DRX_TRACE export as Chrome "Trace Event
+// Format" JSON (open in chrome://tracing or https://ui.perfetto.dev).
 //
-// Tracing is off unless DRX_TRACE=<path> is set in the environment (or a
-// test installs a path via set_trace_path). When off, a span still feeds
-// the always-on flight recorder (obs/flight.hpp) — a bounded per-thread
-// ring — so the fast path is two relaxed-atomic-bool branches and, when
-// both sinks are off, no clock reads, no allocation, no locks.
+// ScopedSpan, record_flow_out/in and record_op_summary each push one
+// record onto the calling thread's event ring (obs/flight.hpp). Records
+// pushed while DRX_TRACE=<path> is set (or a test installed a path via
+// set_trace_path) are drained from the rings into this trace. With tracing
+// and the flight recorder both off, a span costs two relaxed-atomic-bool
+// branches: no clock reads, no allocation, no locks.
 //
 // Causality: every armed span claims a span id and maintains the
 // thread-local current-span chain (obs/opctx.hpp), so OpContexts captured
@@ -21,7 +22,7 @@
 // across ranks, exactly the paper's exchange/IO pipeline picture.
 //
 // Span names/categories must be string literals (or otherwise outlive the
-// process): the ring buffer stores the pointers, not copies.
+// process): the ring stores the pointers, not copies.
 #pragma once
 
 #include <atomic>
@@ -37,16 +38,15 @@ namespace drx::obs {
 namespace detail {
 extern std::atomic<bool> g_trace_enabled;
 
-/// Slow path behind ~ScopedSpan: reads the clock once and fans out to the
-/// enabled sinks (trace buffer, flight ring), re-checking each sink's flag
-/// so an enable->disable race while a span is in flight stays benign.
-void record_span_end(const char* name, const char* category,
-                     std::uint64_t start_ns, std::uint64_t bytes,
-                     std::uint64_t span_id, std::uint64_t parent_span);
+/// Slow path behind ~ScopedSpan: reads the clock once and pushes the
+/// closed span onto the calling thread's event ring.
+void push_span(const char* name, const char* category,
+               std::uint64_t start_ns, std::uint64_t bytes,
+               std::uint64_t parent_span);
 }  // namespace detail
 
-/// True iff spans are being recorded to the trace buffer. One of the two
-/// branches on the fast path (the other is flight_enabled()).
+/// True iff records pushed now reach the trace. One of the two branches
+/// on the fast path (the other is flight_enabled()).
 inline bool trace_enabled() noexcept {
   return detail::g_trace_enabled.load(std::memory_order_relaxed);
 }
@@ -56,22 +56,16 @@ inline bool trace_enabled() noexcept {
 void set_trace_path(const std::string& path);
 [[nodiscard]] std::string trace_path();
 
-/// Records a complete ("X") event. `ts_ns`/`dur_ns` are nanoseconds on
-/// the process-local monotonic clock; `bytes` != 0 adds an args payload.
-/// The current thread's op id (if any) is attached automatically.
-void record_span(const char* name, const char* category, std::uint64_t ts_ns,
-                 std::uint64_t dur_ns, std::uint64_t bytes);
-
 /// Records the submit side ("s" flow phase) / consume side ("f" phase) of
 /// one async handoff. `flow_id` comes from next_flow_id(); `ctx` is the
-/// OpContext travelling with the job. Feeds both enabled sinks; callers
-/// guard with trace_enabled() || flight_enabled().
+/// OpContext travelling with the job. Callers guard with
+/// trace_enabled() || flight_enabled().
 void record_flow_out(std::uint64_t flow_id, const OpContext& ctx);
 void record_flow_in(std::uint64_t flow_id, const OpContext& ctx);
 
 /// Records the per-stage summary of a closed OpScope (an "X" event with
-/// cat "op" carrying stage nanoseconds + dominant stage in args, plus a
-/// flight record). Called by OpScope; exposed for tests.
+/// cat "op" carrying stage nanoseconds + dominant stage in args). Called
+/// by OpScope; exposed for tests.
 void record_op_summary(const char* name, std::uint64_t start_ns,
                        std::uint64_t dur_ns, std::uint64_t op,
                        const std::uint64_t (&stage_ns)[kStageCount],
@@ -89,16 +83,15 @@ class ScopedSpan {
     name_ = name;
     category_ = category;
     bytes_ = bytes;
-    span_id_ = detail::g_next_span.fetch_add(1, std::memory_order_relaxed) + 1;
     prev_span_ = detail::t_current_span;
-    detail::t_current_span = span_id_;
+    detail::t_current_span =
+        detail::g_next_span.fetch_add(1, std::memory_order_relaxed) + 1;
     start_ns_ = trace_now_ns();
   }
   ~ScopedSpan() {
     if (name_ == nullptr) return;
     detail::t_current_span = prev_span_;
-    detail::record_span_end(name_, category_, start_ns_, bytes_, span_id_,
-                            prev_span_);
+    detail::push_span(name_, category_, start_ns_, bytes_, prev_span_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -116,24 +109,21 @@ class ScopedSpan {
   const char* category_ = nullptr;
   std::uint64_t start_ns_ = 0;
   std::uint64_t bytes_ = 0;
-  std::uint64_t span_id_ = 0;
   std::uint64_t prev_span_ = 0;
 };
 
-/// Writes buffered events as Trace Event Format JSON to `path`.
+/// Drains every ring's traced records and writes the trace as Trace Event
+/// Format JSON to `path`.
 [[nodiscard]] Status write_trace(const std::string& path);
 
 /// write_trace() to the configured path (no-op status if none).
 [[nodiscard]] Status flush_trace();
 
-/// Drops all buffered events (test isolation).
+/// Drops all traced events, drained or still in a ring (test isolation).
 void clear_trace();
 
-/// Number of span events currently buffered (flow/op-summary events are
-/// counted separately in the written metadata).
+/// Number of traced span events (flow/op-summary events are counted
+/// separately in the written metadata).
 [[nodiscard]] std::size_t trace_event_count();
-
-/// Events dropped because the ring buffer filled.
-[[nodiscard]] std::uint64_t trace_dropped_count();
 
 }  // namespace drx::obs

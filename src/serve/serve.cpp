@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "io/config.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
 #include "obs/trace.hpp"
@@ -215,13 +214,6 @@ Status Server::execute(Session& session, const Request& req,
   // Fresh op per request: stage attribution (lock_wait, cache_fault,
   // io_service...) inside the cache accrues to THIS request.
   obs::OpScope op("serve.request");
-  if (obs::flight_enabled()) {
-    // Tag the op with its session so post-hoc flight analysis can group
-    // tail-latency requests by client.
-    obs::flight_record(obs::FlightKind::kOp, "serve.session",
-                       obs::trace_now_ns(), 0, session.id(),
-                       obs::current_op().op, 0);
-  }
   Status st;
   switch (req.type) {
     case RequestType::kRead: {

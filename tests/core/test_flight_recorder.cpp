@@ -106,6 +106,33 @@ TEST(FlightRecorder, OnDemandDumpIsParseable) {
   std::remove(path.c_str());
 }
 
+// Rings of exited threads are reused: the registry caps concurrent
+// threads, not lifetime threads, so a thread started after 128 others have
+// come and gone still reaches both the flight dump and the trace.
+TEST(FlightRecorder, ThreadsAfterTheFirst128StillRecord) {
+  for (int i = 0; i < 130; ++i) {
+    std::thread([] { obs::ScopedSpan span("test.short_lived", "test"); })
+        .join();
+  }
+  const std::string trace =
+      ::testing::TempDir() + "drx_flight_reuse_trace.json";
+  const std::string dump = ::testing::TempDir() + "drx_flight_reuse.json";
+  obs::clear_trace();
+  obs::set_trace_path(trace);
+  std::thread([] { obs::ScopedSpan span("test.after_reuse", "test"); })
+      .join();
+  ASSERT_TRUE(obs::flush_trace().is_ok());
+  obs::set_trace_path("");
+  obs::clear_trace();
+  ASSERT_TRUE(obs::dump_flight(dump, "on-demand").is_ok());
+  EXPECT_NE(read_file(dump).find("\"test.after_reuse\""), std::string::npos)
+      << "the 131st thread is missing from the flight dump";
+  EXPECT_NE(read_file(trace).find("\"test.after_reuse\""), std::string::npos)
+      << "the 131st thread is missing from the trace";
+  std::remove(dump.c_str());
+  std::remove(trace.c_str());
+}
+
 TEST(FlightRecorder, DeferredWriteErrorDumpsFailingOpCausalChain) {
   ASSERT_FALSE(obs::trace_enabled());
   const std::string path =

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/drxmp.hpp"
@@ -220,6 +221,28 @@ TEST_F(TraceFixture, AsyncZoneReadEmitsCausalFlowArrows) {
   ASSERT_NE(meta, nullptr);
   EXPECT_GE(meta->uint_at("flows"), starts.size());
   EXPECT_GE(meta->uint_at("ops"), 1u);
+}
+
+// The per-thread ring holds 512 records: a traced thread that wraps it
+// many times, and one that exits with an undrained tail, must still hand
+// every span to the trace.
+TEST_F(TraceFixture, RingWrapAndThreadExitLoseNoSpans) {
+  constexpr std::size_t kMain = 3 * 512 + 7;
+  constexpr std::size_t kWorker = 700;
+  for (std::size_t i = 0; i < kMain; ++i) ScopedSpan span("test.wrap", "test");
+  std::thread([] {
+    for (std::size_t i = 0; i < kWorker; ++i) {
+      ScopedSpan span("test.exited", "test");
+    }
+  }).join();
+  EXPECT_EQ(trace_event_count(), kMain + kWorker);
+  ASSERT_TRUE(flush_trace().is_ok());
+  auto doc = json_parse(read_back());
+  ASSERT_TRUE(doc.is_ok());
+  const JsonValue* meta = doc.value().find("metadata");
+  ASSERT_NE(meta, nullptr);
+  EXPECT_EQ(meta->uint_at("events"), kMain + kWorker);
+  EXPECT_EQ(meta->uint_at("dropped"), 0u);
 }
 
 TEST_F(TraceFixture, ClearTraceDropsBufferedEvents) {

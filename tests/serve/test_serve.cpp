@@ -6,9 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/serve.hpp"
 #include "util/rng.hpp"
@@ -72,6 +78,35 @@ TEST(Serve, WriteThenReadRoundTripsThroughOneSession) {
   EXPECT_EQ(s.submitted(), 2u);
   EXPECT_EQ(s.completed(), 2u);
   EXPECT_EQ(s.failed(), 0u);
+}
+
+// A request leaves exactly its own op summary in the flight rings, not a
+// session-tagged pseudo-op that drx_stats --top would list as a 0 us op.
+TEST(Serve, FlightDumpHoldsNoSessionPseudoOp) {
+  DrxFile file = make_file(Shape{8, 8}, Shape{2, 2});
+  Server server(file, Server::Options{});
+  Session& s = server.open_session();
+  std::vector<std::byte> out(4 * kElem);
+  ASSERT_TRUE(
+      s.submit(read_req(Box{Index{0, 0}, Index{2, 2}}, out)).get().is_ok());
+
+  const std::string path = ::testing::TempDir() + "drx_serve_flight.json";
+  ASSERT_TRUE(obs::dump_flight(path, "on-demand").is_ok());
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  auto doc = obs::json_parse(text.str());
+  ASSERT_TRUE(doc.is_ok());
+  bool request_op = false;
+  for (const obs::JsonValue& t : doc.value().find("threads")->array) {
+    for (const obs::JsonValue& r : t.find("records")->array) {
+      if (r.find("kind")->as_string() != "op") continue;
+      EXPECT_NE(r.find("name")->as_string(), "serve.session");
+      if (r.find("name")->as_string() == "serve.request") request_op = true;
+    }
+  }
+  EXPECT_TRUE(request_op) << "no op summary for the served request";
 }
 
 TEST(Serve, ManySessionsOverFewWorkersAllComplete) {
