@@ -16,7 +16,8 @@
 //
 // The cached mode honors the async I/O engine knobs (DRX_IO_THREADS,
 // DRX_PREFETCH_DEPTH — docs/ASYNC_IO.md): CI runs this bench twice and
-// gates on prefetch-on beating prefetch-off for the sequential sweep.
+// gates on prefetch-on beating prefetch-off for the sequential sweep and
+// for the band-written compressed scan below.
 #include <algorithm>
 #include <cstring>
 #include <string>
@@ -135,14 +136,28 @@ std::string cached_mode() {
 // logical bytes delivered per unit of simulated storage time — must beat
 // the uncompressed scan. CI gates compressed >= 1.2x uncompressed
 // (check_bench_regression.py --compression).
+//
+// The band-written row writes the same array one chunk-row band at a
+// time, so its slots sit in row order while addresses run down columns,
+// and scans it with plain pins through a cache configured like the A2
+// rows (DRX_IO_THREADS / DRX_PREFETCH_DEPTH): the sequential detector's
+// read-ahead windows read across the holes between their chunks and
+// carry the hole chunks the scan reaches soon (docs/ASYNC_IO.md). CI
+// gates it, like the sequential sweep, on prefetch-on beating
+// prefetch-off (check_prefetch_gate.py).
+
+enum class ScanLayout { kUncompressed, kRle, kRleBanded };
 
 struct ScanSample {
   double ms = 0;        ///< simulated storage busy time
   double eff_mbps = 0;  ///< logical bytes / storage busy time
   double pfs_mb = 0;    ///< bytes actually moved to/from storage
+  std::uint64_t requests = 0;  ///< storage read + write requests
 };
 
-ScanSample scan_stream(bool compressed) {
+ScanSample scan_stream(ScanLayout layout) {
+  const bool compressed = layout != ScanLayout::kUncompressed;
+  const bool banded = layout == ScanLayout::kRleBanded;
   DrxFile::Options options;
   options.dtype = core::ElementType::kDouble;
   // Pin the codec explicitly so the row is deterministic whatever
@@ -163,9 +178,14 @@ ScanSample scan_stream(bool compressed) {
           static_cast<double>(r);  // row-constant: RLE-friendly runs
     }
   }
-  DRX_CHECK(file.write_box(Box{{0, 0}, {kN, kN}}, core::MemoryOrder::kRowMajor,
-                           std::as_bytes(std::span<const double>(image)))
-                .is_ok());
+  const std::uint64_t band = banded ? kChunk : kN;
+  for (std::uint64_t r = 0; r < kN; r += band) {
+    DRX_CHECK(file.write_box(Box{{r, 0}, {r + band, kN}},
+                             core::MemoryOrder::kRowMajor,
+                             std::as_bytes(std::span<const double>(image)
+                                               .subspan(r * kN, band * kN)))
+                  .is_ok());
+  }
   DRX_CHECK(file.flush().is_ok());
 
   const std::uint64_t chunks = file.metadata().mapping.total_chunks();
@@ -173,9 +193,15 @@ ScanSample scan_stream(bool compressed) {
   double acc = 0;
   const auto before = raw->stats();
   {
-    core::ChunkCache cache(file, 64, core::ChunkCache::AsyncOptions{2, 8});
+    // The band-written pool holds four 32-chunk columns, the proportion
+    // of the drxbench scan_ooc workload: read-ahead may then reach the
+    // next column's chunks in its holes (half the pool).
+    core::ChunkCache cache(
+        file, banded ? 128 : 64,
+        banded ? core::ChunkCache::AsyncOptions::from_config()
+               : core::ChunkCache::AsyncOptions{2, 8});
     for (std::uint64_t a = 0; a < chunks; ++a) {
-      if (a % 8 == 0) {
+      if (!banded && a % 8 == 0) {
         cache.prefetch(a, std::min<std::uint64_t>(8, chunks - a));
       }
       auto p = cache.pin(a, /*writable=*/false);
@@ -194,6 +220,7 @@ ScanSample scan_stream(bool compressed) {
                    ? static_cast<double>(logical) / delta.busy_us
                    : 0.0;  // bytes/us == MB/s
   s.pfs_mb = static_cast<double>(delta.bytes_read + delta.bytes_written) / 1e6;
+  s.requests = delta.read_requests + delta.write_requests;
   return s;
 }
 
@@ -239,20 +266,32 @@ int main() {
 
   std::printf("\ncompressed streaming scan: chunk-order sweep through an "
               "async ChunkCache (t=2 d=8), row-constant doubles, per-chunk "
-              "RLE decoded on the pool workers\n\n");
+              "RLE decoded on the pool workers; the band-written row pins "
+              "in address order with the DRX_IO_THREADS/DRX_PREFETCH_DEPTH "
+              "read-ahead\n\n");
   bench::Table ctable({"scan", "sim ms", "eff MB/s", "PFS MB", "MB saved",
-                       "eff bw speedup"});
-  const ScanSample plain_scan = scan_stream(/*compressed=*/false);
-  const ScanSample rle_scan = scan_stream(/*compressed=*/true);
+                       "eff bw speedup", "storage requests"});
+  const auto requests = [](const ScanSample& s) {
+    return bench::strf("%llu", static_cast<unsigned long long>(s.requests));
+  };
+  const ScanSample plain_scan = scan_stream(ScanLayout::kUncompressed);
+  const ScanSample rle_scan = scan_stream(ScanLayout::kRle);
+  const ScanSample banded_scan = scan_stream(ScanLayout::kRleBanded);
   ctable.add_row({"uncompressed", bench::strf("%.1f", plain_scan.ms),
                   bench::strf("%.1f", plain_scan.eff_mbps),
-                  bench::strf("%.2f", plain_scan.pfs_mb), "", ""});
+                  bench::strf("%.2f", plain_scan.pfs_mb), "", "",
+                  requests(plain_scan)});
   ctable.add_row({"rle", bench::strf("%.1f", rle_scan.ms),
                   bench::strf("%.1f", rle_scan.eff_mbps),
                   bench::strf("%.2f", rle_scan.pfs_mb),
                   bench::strf("%.2f", plain_scan.pfs_mb - rle_scan.pfs_mb),
                   bench::strf("%.1fx",
-                              rle_scan.eff_mbps / plain_scan.eff_mbps)});
+                              rle_scan.eff_mbps / plain_scan.eff_mbps),
+                  requests(rle_scan)});
+  ctable.add_row({"rle, band-written", bench::strf("%.1f", banded_scan.ms),
+                  bench::strf("%.1f", banded_scan.eff_mbps),
+                  bench::strf("%.2f", banded_scan.pfs_mb), "", "",
+                  requests(banded_scan)});
   ctable.print();
   bench::write_json_report("bench_chunk_cache_compression", ctable);
   std::printf("\nexpected shape: sequential and hot-set accesses become "

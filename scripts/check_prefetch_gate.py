@@ -3,9 +3,13 @@
 
 Compares two DRX_BENCH_JSON reports from bench_chunk_cache — one with the
 async engine off (DRX_IO_THREADS=0) and one with read-ahead enabled — and
-fails unless prefetch-on beats prefetch-off on the sequential streaming
-scan, both in simulated time and in storage request count (the request
-count is deterministic, so a scheduler hiccup cannot mask a regression).
+fails unless prefetch-on beats prefetch-off, both in simulated time and in
+storage request count (the request count is deterministic, so a scheduler
+hiccup cannot mask a regression), on two scans:
+  - the sequential sweep of the A2 table (bench_chunk_cache);
+  - the band-written compressed scan (bench_chunk_cache_compression row
+    "rle, band-written"), whose read-ahead windows read across storage
+    holes and carry the chunks in them.
 """
 
 import argparse
@@ -17,19 +21,31 @@ class InputError(Exception):
     """A report file is unreadable or is not a bench_chunk_cache report."""
 
 
+BAND_WRITTEN_ROW = "rle, band-written"
+
+
 def load_report(path):
+    """Returns the bench_chunk_cache and bench_chunk_cache_compression
+    report lines of one DRX_BENCH_JSON file."""
     try:
         with open(path, encoding="utf-8") as f:
-            line = f.readline().strip()
+            lines = [line.strip() for line in f if line.strip()]
     except OSError as err:
         raise InputError(f"{path}: {err}")
-    try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise InputError(f"{path}: invalid JSON: {err}")
-    if not isinstance(doc, dict) or doc.get("bench") != "bench_chunk_cache":
+    docs = {}
+    for line in lines:
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise InputError(f"{path}: invalid JSON: {err}")
+        if isinstance(doc, dict):
+            docs.setdefault(doc.get("bench"), doc)
+    if "bench_chunk_cache" not in docs:
         raise InputError(f"{path}: expected a bench_chunk_cache report")
-    return doc
+    if "bench_chunk_cache_compression" not in docs:
+        raise InputError(
+            f"{path}: expected a bench_chunk_cache_compression report")
+    return docs["bench_chunk_cache"], docs["bench_chunk_cache_compression"]
 
 
 def sequential_cached_row(doc, path):
@@ -51,12 +67,31 @@ def sequential_cached_row(doc, path):
     raise InputError(f"{path}: no 'sequential sweep' row found")
 
 
+def band_written_row(doc, path):
+    try:
+        headers = doc["table"]["headers"]
+        rows = doc["table"]["rows"]
+    except (KeyError, TypeError):
+        raise InputError(f"{path}: compression report has no table rows")
+    for row in rows:
+        if row and row[0] == BAND_WRITTEN_ROW:
+            named = dict(zip(headers, row))
+            try:
+                return (float(named["sim ms"]),
+                        int(named["storage requests"]))
+            except (KeyError, ValueError, TypeError):
+                raise InputError(
+                    f"{path}: malformed '{BAND_WRITTEN_ROW}' row")
+    raise InputError(f"{path}: no '{BAND_WRITTEN_ROW}' row found")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="check_prefetch_gate.py",
         description="Fail unless the read-ahead run beats the synchronous "
-                    "run on the sequential scan, in both simulated time "
-                    "and storage request count.",
+                    "run on the sequential scan and on the band-written "
+                    "compressed scan, in both simulated time and storage "
+                    "request count.",
         epilog="Exit codes: 0 gate passed, 1 gate failed, 2 if a report "
                "is unreadable or malformed.")
     parser.add_argument("bench_off", help="report with DRX_IO_THREADS=0")
@@ -64,36 +99,41 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        off = load_report(args.bench_off)
-        on = load_report(args.bench_on)
-        off_ms, off_reqs = sequential_cached_row(off, args.bench_off)
-        on_ms, on_reqs = sequential_cached_row(on, args.bench_on)
+        off, off_scan = load_report(args.bench_off)
+        on, on_scan = load_report(args.bench_on)
+        scans = [
+            ("sequential cached scan",
+             sequential_cached_row(off, args.bench_off),
+             sequential_cached_row(on, args.bench_on)),
+            ("band-written compressed scan",
+             band_written_row(off_scan, args.bench_off),
+             band_written_row(on_scan, args.bench_on)),
+        ]
     except InputError as err:
         print(f"ERROR: {err}", file=sys.stderr)
         return 2
     issued = on.get("metrics", {}).get("counters", {}).get(
         "core.cache.prefetch_issued", 0)
 
-    print(f"sequential cached scan: off {off_ms:.1f} sim ms / {off_reqs} "
-          f"requests, on {on_ms:.1f} sim ms / {on_reqs} requests "
-          f"({issued} chunks prefetched)")
-
     failures = []
     if issued <= 0:
         failures.append("prefetch-on run never issued a prefetch "
                         "(DRX_IO_THREADS/DRX_PREFETCH_DEPTH not applied?)")
-    if not on_ms < off_ms:
-        failures.append(f"sim time regressed: on {on_ms:.1f} >= "
-                        f"off {off_ms:.1f} ms")
-    if not on_reqs < off_reqs:
-        failures.append(f"storage requests regressed: on {on_reqs} >= "
-                        f"off {off_reqs}")
+    for name, (off_ms, off_reqs), (on_ms, on_reqs) in scans:
+        print(f"{name}: off {off_ms:.1f} sim ms / {off_reqs} requests, "
+              f"on {on_ms:.1f} sim ms / {on_reqs} requests")
+        if not on_ms < off_ms:
+            failures.append(f"{name}: sim time regressed: on {on_ms:.1f} "
+                            f">= off {off_ms:.1f} ms")
+        if not on_reqs < off_reqs:
+            failures.append(f"{name}: storage requests regressed: on "
+                            f"{on_reqs} >= off {off_reqs}")
+    print(f"({issued} chunks prefetched)")
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)
     if failures:
         return 1
-    print("PASS: read-ahead beats the synchronous path on the "
-          "sequential scan")
+    print("PASS: read-ahead beats the synchronous path on both scans")
     return 0
 
 

@@ -82,6 +82,27 @@ def cache_rows(sim_ms, requests):
             ["", f"CachedDrxFile depth=4", str(sim_ms), str(requests)]]
 
 
+def scan_doc(band_ms, band_requests, band_label="rle, band-written"):
+    """A bench_chunk_cache_compression report line."""
+    return {"bench": "bench_chunk_cache_compression",
+            "table": {"headers": ["scan", "sim ms", "eff MB/s", "PFS MB",
+                                  "MB saved", "eff bw speedup",
+                                  "storage requests"],
+                      "rows": [["rle", "29.4", "71.4", "0.20", "1.90",
+                                "1.7x", "128"],
+                               [band_label, str(band_ms), "2.8", "3.14",
+                                "", "", str(band_requests)]]}}
+
+
+def gate_report(directory, name, sequential, band, counters=None,
+                band_label="rle, band-written"):
+    """Both report lines check_prefetch_gate.py reads: `sequential` and
+    `band` are (sim ms, requests) of the two gated scans."""
+    return write_report(directory, name, [
+        bench_doc("bench_chunk_cache", cache_rows(*sequential), counters),
+        scan_doc(*band, band_label=band_label)])
+
+
 class TestBenchRegression(unittest.TestCase):
     def test_help_exits_zero(self):
         code, out, _ = run_main(bench_regression, ["--help"])
@@ -381,25 +402,42 @@ class TestPrefetchGate(unittest.TestCase):
 
     def test_gate_passes_when_prefetch_wins(self):
         with tempfile.TemporaryDirectory() as tmp:
-            off = write_report(tmp, "off.json", [bench_doc(
-                "bench_chunk_cache", cache_rows(10.0, 100))])
-            on = write_report(tmp, "on.json", [bench_doc(
-                "bench_chunk_cache", cache_rows(8.0, 80),
-                {"core.cache.prefetch_issued": 5})])
+            off = gate_report(tmp, "off.json", (10.0, 100), (8347.2, 1024))
+            on = gate_report(tmp, "on.json", (8.0, 80), (761.7, 101),
+                             {"core.cache.prefetch_issued": 5})
             code, out, _ = run_main(prefetch_gate, [off, on])
         self.assertEqual(code, 0)
         self.assertIn("PASS", out)
 
     def test_gate_fails_on_regression(self):
         with tempfile.TemporaryDirectory() as tmp:
-            off = write_report(tmp, "off.json", [bench_doc(
-                "bench_chunk_cache", cache_rows(10.0, 100))])
-            on = write_report(tmp, "on.json", [bench_doc(
-                "bench_chunk_cache", cache_rows(12.0, 120),
-                {"core.cache.prefetch_issued": 5})])
+            off = gate_report(tmp, "off.json", (10.0, 100), (8347.2, 1024))
+            on = gate_report(tmp, "on.json", (12.0, 120), (761.7, 101),
+                             {"core.cache.prefetch_issued": 5})
             code, _, err = run_main(prefetch_gate, [off, on])
         self.assertEqual(code, 1)
         self.assertIn("FAIL", err)
+
+    def test_gate_fails_when_band_written_scan_regresses(self):
+        # The sequential sweep wins, but the band-written compressed scan
+        # issues as many requests with read-ahead as without it.
+        with tempfile.TemporaryDirectory() as tmp:
+            off = gate_report(tmp, "off.json", (10.0, 100), (8347.2, 1024))
+            on = gate_report(tmp, "on.json", (8.0, 80), (761.7, 1024),
+                             {"core.cache.prefetch_issued": 5})
+            code, _, err = run_main(prefetch_gate, [off, on])
+        self.assertEqual(code, 1)
+        self.assertIn("band-written compressed scan: storage requests", err)
+
+    def test_missing_band_written_row_exits_two(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            off = gate_report(tmp, "off.json", (10.0, 100), (8347.2, 1024),
+                              band_label="rle, other")
+            on = gate_report(tmp, "on.json", (8.0, 80), (761.7, 101),
+                             {"core.cache.prefetch_issued": 5})
+            code, _, err = run_main(prefetch_gate, [off, on])
+        self.assertEqual(code, 2)
+        self.assertIn("rle, band-written", err)
 
 
 class TestLintDrx(unittest.TestCase):

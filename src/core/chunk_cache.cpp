@@ -27,6 +27,8 @@ const obs::MetricId kDeferredWb =
 const obs::MetricId kWriteQueueHits =
     obs::counter_id("core.cache.write_queue_hits");
 const obs::MetricId kPrefIssued = obs::counter_id("core.cache.prefetch_issued");
+const obs::MetricId kPrefPassengers =
+    obs::counter_id("core.cache.prefetch_passengers");
 const obs::MetricId kPrefUseful = obs::counter_id("core.cache.prefetch_useful");
 const obs::MetricId kPrefWasted = obs::counter_id("core.cache.prefetch_wasted");
 const obs::MetricId kPrefWaits = obs::counter_id("core.cache.prefetch_waits");
@@ -632,8 +634,8 @@ restart:
     // Reserving read-ahead frames locks other shards, so it happens only
     // after this shard's lock is dropped (one shard lock at a time).
     std::vector<std::uint64_t> job;
-    read_ahead(address, readahead_want, job);
-    submit_fill(std::move(job));
+    const std::size_t passengers = read_ahead(address, readahead_want, job);
+    submit_fill(std::move(job), passengers);
   }
 
   fault_timer.stop();
@@ -718,10 +720,10 @@ std::uint64_t ChunkCache::note_sequential(std::uint64_t front,
 }
 
 void ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
-                              std::vector<std::uint64_t>& job) {
+                              std::vector<std::uint64_t>& job,
+                              bool passengers) {
   const std::uint64_t total = file_->metadata().mapping.total_chunks();
-  // Never let speculation displace more than half the pool.
-  const std::size_t cap = std::max<std::size_t>(1, capacity_ / 2);
+  const std::size_t cap = fill_budget();
   // One in-flight load per shard per job: run_prefetch_job recomputes
   // the same bitmask from the job's addresses to pair the decrement.
   std::uint64_t participating = 0;  // shard bitmask; shard_count_ <= 64
@@ -760,28 +762,55 @@ void ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
       ++s.loads_inflight;
     }
     ++s.stats.prefetch_issued;
+    if (passengers) ++s.stats.prefetch_passengers;
     obs::registry().counter(kPrefIssued).add();
     job.push_back(address);
   }
   if (!write_submits.empty()) submit_writes(write_submits);
 }
 
-void ChunkCache::read_ahead(std::uint64_t after, std::uint64_t want,
-                            std::vector<std::uint64_t>& job) {
+std::size_t ChunkCache::read_ahead(std::uint64_t after, std::uint64_t want,
+                                   std::vector<std::uint64_t>& job) {
   std::vector<std::uint64_t> window(checked_size(want));
   std::iota(window.begin(), window.end(), after + 1);
   reserve_fill(window, job);
-  // Keep the detector's run alive across the hits the window creates.
-  util::MutexLock seq(seq_mu_);
-  last_miss_ = window.back();
+  {
+    // Keep the detector's run alive across the hits the window creates.
+    util::MutexLock seq(seq_mu_);
+    last_miss_ = window.back();
+  }
+  // Passengers: on a compressed array the window's requests read across
+  // holes that hold other live chunks. Those the scan reaches within the
+  // fill budget ride in the same job instead of being read again later.
+  // They are reserved like the window (never a resident, in-flight or
+  // write-queued chunk), so the bytes they are read from are the newest.
+  const std::uint64_t reach = after + fill_budget();
+  if (job.empty() || job.size() >= fill_budget() || reach <= window.back()) {
+    return 0;
+  }
+  std::vector<std::uint64_t> candidates(checked_size(reach - window.back()));
+  std::iota(candidates.begin(), candidates.end(), window.back() + 1);
+  std::vector<std::uint64_t> inside;
+  {
+    util::MutexLock io(io_mu_);
+    inside = file_->chunks_inside_requests(job, candidates);
+  }
+  const std::size_t before = job.size();
+  reserve_fill(inside, job, /*passengers=*/true);
+  const std::size_t passengers = job.size() - before;
+  if (passengers > 0) obs::registry().counter(kPrefPassengers).add(passengers);
+  return passengers;
 }
 
-void ChunkCache::submit_fill(std::vector<std::uint64_t> job) {
+void ChunkCache::submit_fill(std::vector<std::uint64_t> job,
+                             std::size_t passengers) {
   if (job.empty()) return;
   pool_->submit(
       obs::current_op(),
-      [this, job = std::move(job)] { return run_prefetch_job(job); }, nullptr,
-      io::AsyncIoPool::JobClass::kBackground);
+      [this, job = std::move(job), passengers] {
+        return run_prefetch_job(job, passengers);
+      },
+      nullptr, io::AsyncIoPool::JobClass::kBackground);
 }
 
 void ChunkCache::prefetch(std::uint64_t first, std::uint64_t count) {
@@ -810,10 +839,11 @@ void ChunkCache::prefetch_chunks(std::span<const std::uint64_t> addresses) {
   // seek.
   const auto [lo, hi] = std::minmax_element(job.begin(), job.end());
   const std::uint64_t last = *hi;
+  std::size_t passengers = 0;
   if (const std::uint64_t want = note_sequential(*lo, last)) {
-    read_ahead(last, want, job);
+    passengers = read_ahead(last, want, job);
   }
-  submit_fill(std::move(job));
+  submit_fill(std::move(job), passengers);
 }
 
 Status ChunkCache::run_write_job(std::uint64_t address) {
@@ -877,7 +907,8 @@ Status ChunkCache::run_write_job(std::uint64_t address) {
   }
 }
 
-Status ChunkCache::run_prefetch_job(std::span<const std::uint64_t> addresses) {
+Status ChunkCache::run_prefetch_job(std::span<const std::uint64_t> addresses,
+                                    std::size_t passengers) {
   const std::size_t cb = chunk_size();
   auto staging = std::make_unique<std::byte[]>(addresses.size() * cb);
   // Fetch stored bytes under the io mutex, decode into staging outside
@@ -887,10 +918,13 @@ Status ChunkCache::run_prefetch_job(std::span<const std::uint64_t> addresses) {
   std::vector<DrxFile::StoredRef> refs;
   Status st;
   {
+    const std::size_t planned = addresses.size() - passengers;
     util::MutexLock io(io_mu_);
-    st = file_->read_chunks_stored(addresses, stored, refs);
+    st = file_->read_chunks_stored(addresses.first(planned), stored, refs,
+                                   addresses.subspan(planned));
   }
   for (std::size_t i = 0; st.is_ok() && i < refs.size(); ++i) {
+    if (!refs[i].fetched) continue;
     st = file_->decode_chunk(
         refs[i].codec,
         std::span<const std::byte>(stored.data() + refs[i].offset,
@@ -906,7 +940,7 @@ Status ChunkCache::run_prefetch_job(std::span<const std::uint64_t> addresses) {
     util::MutexLock lock(s.mu);
     auto it = s.frames.find(address);
     if (it == s.frames.end() || !it->second.loading) continue;
-    if (st.is_ok()) {
+    if (st.is_ok() && refs[i].fetched) {
       Frame& frame = it->second;
       std::memcpy(frame.data.get(), staging.get() + i * cb, cb);
       frame.loading = false;
@@ -916,8 +950,9 @@ Status ChunkCache::run_prefetch_job(std::span<const std::uint64_t> addresses) {
       frame.lru_it = s.lru.begin();
       frame.in_lru = true;
     } else {
-      // Drop the reservation; a waiting pin re-faults synchronously and
-      // observes the error itself.
+      // Drop the reservation (a failed fill, or a passenger whose slot
+      // moved out of the requests); a waiting pin re-faults
+      // synchronously and observes any error itself.
       recycle_buffer_locked(s, std::move(it->second.data));
       s.frames.erase(it);
     }
@@ -1072,6 +1107,7 @@ ChunkCache::Stats ChunkCache::stats() const {
     total.deferred_writebacks += s.stats.deferred_writebacks;
     total.write_queue_hits += s.stats.write_queue_hits;
     total.prefetch_issued += s.stats.prefetch_issued;
+    total.prefetch_passengers += s.stats.prefetch_passengers;
     total.prefetch_useful += s.stats.prefetch_useful;
     total.prefetch_wasted += s.stats.prefetch_wasted;
     total.prefetch_waits += s.stats.prefetch_waits;

@@ -44,9 +44,12 @@
 //  - read-ahead (io_threads > 0 only): a detectably sequential demand
 //    run (consecutive miss addresses, or hinted runs that continue one
 //    another) speculatively faults the next DRX_PREFETCH_DEPTH chunk
-//    addresses the same way.
+//    addresses the same way. The window's job also carries passengers:
+//    chunks whose stored bytes its requests transfer anyway (holes it
+//    reads across) and that the scan reaches within half the pool.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -91,6 +94,9 @@ class ChunkCache final : public io::PrefetchSink {
     std::uint64_t deferred_writebacks = 0;  ///< write-backs queued, not blocked on
     std::uint64_t write_queue_hits = 0;     ///< misses served from a queued write
     std::uint64_t prefetch_issued = 0;      ///< chunks speculatively requested
+    /// The part of prefetch_issued a read-ahead window's requests carry
+    /// for free (sieved passengers, docs/ASYNC_IO.md).
+    std::uint64_t prefetch_passengers = 0;
     std::uint64_t prefetch_useful = 0;      ///< prefetched chunks later pinned
     std::uint64_t prefetch_wasted = 0;      ///< prefetched chunks evicted unpinned
     std::uint64_t prefetch_waits = 0;       ///< pins that waited on an in-flight load
@@ -431,22 +437,34 @@ class ChunkCache final : public io::PrefetchSink {
                                                        bool writable,
                                                        bool overwrite);
 
+  /// Frames one fill job may reserve: speculation never displaces more
+  /// than half the pool.
+  [[nodiscard]] std::size_t fill_budget() const noexcept {
+    return std::max<std::size_t>(1, capacity_ / 2);
+  }
   /// Reserves loading frames for the eligible chunks of `addresses`, in
   /// order (resident, in-flight and write-queued chunks are skipped),
-  /// appending each to `job` until the job holds half the pool. Locks
+  /// appending each to `job` until the job holds fill_budget() frames.
+  /// `passengers` counts them in Stats::prefetch_passengers too. Locks
   /// one shard at a time; called with no shard lock held.
   void reserve_fill(std::span<const std::uint64_t> addresses,
-                    std::vector<std::uint64_t>& job);
+                    std::vector<std::uint64_t>& job, bool passengers = false);
   /// Feeds one demand run, the addresses front..back (a miss: front ==
   /// back), to the sequential detector; returns the read-ahead window to
   /// follow it with (0 = none).
   std::uint64_t note_sequential(std::uint64_t front, std::uint64_t back);
-  /// Reserves the read-ahead window after..after + want into `job`.
-  void read_ahead(std::uint64_t after, std::uint64_t want,
-                  std::vector<std::uint64_t>& job);
-  /// Submits `job` (reserved by reserve_fill) to the pool as one
-  /// background run_prefetch_job; an empty job is dropped.
-  void submit_fill(std::vector<std::uint64_t> job);
+  /// Reserves the read-ahead window after + 1..after + want into `job`,
+  /// then its passengers: the chunks up to after + fill_budget() that
+  /// lie inside the requests planned for `job`
+  /// (DrxFile::chunks_inside_requests, under the io mutex). Appends the
+  /// passengers last and returns how many it reserved. Passengers do not
+  /// advance the sequential detector: its run ends at the window.
+  std::size_t read_ahead(std::uint64_t after, std::uint64_t want,
+                         std::vector<std::uint64_t>& job);
+  /// Submits `job` (reserved by reserve_fill; its last `passengers`
+  /// entries ride along) to the pool as one background
+  /// run_prefetch_job; an empty job is dropped.
+  void submit_fill(std::vector<std::uint64_t> job, std::size_t passengers = 0);
 
   /// Chunk-sized frame buffer from the shard free list (evictions recycle
   /// their buffers there), allocating only when the list is empty — so
@@ -459,7 +477,12 @@ class ChunkCache final : public io::PrefetchSink {
   // Pool jobs (run on workers, or inline on the submitter at 0 threads).
   // Submitted with no shard lock held: inline jobs take shard locks.
   [[nodiscard]] Status run_write_job(std::uint64_t address);
-  [[nodiscard]] Status run_prefetch_job(std::span<const std::uint64_t> addresses);
+  /// Reads and settles a fill job. Its last `passengers` addresses are
+  /// read only where the others' requests already transfer them; a
+  /// passenger no request transfers is released like a failed fill's
+  /// frame.
+  [[nodiscard]] Status run_prefetch_job(std::span<const std::uint64_t> addresses,
+                                        std::size_t passengers);
 
   [[nodiscard]] Status flush_shard_locked(Shard& s, util::MutexLock& lock)
       DRX_REQUIRES(s.mu);

@@ -45,6 +45,104 @@ void record_effective_read_bw(std::size_t raw_bytes,
                static_cast<std::uint64_t>(us));
 }
 
+/// How a fill of a list of chunks is split into storage requests. The
+/// one planner behind DrxFile::read_chunks_stored and
+/// DrxFile::chunks_inside_requests.
+struct ReadPlan {
+  struct Piece {
+    std::uint64_t offset;
+    std::uint64_t capacity;
+    std::uint32_t stored;
+    codec::CodecId codec;
+  };
+  struct Request {
+    std::size_t begin;  ///< [begin, end) into `order`
+    std::size_t end;
+    std::uint64_t lo;  ///< the request reads [lo, hi)
+    std::uint64_t hi;
+    std::uint64_t hi_cap;  ///< end of the last reservation
+  };
+  std::vector<Piece> pieces;       ///< one per listed chunk, in list order
+  std::vector<std::size_t> order;  ///< `pieces` indices by storage offset
+  std::vector<Request> requests;   ///< ascending, disjoint ranges
+
+  /// The request whose range holds all of `p`'s stored bytes, or null.
+  [[nodiscard]] const Request* holding(const Piece& p) const {
+    auto it = std::upper_bound(
+        requests.begin(), requests.end(), p.offset,
+        [](std::uint64_t off, const Request& r) { return off < r.lo; });
+    if (it == requests.begin()) return nullptr;
+    --it;
+    return p.offset + p.stored <= it->hi ? &*it : nullptr;
+  }
+};
+
+ReadPlan::Piece piece_of(const Metadata& meta, std::uint64_t q) {
+  const Metadata::StorageExtent e = meta.storage_extent(q);
+  if (!meta.compressed()) {
+    return ReadPlan::Piece{e.offset, e.capacity,
+                           static_cast<std::uint32_t>(meta.chunk_bytes()),
+                           codec::CodecId::kNone};
+  }
+  const ChunkSlot& s = meta.chunk_table[checked_size(q)];
+  return ReadPlan::Piece{e.offset, e.capacity, s.stored,
+                         static_cast<codec::CodecId>(s.codec)};
+}
+
+/// Groups `addresses` (all in range) by where the chunks sit in the .xta,
+/// not by address: compressed slots sit wherever they were last written,
+/// so address neighbours may be far apart while storage neighbours are
+/// not. Walking the list in storage order, a request grows while the
+/// next chunk follows the previous one on storage
+/// (Metadata::follows_on_storage) or the hole up to it costs less to
+/// read across than the request and seek a new one would (data sieving:
+/// Storage::sieve_gap_bytes, from the device's own cost model).
+ReadPlan plan_reads(const Metadata& meta, const pfs::Storage& data,
+                    std::span<const std::uint64_t> addresses) {
+  ReadPlan plan;
+  const std::size_t n = addresses.size();
+  plan.pieces.reserve(n);
+  for (const std::uint64_t q : addresses) plan.pieces.push_back(piece_of(meta, q));
+  plan.order.resize(n);
+  std::iota(plan.order.begin(), plan.order.end(), std::size_t{0});
+  std::sort(plan.order.begin(), plan.order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return plan.pieces[a].offset < plan.pieces[b].offset;
+            });
+  const std::uint64_t sieve_gap = data.sieve_gap_bytes();
+  for (std::size_t k = 0; k < n; ++k) {
+    const ReadPlan::Piece& p = plan.pieces[plan.order[k]];
+    const std::uint64_t end = p.offset + p.stored;
+    if (!plan.requests.empty()) {
+      ReadPlan::Request& r = plan.requests.back();
+      // Live slots never overlap (Metadata::from_bytes checks), so only a
+      // chunk listed twice starts before the request ends.
+      const std::uint64_t hole = p.offset > r.hi ? p.offset - r.hi : 0;
+      if (hole < sieve_gap ||
+          meta.follows_on_storage(addresses[plan.order[k - 1]],
+                                  addresses[plan.order[k]])) {
+        r.end = k + 1;
+        r.hi = std::max(r.hi, end);
+        r.hi_cap = std::max(r.hi_cap, p.offset + p.capacity);
+        continue;
+      }
+    }
+    plan.requests.push_back(
+        ReadPlan::Request{k, k + 1, p.offset, end, p.offset + p.capacity});
+  }
+  // Read through a run's last capacity slack (when those bytes exist on
+  // disk) so consecutive batch reads over a packed layout stay
+  // head-contiguous: a streaming scan then costs one seek total, not one
+  // per batch. A lone chunk reads its live bytes only; the next request
+  // rarely starts where its slot ends.
+  for (ReadPlan::Request& r : plan.requests) {
+    if (r.end - r.begin > 1) {
+      r.hi = std::max(r.hi, std::min(r.hi_cap, data.size()));
+    }
+  }
+  return plan;
+}
+
 }  // namespace
 
 Result<DrxFile> DrxFile::create(std::unique_ptr<pfs::Storage> meta_storage,
@@ -487,125 +585,105 @@ Status DrxFile::decode_chunk(codec::CodecId chunk_codec,
   return st;
 }
 
+std::vector<std::uint64_t> DrxFile::chunks_inside_requests(
+    std::span<const std::uint64_t> addresses,
+    std::span<const std::uint64_t> candidates) const {
+  std::vector<std::uint64_t> inside;
+  const std::uint64_t total = meta_.mapping.total_chunks();
+  if (addresses.empty() ||
+      std::any_of(addresses.begin(), addresses.end(),
+                  [total](std::uint64_t q) { return q >= total; })) {
+    return inside;
+  }
+  const ReadPlan plan = plan_reads(meta_, *data_, addresses);
+  for (const std::uint64_t q : candidates) {
+    if (q < total && plan.holding(piece_of(meta_, q)) != nullptr) {
+      inside.push_back(q);
+    }
+  }
+  return inside;
+}
+
 Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
                                    std::vector<std::byte>& scratch,
-                                   std::vector<StoredRef>& refs) {
+                                   std::vector<StoredRef>& refs,
+                                   std::span<const std::uint64_t> passengers) {
   refs.clear();
   scratch.clear();
   if (addresses.empty()) return Status::ok();
   const std::uint64_t total = meta_.mapping.total_chunks();
-  for (const std::uint64_t q : addresses) {
-    if (q >= total) {
-      return Status(ErrorCode::kOutOfRange, "chunk address out of range");
+  for (const auto list : {addresses, passengers}) {
+    for (const std::uint64_t q : list) {
+      if (q >= total) {
+        return Status(ErrorCode::kOutOfRange, "chunk address out of range");
+      }
     }
   }
   const std::size_t n = addresses.size();
+  const ReadPlan plan = plan_reads(meta_, *data_, addresses);
+  // A passenger rides in the request that already transfers its bytes;
+  // one that lies in none (its slot moved since it was chosen) is left
+  // unread, so passengers never add a request or a transferred byte.
+  std::vector<ReadPlan::Piece> riders;
+  std::vector<const ReadPlan::Request*> rides_in;
+  riders.reserve(passengers.size());
+  rides_in.reserve(passengers.size());
+  std::uint64_t live_bytes = 0;
+  for (const ReadPlan::Piece& p : plan.pieces) live_bytes += p.stored;
+  std::size_t carried = 0;
+  for (const std::uint64_t q : passengers) {
+    riders.push_back(piece_of(meta_, q));
+    rides_in.push_back(plan.holding(riders.back()));
+    if (rides_in.back() != nullptr) {
+      live_bytes += riders.back().stored;
+      ++carried;
+    }
+  }
+
   const std::uint64_t cb = meta_.chunk_bytes();
   static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
   static const obs::MetricId kBatches =
       obs::counter_id("core.chunk_read_batches");
   static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
-  obs::registry().counter(kReads).add(n);
+  obs::registry().counter(kReads).add(n + carried);
   obs::registry().counter(kBatches).add();
-  obs::registry().counter(kBytes).add(checked_mul(n, cb));
+  obs::registry().counter(kBytes).add(checked_mul(n + carried, cb));
   if (obs::profile_enabled()) {
     for (const std::uint64_t q : addresses) {
       obs::profile_chunk(obs::ChunkOp::kRead, q, checked_size(cb));
     }
-  }
-
-  // Group by where the chunks sit in the .xta, not by address: compressed
-  // slots sit wherever they were last written, so address neighbours may
-  // be far apart while storage neighbours are not. Walking the list in
-  // storage order, a group grows while the next chunk follows the
-  // previous one on storage (Metadata::follows_on_storage) or the hole up
-  // to it costs less to read across than the request and seek a new
-  // group would (data sieving: Storage::sieve_gap_bytes, from the
-  // device's own cost model). Each group is one request that copies only
-  // its live bytes (Storage::read_gather), packed into `scratch`.
-  struct Piece {
-    std::uint64_t offset;
-    std::uint64_t capacity;
-    std::uint32_t stored;
-    codec::CodecId codec;
-  };
-  std::vector<Piece> pieces;
-  pieces.reserve(n);
-  for (const std::uint64_t q : addresses) {
-    const Metadata::StorageExtent e = meta_.storage_extent(q);
-    if (compressed()) {
-      const ChunkSlot& s = meta_.chunk_table[q];
-      pieces.push_back(
-          Piece{e.offset, e.capacity, s.stored,
-                static_cast<codec::CodecId>(s.codec)});
-    } else {
-      pieces.push_back(Piece{e.offset, e.capacity,
-                             static_cast<std::uint32_t>(cb),
-                             codec::CodecId::kNone});
-    }
-  }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return pieces[a].offset < pieces[b].offset;
-  });
-  struct Group {
-    std::size_t begin;  // [begin, end) into `order`
-    std::size_t end;
-    std::uint64_t lo;
-    std::uint64_t hi;
-    std::uint64_t hi_cap;  // end of the last reservation
-  };
-  const std::uint64_t sieve_gap = data_->sieve_gap_bytes();
-  std::vector<Group> groups;
-  for (std::size_t k = 0; k < n; ++k) {
-    const Piece& p = pieces[order[k]];
-    const std::uint64_t end = p.offset + p.stored;
-    if (!groups.empty()) {
-      Group& g = groups.back();
-      // Live slots never overlap (Metadata::from_bytes checks), so only a
-      // chunk listed twice starts before the group ends.
-      const std::uint64_t hole = p.offset > g.hi ? p.offset - g.hi : 0;
-      if (hole < sieve_gap || meta_.follows_on_storage(addresses[order[k - 1]],
-                                                       addresses[order[k]])) {
-        g.end = k + 1;
-        g.hi = std::max(g.hi, end);
-        g.hi_cap = std::max(g.hi_cap, p.offset + p.capacity);
-        continue;
+    for (std::size_t j = 0; j < passengers.size(); ++j) {
+      if (rides_in[j] != nullptr) {
+        obs::profile_chunk(obs::ChunkOp::kRead, passengers[j],
+                           checked_size(cb));
       }
     }
-    groups.push_back(Group{k, k + 1, p.offset, end, p.offset + p.capacity});
-  }
-  // Read through a run's last capacity slack (when those bytes exist on
-  // disk) so consecutive batch reads over a packed layout stay
-  // head-contiguous: a streaming scan then costs one seek total, not one
-  // per batch. A lone chunk reads its live bytes only; the next request
-  // rarely starts where its slot ends.
-  for (Group& g : groups) {
-    if (g.end - g.begin > 1) {
-      g.hi = std::max(g.hi, std::min(g.hi_cap, data_->size()));
-    }
   }
 
-  std::uint64_t live_bytes = 0;
-  for (const Piece& p : pieces) live_bytes += p.stored;
+  // Each request copies only live bytes (Storage::read_gather), packed
+  // back to back into `scratch`.
   scratch.resize(checked_size(live_bytes));
-  refs.resize(n);
+  refs.resize(n + passengers.size());
   obs::ScopedSpan span("core.read_chunks_batch", "core",
                        checked_size(live_bytes));
   obs::StageTimer io(obs::Stage::kIoService);
   std::vector<pfs::GatherPiece> gather;
   std::size_t pos = 0;
-  for (const Group& g : groups) {
+  const auto take = [&](const ReadPlan::Piece& p, std::size_t ref) {
+    gather.push_back(pfs::GatherPiece{
+        p.offset, std::span<std::byte>(scratch.data() + pos, p.stored)});
+    refs[ref] = StoredRef{p.codec, pos, p.stored, /*fetched=*/true};
+    pos += p.stored;
+  };
+  for (const ReadPlan::Request& r : plan.requests) {
     gather.clear();
-    for (std::size_t k = g.begin; k < g.end; ++k) {
-      const Piece& p = pieces[order[k]];
-      gather.push_back(pfs::GatherPiece{
-          p.offset, std::span<std::byte>(scratch.data() + pos, p.stored)});
-      refs[order[k]] = StoredRef{p.codec, pos, p.stored};
-      pos += p.stored;
+    for (std::size_t k = r.begin; k < r.end; ++k) {
+      take(plan.pieces[plan.order[k]], plan.order[k]);
     }
-    DRX_RETURN_IF_ERROR(data_->read_gather(g.lo, g.hi, gather));
+    for (std::size_t j = 0; j < passengers.size(); ++j) {
+      if (rides_in[j] == &r) take(riders[j], n + j);
+    }
+    DRX_RETURN_IF_ERROR(data_->read_gather(r.lo, r.hi, gather));
   }
   return Status::ok();
 }

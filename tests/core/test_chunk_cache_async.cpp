@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -35,14 +36,25 @@ DrxFile make_file(Shape bounds, Shape chunk) {
 }
 
 /// Storage wrapper that injects write failures (and optional write
-/// latency) over a MemStorage backing store.
+/// latency, or a gate that holds every write) over a MemStorage backing
+/// store, and records where each sieved read gathered its pieces.
 class FaultyStorage final : public pfs::Storage {
  public:
   struct Controls {
     std::atomic<int> fail_writes_after{-1};  ///< -1 = never fail
     std::atomic<int> write_delay_ms{0};
+    std::atomic<bool> writes_open{true};  ///< false: writes block until true
     std::atomic<int> writes_seen{0};
     std::atomic<int> reads_seen{0};
+
+    /// Storage offsets of every piece read_gather copied, in call order.
+    [[nodiscard]] std::vector<std::uint64_t> gathered() const {
+      util::MutexLock lock(mu);
+      return gathered_offsets;
+    }
+
+    mutable util::Mutex mu;
+    std::vector<std::uint64_t> gathered_offsets DRX_GUARDED_BY(mu);
   };
 
   explicit FaultyStorage(Controls& controls) : controls_(&controls) {}
@@ -51,8 +63,22 @@ class FaultyStorage final : public pfs::Storage {
     controls_->reads_seen.fetch_add(1);
     return inner_.read_at(offset, out);
   }
+  Status read_gather(std::uint64_t lo, std::uint64_t hi,
+                     std::span<const pfs::GatherPiece> pieces) override {
+    controls_->reads_seen.fetch_add(1);
+    {
+      util::MutexLock lock(controls_->mu);
+      for (const pfs::GatherPiece& p : pieces) {
+        controls_->gathered_offsets.push_back(p.offset);
+      }
+    }
+    return inner_.read_gather(lo, hi, pieces);
+  }
   Status write_at(std::uint64_t offset,
                   std::span<const std::byte> data) override {
+    while (!controls_->writes_open.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
     const int seen = controls_->writes_seen.fetch_add(1);
     const int delay = controls_->write_delay_ms.load();
     if (delay > 0) {
@@ -76,6 +102,14 @@ class FaultyStorage final : public pfs::Storage {
  private:
   Controls* controls_;
   pfs::MemStorage inner_;
+};
+
+/// Opens the write gate when it goes out of scope, so a failed assertion
+/// never leaves a held write-back for the cache's destructor to wait on.
+/// Declare it after the cache.
+struct OpenGateAtExit {
+  FaultyStorage::Controls& controls;
+  ~OpenGateAtExit() { controls.writes_open = true; }
 };
 
 DrxFile make_faulty_file(FaultyStorage::Controls& controls, Shape bounds,
@@ -186,39 +220,45 @@ TEST(ChunkCacheAsync, WriteBehindDefersEvictionWritebacks) {
 
 TEST(ChunkCacheAsync, MissServedFromWriteBehindQueue) {
   FaultyStorage::Controls controls;
-  controls.write_delay_ms = 50;  // keep the write-back job in flight
   DrxFile file = make_faulty_file(controls, Shape{4, 4}, Shape{2, 2});
+  const std::size_t n = checked_size(file.chunk_bytes()) / sizeof(double);
   ChunkCache cache(file, 1, ChunkCache::AsyncOptions{1, 0});
+  OpenGateAtExit gate{controls};
 
-  // Evict a dirty chunk (queuing its slow write-back), then re-pin it.
-  // Whichever wins the race — write still queued, or write already
-  // landed — the newest bytes must come back. Seeing at least one actual
-  // queue hit is timing-dependent per attempt, so retry a few times; in
-  // practice the first attempt hits (the foreground thread reaches the
-  // storage mutex before the worker wakes).
-  bool queue_hit = false;
-  for (int attempt = 0; attempt < 20 && !queue_hit; ++attempt) {
-    auto p = cache.pin(0);
-    ASSERT_TRUE(p.is_ok());
-    const double v = 42.25 + attempt;
-    std::memcpy(p.value().data(), &v, sizeof(v));
-    cache.unpin(0, /*dirty=*/true);
+  auto p = cache.pin(0);
+  ASSERT_TRUE(p.is_ok());
+  const double v = 42.25;
+  std::memcpy(p.value().data(), &v, sizeof(v));
+  cache.unpin(0, /*dirty=*/true);
 
-    auto q = cache.pin(1);  // evicts 0, deferring its write-back
-    ASSERT_TRUE(q.is_ok());
-    cache.unpin(1, false);
+  // Hold every write-back: the evicted chunk 0 stays queued. Chunk 1 is
+  // pinned to overwrite, which reads nothing, so from here on the test
+  // thread never needs the storage the held write-back occupies.
+  controls.writes_open = false;
+  auto q = cache.pin_overwrite(1);  // evicts 0, queuing its write-back
+  ASSERT_TRUE(q.is_ok());
+  auto* ones = reinterpret_cast<double*>(q.value().data());
+  std::fill(ones, ones + n, 1.0);
+  cache.unpin(1, /*dirty=*/true);
 
-    auto back = cache.pin(0);
-    ASSERT_TRUE(back.is_ok());
-    double seen = 0;
-    std::memcpy(&seen, back.value().data(), sizeof(seen));
-    EXPECT_EQ(seen, v);  // stale zeros would mean a lost write
-    cache.unpin(0, false);
-    queue_hit = cache.stats().write_queue_hits > 0;
-  }
-  EXPECT_TRUE(queue_hit);
-  EXPECT_GT(cache.stats().deferred_writebacks, 0u);
+  auto back = cache.pin(0);  // evicts 1; 0 comes from the queue
+  ASSERT_TRUE(back.is_ok());
+  double seen = 0;
+  std::memcpy(&seen, back.value().data(), sizeof(seen));
+  cache.unpin(0, false);
+  EXPECT_EQ(seen, v);  // stale zeros would mean a lost write
+  EXPECT_EQ(cache.stats().write_queue_hits, 1u);
+
+  controls.writes_open = true;
   ASSERT_TRUE(cache.flush().is_ok());
+  EXPECT_GT(cache.stats().deferred_writebacks, 0u);
+  std::vector<std::byte> raw(checked_size(file.chunk_bytes()));
+  ASSERT_TRUE(file.read_chunk(0, raw).is_ok());
+  std::memcpy(&seen, raw.data(), sizeof(seen));
+  EXPECT_EQ(seen, v);
+  ASSERT_TRUE(file.read_chunk(1, raw).is_ok());
+  std::memcpy(&seen, raw.data() + raw.size() - sizeof(seen), sizeof(seen));
+  EXPECT_EQ(seen, 1.0);
 }
 
 TEST_P(ChunkCacheEngine, DeferredWriteErrorIsStickyAndSurfacedOnce) {
@@ -466,15 +506,17 @@ double unique_value(std::uint64_t i, std::uint64_t j) {
   return static_cast<double>(i * 1000 + j) + 0.25;  // incompressible
 }
 
-/// A 64x64 array of doubles in 8x8 chunks (512 B each) over `data`,
-/// written one chunk-row band at a time with unique_value.
-DrxFile make_banded_file(codec::CodecId c, std::unique_ptr<pfs::Storage> data) {
+/// An array of doubles (64x64 unless `bounds` says otherwise) in 8x8
+/// chunks (512 B each) over `data`, written one chunk-row band at a time
+/// with unique_value.
+DrxFile make_banded_file(codec::CodecId c, std::unique_ptr<pfs::Storage> data,
+                         Shape bounds = Shape{64, 64}) {
   DrxFile::Options options;
   options.dtype = ElementType::kDouble;
   options.codec = c;
   auto created = DrxFile::create(std::make_unique<pfs::MemStorage>(),
-                                 std::move(data), Shape{64, 64}, Shape{8, 8},
-                                 options);
+                                 std::move(data), std::move(bounds),
+                                 Shape{8, 8}, options);
   EXPECT_TRUE(created.is_ok()) << created.status();
   DrxFile file = std::move(created).value();
   write_row_bands(file, 8, unique_value);
@@ -615,6 +657,332 @@ TEST(CachedDrxFileAsync, SievedHoleNeverOverridesQueuedWriteBehind) {
     double seen = 0;
     std::memcpy(&seen, raw.data() + raw.size() - sizeof(seen), sizeof(seen));
     EXPECT_EQ(seen, 7.5) << codec::codec_name(c);
+  }
+}
+
+// The band-written array of the passenger tests: 16x16 chunks of 8x8
+// doubles. F* addresses run down the 16-chunk columns while the slots sit
+// in row bands, so a read-ahead window down a column is one sieved
+// request across the rows it spans, and the hole bytes it transfers are
+// the same rows' chunks of the next columns.
+const Shape kPassengerArray{128, 128};
+
+/// Checks chunk `q` of a make_banded_file against unique_value.
+void expect_chunk_values(const DrxFile& file, std::uint64_t q,
+                         std::span<const std::byte> bytes) {
+  const Index c = file.metadata().mapping.index_of(q);
+  const auto* v = reinterpret_cast<const double*>(bytes.data());
+  std::size_t k = 0;
+  for_each_index(Box{{c[0] * 8, c[1] * 8}, {c[0] * 8 + 8, c[1] * 8 + 8}},
+                 [&](const Index& idx) {
+                   ASSERT_EQ(v[k++], unique_value(idx[0], idx[1])) << q;
+                 });
+}
+
+// A read-ahead window's sieved request transfers the live chunks in its
+// holes anyway; those the scan reaches within half the pool ride along
+// in the same job. The address-order scan then reads each hole chunk
+// once instead of once per window that crosses it, at no added request
+// or byte per window.
+TEST(CachedDrxFileAsync, ReadAheadCarriesSievedPassengers) {
+  DrxFile file = make_banded_file(codec::CodecId::kRle,
+                                  std::make_unique<pfs::MemStorage>(),
+                                  kPassengerArray);
+  auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
+  const std::uint64_t total = file.metadata().mapping.total_chunks();
+  ASSERT_EQ(total, 256u);
+  {
+    CachedDrxFile cached(file, 64, ChunkCache::AsyncOptions{2, 8, 1});
+    const pfs::IoStats before = io;
+    std::vector<double> out(8 * 8);
+    for (std::uint64_t q = 0; q < total; ++q) {
+      const Index c = file.metadata().mapping.index_of(q);
+      const Box box{{c[0] * 8, c[1] * 8}, {c[0] * 8 + 8, c[1] * 8 + 8}};
+      ASSERT_TRUE(cached
+                      .read_box(box, MemoryOrder::kRowMajor,
+                                std::as_writable_bytes(std::span(out)))
+                      .is_ok());
+      expect_chunk_values(file, q, std::as_bytes(std::span(out)));
+    }
+    ASSERT_TRUE(cached.flush().is_ok());
+    const pfs::IoStats scan = io - before;
+    const ChunkCache::Stats stats = cached.stats();
+    EXPECT_GT(stats.prefetch_passengers, 0u);
+    EXPECT_GE(static_cast<double>(stats.prefetch_useful),
+              0.95 * static_cast<double>(stats.prefetch_issued));
+    // Without passengers every window re-reads the next columns' chunks
+    // in its holes: this scan transferred 2605568 bytes before them (in
+    // 30 requests), and 993280 with them (in 26).
+    EXPECT_LT(scan.bytes_read, 1300000u);
+  }
+
+  // One window, from a cold cache: the misses at 0 and 1 read ahead over
+  // 2..9 and carry passengers. The same fill without them, on an
+  // identical file, costs exactly as many requests and bytes.
+  const auto fill_cost = [](DrxFile& f, bool through_cache) {
+    auto& stats = static_cast<pfs::MemStorage&>(f.data_storage()).stats();
+    const pfs::IoStats before = stats;
+    if (through_cache) {
+      ChunkCache cache(f, 64, ChunkCache::AsyncOptions{1, 8, 1});
+      for (const std::uint64_t q : {0u, 1u}) {
+        auto p = cache.pin(q, /*writable=*/false);
+        EXPECT_TRUE(p.is_ok());
+        cache.unpin(q, false, false);
+      }
+      EXPECT_TRUE(cache.flush().is_ok());
+      EXPECT_GT(cache.stats().prefetch_passengers, 0u);
+    } else {
+      std::vector<std::byte> scratch;
+      for (const std::uint64_t q : {0u, 1u}) {
+        EXPECT_TRUE(f.read_chunk_stored(q, scratch).is_ok());
+      }
+      std::vector<std::uint64_t> window(8);
+      std::iota(window.begin(), window.end(), std::uint64_t{2});
+      std::vector<DrxFile::StoredRef> refs;
+      EXPECT_TRUE(f.read_chunks_stored(window, scratch, refs).is_ok());
+    }
+    return stats - before;
+  };
+  DrxFile alone = make_banded_file(codec::CodecId::kRle,
+                                   std::make_unique<pfs::MemStorage>(),
+                                   kPassengerArray);
+  DrxFile carried = make_banded_file(codec::CodecId::kRle,
+                                     std::make_unique<pfs::MemStorage>(),
+                                     kPassengerArray);
+  const pfs::IoStats a = fill_cost(alone, /*through_cache=*/false);
+  const pfs::IoStats b = fill_cost(carried, /*through_cache=*/true);
+  EXPECT_EQ(b.read_requests, a.read_requests);
+  EXPECT_EQ(b.bytes_read, a.bytes_read);
+}
+
+// The fill primitive itself: read_chunks_stored plans its requests from
+// the listed chunks alone. A passenger inside one of them is copied out
+// of bytes that request transfers anyway; one outside every request (a
+// chunk whose slot moved after it was chosen, say) is left unread. The
+// device sees the same requests and bytes either way.
+TEST(DrxFileFill, PassengersRideOnlyInsideTheirRequests) {
+  DrxFile file = make_banded_file(codec::CodecId::kRle,
+                                  std::make_unique<pfs::MemStorage>(),
+                                  kPassengerArray);
+  auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
+  std::vector<std::uint64_t> window(8);
+  std::iota(window.begin(), window.end(), std::uint64_t{2});
+  std::vector<std::uint64_t> candidates(32);
+  std::iota(candidates.begin(), candidates.end(), std::uint64_t{10});
+  std::vector<std::uint64_t> passengers =
+      file.chunks_inside_requests(window, candidates);
+  ASSERT_FALSE(passengers.empty());
+  const auto outside = std::find_if(
+      candidates.begin(), candidates.end(), [&](std::uint64_t q) {
+        return std::find(passengers.begin(), passengers.end(), q) ==
+               passengers.end();
+      });
+  ASSERT_NE(outside, candidates.end());
+  passengers.push_back(*outside);
+
+  std::vector<std::byte> scratch;
+  std::vector<DrxFile::StoredRef> refs;
+  pfs::IoStats before = io;
+  ASSERT_TRUE(file.read_chunks_stored(window, scratch, refs).is_ok());
+  const pfs::IoStats alone = io - before;
+  before = io;
+  ASSERT_TRUE(
+      file.read_chunks_stored(window, scratch, refs, passengers).is_ok());
+  const pfs::IoStats carried = io - before;
+  EXPECT_EQ(carried.read_requests, alone.read_requests);
+  EXPECT_EQ(carried.bytes_read, alone.bytes_read);
+
+  ASSERT_EQ(refs.size(), window.size() + passengers.size());
+  std::vector<std::byte> raw(checked_size(file.chunk_bytes()));
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const bool listed = i < window.size();
+    const std::uint64_t q =
+        listed ? window[i] : passengers[i - window.size()];
+    EXPECT_EQ(refs[i].fetched, q != *outside) << q;
+    if (!refs[i].fetched) continue;
+    ASSERT_TRUE(file.decode_chunk(refs[i].codec,
+                                  std::span<const std::byte>(scratch).subspan(
+                                      refs[i].offset, refs[i].size),
+                                  raw)
+                    .is_ok());
+    expect_chunk_values(file, q, raw);
+  }
+}
+
+// Passengers are reserved before the fill reads, by the same check the
+// window uses, so a chunk whose newest bytes are not on storage yet is
+// never carried. Here the chunk sits inside the window's request and
+// within reach, once as a write-back held in the queue and once as a
+// dirty resident frame.
+TEST(CachedDrxFileAsync, PassengerNeverOverridesQueuedWriteBehind) {
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::uint64_t kDepth = 4;
+  for (const bool queued : {true, false}) {
+    SCOPED_TRACE(queued ? "queued write-back" : "dirty resident frame");
+    FaultyStorage::Controls controls;
+    DrxFile file = make_banded_file(
+        codec::CodecId::kRle, std::make_unique<FaultyStorage>(controls),
+        kPassengerArray);
+    const std::size_t n = checked_size(file.chunk_bytes()) / sizeof(double);
+    // The hints at 0 and 1 read ahead over 2..5; their job plans its
+    // requests from 1..5 and may carry 6..1 + kCapacity / 2.
+    std::vector<std::uint64_t> job(5);
+    std::iota(job.begin(), job.end(), std::uint64_t{1});
+    std::vector<std::uint64_t> reach(kCapacity / 2 - 4);
+    std::iota(reach.begin(), reach.end(), std::uint64_t{6});
+    const std::vector<std::uint64_t> planned =
+        file.chunks_inside_requests(job, reach);
+    ASSERT_GE(planned.size(), 2u);
+    // Reserving the first passenger evicts the held chunk, whose
+    // write-back then queues before its own turn comes.
+    const std::uint64_t held = queued ? planned[1] : planned[0];
+
+    ChunkCache cache(file, kCapacity, ChunkCache::AsyncOptions{2, kDepth, 1});
+    OpenGateAtExit gate{controls};
+    // Fill the pool with misses that never run in sequence, far from the
+    // stream. The reservations before the first passenger (0, 1 and the
+    // window) evict the 6 least recent; the next LRU frame is the held
+    // chunk when it is queued, and the most recent one otherwise.
+    std::vector<std::uint64_t> order;
+    for (std::uint64_t f = 0; order.size() + 1 < kCapacity; ++f) {
+      order.push_back(254 - 2 * f);
+    }
+    order.insert(queued ? order.begin() + 6 : order.end(), held);
+    for (const std::uint64_t q : order) {
+      auto p = cache.pin(q);
+      ASSERT_TRUE(p.is_ok());
+      if (q == held) {
+        auto* v = reinterpret_cast<double*>(p.value().data());
+        std::fill(v, v + n, 7.5);  // compresses: rewritten in place
+      }
+      cache.unpin(q, /*dirty=*/q == held);
+    }
+    ASSERT_EQ(cache.resident(), kCapacity);
+
+    controls.writes_open = false;
+    const std::uint64_t first[] = {0};
+    const std::uint64_t second[] = {1};
+    cache.prefetch_chunks(first);
+    cache.prefetch_chunks(second);  // continues the run: reads ahead
+    const ChunkCache::Stats stats = cache.stats();
+    ASSERT_EQ(stats.prefetch_issued, 2 + kDepth + planned.size() - 1);
+    ASSERT_EQ(stats.prefetch_passengers, planned.size() - 1);
+
+    // The newest bytes come back while the write-back is still held.
+    auto p = cache.pin(held, /*writable=*/false);
+    ASSERT_TRUE(p.is_ok());
+    const auto* v = reinterpret_cast<const double*>(p.value().data());
+    EXPECT_EQ(v[0], 7.5);
+    EXPECT_EQ(v[n - 1], 7.5);
+    cache.unpin(held, false, false);
+    EXPECT_EQ(cache.stats().write_queue_hits, queued ? 1u : 0u);
+
+    controls.writes_open = true;
+    ASSERT_TRUE(cache.flush().is_ok());
+    std::vector<std::byte> raw(checked_size(file.chunk_bytes()));
+    ASSERT_TRUE(file.read_chunk(held, raw).is_ok());
+    double seen = 0;
+    std::memcpy(&seen, raw.data() + raw.size() - sizeof(seen), sizeof(seen));
+    EXPECT_EQ(seen, 7.5);
+    for (const std::uint64_t q : planned) {
+      if (q == held) continue;
+      auto r = cache.pin(q, /*writable=*/false);
+      ASSERT_TRUE(r.is_ok());
+      expect_chunk_values(file, q, r.value());
+      cache.unpin(q, false, false);
+    }
+  }
+}
+
+// Passengers never stretch speculation: no fill job holds more than half
+// the pool or a chunk behind the stream or past after + capacity / 2,
+// and the detector's run still ends at the window. Where no request
+// reads across a hole (a raw array, or striped storage, which never
+// sieves) read-ahead reserves its window and nothing else.
+TEST(ChunkCacheAsync, PassengersStayInsideTheSpeculationBudget) {
+  constexpr std::size_t kCapacity = 48;
+  constexpr std::uint64_t kDepth = 4;
+  constexpr std::size_t kBudget = kCapacity / 2;
+  // Pins every chunk in address order, one fill job at a time (flush()
+  // waits for it). Each job must reserve at most kBudget chunks and, when
+  // `controls` records the reads, read only chunks in (q, q + reach] for
+  // the pin at q. Returns how many chunks each pin reserved; `stats`
+  // receives the cache's totals.
+  const auto scan = [&](DrxFile& file, std::uint64_t reach,
+                       FaultyStorage::Controls* controls,
+                       ChunkCache::Stats& stats) {
+    const std::uint64_t total = file.metadata().mapping.total_chunks();
+    std::map<std::uint64_t, std::uint64_t> address_at;  // by storage offset
+    for (std::uint64_t q = 0; q < total; ++q) {
+      address_at[file.metadata().storage_extent(q).offset] = q;
+    }
+    ChunkCache cache(file, kCapacity, ChunkCache::AsyncOptions{1, kDepth, 1});
+    std::vector<std::uint64_t> reserved;
+    for (std::uint64_t q = 0; q < total; ++q) {
+      const std::uint64_t issued = cache.stats().prefetch_issued;
+      const std::size_t read = controls ? controls->gathered().size() : 0;
+      auto p = cache.pin(q, /*writable=*/false);
+      EXPECT_TRUE(p.is_ok());
+      cache.unpin(q, false, false);
+      EXPECT_TRUE(cache.flush().is_ok());
+      reserved.push_back(cache.stats().prefetch_issued - issued);
+      EXPECT_LE(reserved.back(), kBudget) << "pin " << q;
+      if (controls == nullptr) continue;
+      const std::vector<std::uint64_t> offsets = controls->gathered();
+      EXPECT_EQ(offsets.size() - read, reserved.back()) << "pin " << q;
+      for (std::size_t k = read; k < offsets.size(); ++k) {
+        const std::uint64_t c = address_at.at(offsets[k]);
+        EXPECT_GT(c, q);
+        EXPECT_LE(c, q + reach) << "pin " << q;
+      }
+    }
+    stats = cache.stats();
+    return reserved;
+  };
+
+  {
+    SCOPED_TRACE("rle, band-written, sieving storage");
+    FaultyStorage::Controls controls;
+    DrxFile file = make_banded_file(
+        codec::CodecId::kRle, std::make_unique<FaultyStorage>(controls),
+        kPassengerArray);
+    ChunkCache::Stats stats;
+    const std::vector<std::uint64_t> reserved =
+        scan(file, kBudget, &controls, stats);
+    EXPECT_GT(stats.prefetch_passengers, 0u);
+    // The misses at 0 and 1 read ahead over 2..5, whose passengers sit in
+    // the next column. The run ends at 5, so the miss at 6 continues it
+    // and reads ahead again at once.
+    EXPECT_EQ(reserved[0], 0u);
+    EXPECT_GT(reserved[1], kDepth);
+    EXPECT_GT(reserved[6], 0u);
+  }
+  {
+    SCOPED_TRACE("raw, sieving storage");
+    FaultyStorage::Controls controls;
+    DrxFile file = make_banded_file(codec::CodecId::kNone,
+                                    std::make_unique<FaultyStorage>(controls),
+                                    kPassengerArray);
+    ChunkCache::Stats stats;
+    scan(file, kDepth, &controls, stats);
+    EXPECT_GT(stats.prefetch_issued, 0u);
+    EXPECT_EQ(stats.prefetch_passengers, 0u);
+  }
+  {
+    SCOPED_TRACE("rle, band-written, striped storage");
+    pfs::Pfs fs(pfs::PfsConfig{});
+    auto handle = fs.create("passengers");
+    ASSERT_TRUE(handle.is_ok());
+    DrxFile file = make_banded_file(
+        codec::CodecId::kRle,
+        std::make_unique<pfs::PfsStorage>(std::move(handle).value()),
+        kPassengerArray);
+    ChunkCache::Stats stats;
+    for (const std::uint64_t r : scan(file, kDepth, nullptr, stats)) {
+      EXPECT_LE(r, kDepth);
+    }
+    EXPECT_GT(stats.prefetch_issued, 0u);
+    EXPECT_EQ(stats.prefetch_passengers, 0u);
   }
 }
 
