@@ -28,6 +28,7 @@ def _load(name):
 
 bench_regression = _load("check_bench_regression")
 prefetch_gate = _load("check_prefetch_gate")
+bench_exact = _load("check_drx_bench_exact")
 exposition = _load("check_exposition")
 lint_drx = _load("lint_drx")
 
@@ -438,6 +439,88 @@ class TestPrefetchGate(unittest.TestCase):
             code, _, err = run_main(prefetch_gate, [off, on])
         self.assertEqual(code, 2)
         self.assertIn("rle, band-written", err)
+
+
+def drx_bench_doc(workload, e2e, per_layer, smoke=False, failed=0):
+    """A drx_bench --json report with the given metric values."""
+    def section(values):
+        return {k: {"value": v, "unit": "x"} for k, v in values.items()}
+    return {"workload": workload, "smoke": smoke, "correct": failed == 0,
+            "failed": failed, "end_to_end": section(e2e),
+            "per_layer": section(per_layer)}
+
+
+ZONE_PINNED = ({"sim_ms_per_op": 11.033584000000157},
+               {"pfs.requests_per_op": 8, "pfs.seeks_per_op": 8,
+                "pfs.sim_ms_min": 11.033583999999799,
+                "pfs.sim_ms_max": 11.03358400000073})
+APPEND_PINNED = ({"sim_ms_per_op": 12.262941796874955},
+                 {"pfs.requests_per_op": 13.22265625})
+
+
+class TestDrxBenchExact(unittest.TestCase):
+    def _run(self, docs):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, doc in enumerate(docs):
+                path = Path(tmp) / f"r{i}.json"
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                paths.append(str(path))
+            return run_main(bench_exact, paths)
+
+    def test_help_exits_zero(self):
+        code, _, _ = run_main(bench_exact, ["--help"])
+        self.assertEqual(code, 0)
+
+    def test_missing_file_exits_two(self):
+        code, _, err = run_main(bench_exact, ["/nonexistent/zone.json"])
+        self.assertEqual(code, 2)
+        self.assertIn("ERROR", err)
+
+    def test_pinned_values_pass(self):
+        code, out, _ = self._run([
+            drx_bench_doc("zone_collective", *ZONE_PINNED),
+            drx_bench_doc("append_extend", *APPEND_PINNED)])
+        self.assertEqual(code, 0)
+        self.assertIn("PASS", out)
+
+    def test_extra_request_fails(self):
+        e2e, per_layer = APPEND_PINNED
+        code, _, err = self._run([drx_bench_doc(
+            "append_extend", e2e,
+            dict(per_layer, **{"pfs.requests_per_op": 13.2265625}))])
+        self.assertEqual(code, 1)
+        self.assertIn("pfs.requests_per_op", err)
+
+    def test_sim_time_beyond_tolerance_fails(self):
+        e2e, per_layer = ZONE_PINNED
+        code, _, err = self._run([drx_bench_doc(
+            "zone_collective", {"sim_ms_per_op": 11.0336}, per_layer)])
+        self.assertEqual(code, 1)
+        self.assertIn("sim_ms_per_op", err)
+
+    def test_failed_run_fails(self):
+        code, _, err = self._run(
+            [drx_bench_doc("zone_collective", *ZONE_PINNED, failed=1)])
+        self.assertEqual(code, 1)
+        self.assertIn("did not read back correctly", err)
+
+    def test_smoke_report_exits_two(self):
+        code, _, err = self._run(
+            [drx_bench_doc("zone_collective", *ZONE_PINNED, smoke=True)])
+        self.assertEqual(code, 2)
+        self.assertIn("smoke", err)
+
+    def test_other_workload_exits_two(self):
+        code, _, err = self._run([drx_bench_doc("scan_ooc", {}, {})])
+        self.assertEqual(code, 2)
+        self.assertIn("zone_collective", err)
+
+    def test_missing_metric_exits_two(self):
+        code, _, err = self._run([drx_bench_doc(
+            "append_extend", APPEND_PINNED[0], {})])
+        self.assertEqual(code, 2)
+        self.assertIn("pfs.requests_per_op", err)
 
 
 class TestLintDrx(unittest.TestCase):

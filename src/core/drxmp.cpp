@@ -72,8 +72,8 @@ Result<DrxMpFile> DrxMpFile::create(simpi::Comm& comm, pfs::Pfs& fs,
                                mpio::kModeRdWr | mpio::kModeCreate);
   if (!data.is_ok()) return data.status();
   DrxMpFile file(comm, fs, name, std::move(meta), std::move(data).value());
-  // The initial allocation reads back as zeros: grow the file (the PFS
-  // zero-fills) collectively.
+  // The initial allocation reads back as zeros: grow the file
+  // collectively (the PFS datafiles are sparse; growth stores nothing).
   DRX_RETURN_IF_ERROR(file.data_.set_size(file.meta_.data_file_bytes()));
   return file;
 }

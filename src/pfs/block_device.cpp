@@ -1,8 +1,11 @@
 #include "pfs/block_device.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "obs/metrics.hpp"
+#include "util/checked.hpp"
 
 namespace drx::pfs {
 
@@ -64,43 +67,82 @@ void BlockDevice::charge(std::uint64_t offset, std::uint64_t nbytes,
   reg.histogram(kRequestBytes).observe(nbytes);
 }
 
+std::uint64_t BlockDevice::resident_bytes() const noexcept {
+  const auto live =
+      std::count_if(pages_.begin(), pages_.end(),
+                    [](const auto& page) { return page != nullptr; });
+  return static_cast<std::uint64_t>(live) * kPageBytes;
+}
+
+void BlockDevice::copy_out(std::uint64_t offset,
+                           std::span<std::byte> out) const {
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const std::uint64_t pos = offset + done;
+    const std::uint64_t page = pos / kPageBytes;
+    const std::size_t within = pos % kPageBytes;
+    const std::size_t take = std::min(out.size() - done, kPageBytes - within);
+    std::byte* dst = out.data() + done;
+    if (page < pages_.size() && pages_[page] != nullptr) {
+      std::memcpy(dst, pages_[page].get() + within, take);
+    } else {
+      std::memset(dst, 0, take);
+    }
+    done += take;
+  }
+}
+
 Status BlockDevice::read(std::uint64_t offset, std::span<std::byte> out) {
-  if (offset + out.size() > data_.size()) {
+  const std::optional<std::uint64_t> end = try_add(offset, out.size());
+  if (!end || *end > size_) {
     return Status(ErrorCode::kOutOfRange, "read past end of datafile");
   }
   charge(offset, out.size(), /*is_write=*/false);
-  // Empty spans may carry a null data(), which memcpy must never see.
-  if (!out.empty()) {
-    std::memcpy(out.data(), data_.data() + offset, out.size());
-  }
+  copy_out(offset, out);
   return Status::ok();
 }
 
 Status BlockDevice::read_gather(std::uint64_t lo, std::uint64_t hi,
                                 std::span<const GatherPiece> pieces) {
-  DRX_RETURN_IF_ERROR(check_gather(lo, hi, pieces, data_.size()));
+  DRX_RETURN_IF_ERROR(check_gather(lo, hi, pieces, size_));
   charge(lo, hi - lo, /*is_write=*/false);
-  for (const GatherPiece& p : pieces) {
-    if (!p.out.empty()) {
-      std::memcpy(p.out.data(), data_.data() + p.offset, p.out.size());
-    }
-  }
+  for (const GatherPiece& p : pieces) copy_out(p.offset, p.out);
   return Status::ok();
 }
 
 Status BlockDevice::write(std::uint64_t offset,
                           std::span<const std::byte> data) {
-  const std::uint64_t end = offset + data.size();
-  if (end > data_.size()) data_.resize(end);  // zero-fills the gap
-  charge(offset, data.size(), /*is_write=*/true);
-  if (!data.empty()) {
-    std::memcpy(data_.data() + offset, data.data(), data.size());
+  const std::optional<std::uint64_t> end = try_add(offset, data.size());
+  if (!end) {
+    return Status(ErrorCode::kOutOfRange, "write past the largest offset");
   }
+  charge(offset, data.size(), /*is_write=*/true);
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const std::uint64_t pos = offset + done;
+    const std::size_t index = checked_size(pos / kPageBytes);
+    const std::size_t within = pos % kPageBytes;
+    const std::size_t take = std::min(data.size() - done, kPageBytes - within);
+    if (index >= pages_.size()) pages_.resize(index + 1);
+    std::unique_ptr<std::byte[]>& page = pages_[index];
+    if (page == nullptr) page = std::make_unique<std::byte[]>(kPageBytes);
+    std::memcpy(page.get() + within, data.data() + done, take);
+    done += take;
+  }
+  size_ = std::max(size_, *end);
   return Status::ok();
 }
 
 Status BlockDevice::truncate(std::uint64_t new_size) {
-  data_.resize(new_size);
+  if (new_size < size_) {
+    const std::uint64_t keep = ceil_div(new_size, kPageBytes);
+    if (pages_.size() > keep) pages_.resize(checked_size(keep));
+    const std::size_t tail = new_size % kPageBytes;
+    if (tail != 0 && keep <= pages_.size() && pages_[keep - 1] != nullptr) {
+      std::memset(pages_[keep - 1].get() + tail, 0, kPageBytes - tail);
+    }
+  }
+  size_ = new_size;
   if (head_ > new_size) head_ = new_size;
   return Status::ok();
 }

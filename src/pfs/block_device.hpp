@@ -1,10 +1,18 @@
-// A simulated disk: byte-addressable, grow-on-write storage with a moving
-// head. One BlockDevice backs one datafile (one file's stripes on one I/O
-// server), mirroring PVFS2's per-server datafile layout.
+// A simulated disk: byte-addressable storage with a moving head. One
+// BlockDevice backs one datafile (one file's stripes on one I/O server),
+// mirroring PVFS2's per-server datafile layout.
+//
+// The datafile is sparse and paged: its bytes live in fixed kPageBytes
+// pages, each allocated (zeroed) when a write first touches it. A page
+// that was never written reads as zeros and holds no memory, so growing
+// the file — a write past the end, truncate up, or a Pfs read of a hole —
+// only moves size() and never copies what is already stored, the way
+// the paper extends an array without reorganizing written data.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -27,6 +35,9 @@ struct GatherPiece {
 
 class BlockDevice {
  public:
+  /// The unit of allocation: the default 64 KiB PFS stripe.
+  static constexpr std::size_t kPageBytes = 64 * 1024;
+
   explicit BlockDevice(const CostModel* model) : model_(model) {
     DRX_CHECK(model != nullptr);
   }
@@ -40,20 +51,34 @@ class BlockDevice {
   [[nodiscard]] Status read_gather(std::uint64_t lo, std::uint64_t hi,
                                    std::span<const GatherPiece> pieces);
 
-  /// Writes at offset, zero-filling any gap (sparse write semantics).
+  /// Writes at offset; a gap before it reads as zeros (sparse write
+  /// semantics). Error if the range end overflows.
   [[nodiscard]] Status write(std::uint64_t offset, std::span<const std::byte> data);
 
+  /// Growth only moves size(); shrinking frees the pages past the new
+  /// end and zeroes the cut tail, so a later growth reads zeros there.
   [[nodiscard]] Status truncate(std::uint64_t new_size);
 
-  [[nodiscard]] std::uint64_t size() const noexcept { return data_.size(); }
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
   [[nodiscard]] const IoStats& stats() const noexcept { return stats_; }
+
+  /// Bytes held by allocated pages (tests and diagnostics).
+  [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
 
  private:
   /// Charges seek (if the head moved) + transfer + request costs.
   void charge(std::uint64_t offset, std::uint64_t nbytes, bool is_write);
 
+  /// Copies [offset, offset+out.size()) out of the pages; holes read
+  /// as zeros. The range must lie inside size().
+  void copy_out(std::uint64_t offset, std::span<std::byte> out) const;
+
   const CostModel* model_;
-  std::vector<std::byte> data_;
+  /// Page i holds bytes [i * kPageBytes, (i+1) * kPageBytes); null (or
+  /// past the table's end) means never written. Bytes at or past size_
+  /// are always zero.
+  std::vector<std::unique_ptr<std::byte[]>> pages_;
+  std::uint64_t size_ = 0;
   std::uint64_t head_ = 0;  ///< byte position after the last access
   IoStats stats_;
 };

@@ -61,7 +61,8 @@ struct FileHandle::State {
 
   /// One device access on `server`'s datafile. The range may cross a
   /// sparse hole whose stripes were never materialized on this server;
-  /// holes read as zeros.
+  /// holes read as zeros, and growing the datafile over them allocates
+  /// nothing.
   [[nodiscard]] Status read_datafile(std::size_t server, std::uint64_t local,
                                      std::span<std::byte> out) {
     obs::profile_pfs(/*write=*/false, static_cast<std::uint32_t>(server),
@@ -74,7 +75,8 @@ struct FileHandle::State {
     return device.read(local, out);
   }
 
-  /// One device access on `server`'s datafile, zero-filling any gap.
+  /// One device access on `server`'s datafile; a gap before it reads
+  /// as zeros.
   [[nodiscard]] Status write_datafile(std::size_t server, std::uint64_t local,
                                       std::span<const std::byte> data) {
     obs::profile_pfs(/*write=*/true, static_cast<std::uint32_t>(server),
@@ -213,7 +215,7 @@ Status FileHandle::truncate(std::uint64_t new_size) {
   DRX_CHECK(valid());
   util::MutexLock size_lock(state_->size_mu);
   // Resize every datafile to exactly the portion of new_size it holds;
-  // growth zero-fills (sparse-file semantics).
+  // growth materializes no bytes (the datafiles are sparse).
   for (std::size_t s = 0; s < state_->servers.size(); ++s) {
     util::MutexLock lock(state_->servers[s]->mu);
     const std::uint64_t n = state_->servers.size();
@@ -227,6 +229,13 @@ Status FileHandle::truncate(std::uint64_t new_size) {
   }
   state_->logical_size = new_size;
   return Status::ok();
+}
+
+std::uint64_t FileHandle::resident_bytes(std::size_t server) const {
+  DRX_CHECK(valid());
+  DRX_CHECK(server < state_->servers.size());
+  util::MutexLock lock(state_->servers[server]->mu);
+  return state_->datafiles[server]->resident_bytes();
 }
 
 std::uint64_t FileHandle::stripe_size() const {

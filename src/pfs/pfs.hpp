@@ -4,7 +4,8 @@
 // and a namespace of striped files. Each file is divided into fixed-size
 // stripes distributed round-robin over the servers; each (file, server)
 // pair is a private *datafile* (a BlockDevice), exactly as PVFS2 lays data
-// out. Client requests are split at stripe boundaries, serviced per server
+// out; datafiles are sparse, so a stripe never written holds no memory.
+// Client requests are split at stripe boundaries, serviced per server
 // under a per-server lock, and charged to that server's simulated clock.
 //
 // Thread model: every method is safe to call concurrently from simpi
@@ -53,7 +54,7 @@ class FileHandle {
   /// Reads [offset, offset+out.size()); fails past EOF.
   [[nodiscard]] Status read_at(std::uint64_t offset, std::span<std::byte> out);
 
-  /// Writes, extending and zero-filling as needed.
+  /// Writes, extending as needed; a gap before the data reads as zeros.
   [[nodiscard]] Status write_at(std::uint64_t offset, std::span<const std::byte> data);
 
   /// The server and datafile offset of global byte `offset`.
@@ -75,6 +76,10 @@ class FileHandle {
   [[nodiscard]] Status truncate(std::uint64_t new_size);
 
   [[nodiscard]] std::uint64_t stripe_size() const;
+
+  /// Bytes `server`'s datafile holds in allocated pages (tests and
+  /// diagnostics; see BlockDevice::resident_bytes).
+  [[nodiscard]] std::uint64_t resident_bytes(std::size_t server) const;
 
  private:
   friend class Pfs;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "simpi/runtime.hpp"
+#include "util/checked.hpp"
 #include "util/rng.hpp"
 
 namespace drx::core {
@@ -259,6 +260,61 @@ TEST(DrxMp, OpenMissingFileFailsEverywhere) {
     auto fr = DrxMpFile::open(comm, fs, "no_such_array");
     EXPECT_FALSE(fr.is_ok());
   });
+}
+
+// An array grown along time by extend_all and filled slab by slab (the
+// append_extend pattern) keeps each datafile's memory to the bytes
+// written there, rounded up to pages: extension stores nothing.
+TEST(DrxMp, AppendGrowthKeepsDatafilesToTheBytesWritten) {
+  pfs::PfsConfig c;
+  c.num_servers = 8;
+  pfs::Pfs fs(c);
+  constexpr int kRanks = 4;
+  constexpr std::uint64_t kLat = 64;
+  constexpr std::uint64_t kLon = 256;
+  const auto resident = [&fs] {
+    pfs::FileHandle xta = fs.open("climate.xta").value();
+    std::uint64_t bytes = 0;
+    for (std::size_t s = 0; s < 8; ++s) bytes += xta.resident_bytes(s);
+    return bytes;
+  };
+  simpi::run(kRanks, [&](simpi::Comm& comm) {
+    DrxMpFile f = DrxMpFile::create(comm, fs, "climate", Shape{1, kLat, kLon},
+                                    Shape{1, 16, 32}, dbl_opts())
+                      .value();
+    const std::uint64_t rows = kLat / kRanks;
+    const auto me = static_cast<std::uint64_t>(comm.rank());
+    for (std::uint64_t t = 0; t < 24; ++t) {
+      if (t > 0) {
+        comm.barrier();
+        const std::uint64_t before = comm.rank() == 0 ? resident() : 0;
+        ASSERT_TRUE(f.extend_all(0, 1).is_ok());
+        comm.barrier();
+        if (comm.rank() == 0) {
+          EXPECT_EQ(resident(), before) << "step " << t;
+        }
+      }
+      const Box slab{Index{t, me * rows, 0},
+                     Index{t + 1, (me + 1) * rows, kLon}};
+      std::vector<double> vals(static_cast<std::size_t>(slab.volume()),
+                               static_cast<double>(t + 1));
+      ASSERT_TRUE(f.write_box_all(slab, MemoryOrder::kRowMajor,
+                                  std::as_bytes(std::span<const double>(vals)))
+                      .is_ok());
+    }
+    ASSERT_TRUE(f.close().is_ok());
+  });
+
+  pfs::FileHandle xta = fs.open("climate.xta").value();
+  const std::vector<pfs::IoStats> stats = fs.server_stats();
+  constexpr std::uint64_t kPage = pfs::BlockDevice::kPageBytes;
+  // A server's bytes_written also counts its share of the small .xmd.
+  for (std::size_t s = 0; s < stats.size(); ++s) {
+    EXPECT_LE(xta.resident_bytes(s),
+              ceil_div(stats[s].bytes_written, kPage) * kPage)
+        << "server " << s;
+  }
+  EXPECT_GE(resident(), 24 * kLat * kLon * sizeof(double));
 }
 
 TEST(DrxMp, ZoneCollectiveCostsTheSameSimulatedTimeEveryCall) {

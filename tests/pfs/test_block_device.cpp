@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 namespace drx::pfs {
 namespace {
 
@@ -104,6 +108,120 @@ TEST(BlockDevice, TruncateGrowsWithZeros) {
   ASSERT_TRUE(dev.read(0, out).is_ok());
   EXPECT_EQ(out[0], std::byte{9});
   EXPECT_EQ(out[9], std::byte{0});
+}
+
+// A range whose end wraps past 2^64 lies past the end of any device: it
+// must be rejected before any byte is copied or any cost charged.
+TEST(BlockDevice, RangeEndOverflowIsOutOfRange) {
+  const CostModel m = test_model();
+  BlockDevice dev(&m);
+  ASSERT_TRUE(dev.write(0, std::vector<std::byte>(16, std::byte{7})).is_ok());
+  const IoStats before = dev.stats();
+  constexpr std::uint64_t kNearMax =
+      std::numeric_limits<std::uint64_t>::max() - 1;
+
+  std::vector<std::byte> out(4, std::byte{0xEE});
+  EXPECT_EQ(dev.read(kNearMax, out).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(out, std::vector<std::byte>(4, std::byte{0xEE}));
+
+  const std::vector<std::byte> data(4, std::byte{1});
+  EXPECT_EQ(dev.write(kNearMax, data).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(dev.size(), 16u);
+
+  const GatherPiece wrapped[] = {{kNearMax, out}};
+  EXPECT_EQ(dev.read_gather(0, 16, wrapped).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(dev.read_gather(kNearMax, 16, {}).code(), ErrorCode::kOutOfRange);
+
+  const IoStats d = dev.stats() - before;
+  EXPECT_EQ(d.read_requests + d.write_requests, 0u);
+  std::vector<std::byte> all(16);
+  ASSERT_TRUE(dev.read(0, all).is_ok());
+  EXPECT_EQ(all, std::vector<std::byte>(16, std::byte{7}));
+}
+
+constexpr std::uint64_t kPage = BlockDevice::kPageBytes;
+
+TEST(BlockDevice, WriteAndReadCrossAPageBoundary) {
+  const CostModel m = test_model();
+  BlockDevice dev(&m);
+  std::vector<std::byte> data(100);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i + 1);
+  }
+  ASSERT_TRUE(dev.write(kPage - 50, data).is_ok());
+  EXPECT_EQ(dev.size(), kPage + 50);
+  EXPECT_EQ(dev.resident_bytes(), 2 * kPage);
+  std::vector<std::byte> out(100);
+  ASSERT_TRUE(dev.read(kPage - 50, out).is_ok());
+  EXPECT_EQ(out, data);
+  // One request each way, whatever the pages.
+  EXPECT_EQ(dev.stats().write_requests, 1u);
+  EXPECT_EQ(dev.stats().read_requests, 1u);
+}
+
+TEST(BlockDevice, TruncateDownMidPageThenGrowReadsZeros) {
+  const CostModel m = test_model();
+  BlockDevice dev(&m);
+  ASSERT_TRUE(dev.write(0, std::vector<std::byte>(3 * kPage, std::byte{0xAB}))
+                  .is_ok());
+  ASSERT_TRUE(dev.truncate(kPage + 10).is_ok());
+  EXPECT_EQ(dev.resident_bytes(), 2 * kPage);
+  ASSERT_TRUE(dev.truncate(3 * kPage).is_ok());  // by truncate
+  std::vector<std::byte> out(2 * kPage);
+  ASSERT_TRUE(dev.read(kPage, out).is_ok());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], i < 10 ? std::byte{0xAB} : std::byte{0}) << i;
+  }
+
+  ASSERT_TRUE(dev.truncate(kPage - 5).is_ok());
+  const std::byte one[] = {std::byte{1}};
+  ASSERT_TRUE(dev.write(2 * kPage, one).is_ok());  // by a write past the end
+  std::vector<std::byte> tail(kPage + 5);
+  ASSERT_TRUE(dev.read(kPage - 5, tail).is_ok());
+  EXPECT_EQ(tail, std::vector<std::byte>(kPage + 5));
+}
+
+TEST(BlockDevice, GrowthAllocatesOnlyThePagesWritten) {
+  const CostModel m = test_model();
+  BlockDevice dev(&m);
+  ASSERT_TRUE(dev.truncate(std::uint64_t{1} << 30).is_ok());
+  EXPECT_EQ(dev.size(), std::uint64_t{1} << 30);
+  EXPECT_EQ(dev.resident_bytes(), 0u);
+
+  const std::byte one[] = {std::byte{5}};
+  ASSERT_TRUE(dev.write(10 * kPage + 3, one).is_ok());
+  EXPECT_EQ(dev.resident_bytes(), kPage);
+  ASSERT_TRUE(dev.write((std::uint64_t{1} << 31) + 7, one).is_ok());
+  EXPECT_EQ(dev.size(), (std::uint64_t{1} << 31) + 8);
+  EXPECT_EQ(dev.resident_bytes(), 2 * kPage);
+
+  // Reading a hole returns zeros and allocates nothing.
+  std::vector<std::byte> hole(3 * kPage, std::byte{0xFF});
+  ASSERT_TRUE(dev.read(20 * kPage - 1, hole).is_ok());
+  EXPECT_EQ(hole, std::vector<std::byte>(3 * kPage));
+  std::vector<std::byte> piece(2, std::byte{0xFF});
+  const GatherPiece pieces[] = {{10 * kPage + 2, piece}};
+  ASSERT_TRUE(dev.read_gather(10 * kPage, 12 * kPage, pieces).is_ok());
+  EXPECT_EQ(piece[0], std::byte{0});
+  EXPECT_EQ(piece[1], std::byte{5});
+  EXPECT_EQ(dev.resident_bytes(), 2 * kPage);
+}
+
+TEST(BlockDevice, TruncateToZeroFreesEveryPage) {
+  const CostModel m = test_model();
+  BlockDevice dev(&m);
+  ASSERT_TRUE(dev.write(0, std::vector<std::byte>(kPage + 1, std::byte{3}))
+                  .is_ok());
+  ASSERT_TRUE(dev.write(9 * kPage, std::vector<std::byte>(8)).is_ok());
+  EXPECT_EQ(dev.resident_bytes(), 3 * kPage);
+  ASSERT_TRUE(dev.truncate(0).is_ok());
+  EXPECT_EQ(dev.size(), 0u);
+  EXPECT_EQ(dev.resident_bytes(), 0u);
+  ASSERT_TRUE(dev.truncate(2 * kPage).is_ok());
+  std::vector<std::byte> out(2 * kPage, std::byte{0xFF});
+  ASSERT_TRUE(dev.read(0, out).is_ok());
+  EXPECT_EQ(out, std::vector<std::byte>(2 * kPage));
+  EXPECT_EQ(dev.resident_bytes(), 0u);
 }
 
 // Data sieving: one request over [lo, hi) — at most one seek, busy time

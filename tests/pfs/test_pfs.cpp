@@ -154,6 +154,34 @@ TEST(Pfs, TruncateGrowZeroFills) {
   for (std::byte b : out) EXPECT_EQ(b, std::byte{0});
 }
 
+// The paper's claim at the storage layer: growing a file stores nothing.
+// A 1 GiB truncate leaves every datafile empty, and a read of a stripe
+// that was never written returns zeros without allocating it.
+TEST(Pfs, GrowthMaterializesNoBytes) {
+  PfsConfig cfg;
+  cfg.num_servers = 8;
+  Pfs fs(cfg);
+  auto f = fs.create("f").value();
+  ASSERT_TRUE(f.truncate(std::uint64_t{1} << 30).is_ok());
+  EXPECT_EQ(f.size(), std::uint64_t{1} << 30);
+  for (std::size_t s = 0; s < 8; ++s) EXPECT_EQ(f.resident_bytes(s), 0u) << s;
+
+  std::vector<std::byte> out(3 * cfg.stripe_size, std::byte{0xFF});
+  ASSERT_TRUE(f.read_at(std::uint64_t{1} << 29, out).is_ok());
+  EXPECT_EQ(out, std::vector<std::byte>(out.size()));
+  std::vector<std::byte> local(cfg.stripe_size, std::byte{0xFF});
+  ASSERT_TRUE(f.read_local(5, 1000 * cfg.stripe_size, local).is_ok());
+  EXPECT_EQ(local, std::vector<std::byte>(local.size()));
+  for (std::size_t s = 0; s < 8; ++s) EXPECT_EQ(f.resident_bytes(s), 0u) << s;
+
+  // One written stripe allocates on its own server only.
+  ASSERT_TRUE(
+      f.write_at(3 * cfg.stripe_size, pattern(cfg.stripe_size)).is_ok());
+  for (std::size_t s = 0; s < 8; ++s) {
+    EXPECT_EQ(f.resident_bytes(s), s == 3 ? BlockDevice::kPageBytes : 0u) << s;
+  }
+}
+
 TEST(Pfs, TruncateShrink) {
   Pfs fs(small_config(3, 8));
   auto f = fs.create("f").value();
