@@ -1,5 +1,5 @@
-"""drx_verify — whole-program lock-order / error-discipline / layering
-analyzer for the drx tree.
+"""drx_verify — whole-program lock-order / error-discipline / layering /
+invariant analyzer for the drx tree.
 
 Usage:
     python3 scripts/drx_verify [--root DIR] [--src-root SUBDIR]
@@ -20,7 +20,9 @@ Frontends: `ast` consumes clang AST JSON via compile_commands.json
 (high fidelity; CI). `source` is the built-in parser (no toolchain
 needed; powers the local ctest gate). `auto` picks `ast` when a
 compile_commands path is given and clang is runnable, else `source`.
-Include edges for the layering pass are always scanned textually.
+Include edges for the layering pass and the lines the invariant pass
+reads are always scanned textually, so both frontends enforce the same
+invariants.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ def main(argv: list[str]) -> int:
                 return f.startswith(prefix) or f.startswith(rel_prefix)
 
             facts = ast.parse_all(in_tree)
-            # Include edges are textual regardless of frontend.
-            facts.merge(TUFacts(
-                includes=source.parse_tree(args.src_root).includes))
+            # Include edges and the invariant pass's stripped lines are
+            # textual regardless of frontend.
+            text = source.parse_tree(args.src_root)
+            facts.merge(TUFacts(includes=text.includes, code=text.code))
         else:
             facts = source.parse_tree(args.src_root)
     except AstError as e:
@@ -130,7 +133,7 @@ def main(argv: list[str]) -> int:
 
     facts = dedupe(facts)
     analyzed_files = {fn.file for fn in facts.functions} \
-        | {inc.file for inc in facts.includes}
+        | {inc.file for inc in facts.includes} | set(facts.code)
     sup = scan_suppressions(root, analyzed_files)
 
     prog = build_program(facts, hier)

@@ -2,7 +2,8 @@
 
 Both frontends (the clang AST JSON walker and the built-in source
 parser) lower a translation unit to the same small vocabulary of facts;
-the four analysis passes never look at C++ again after this point.
+the analysis passes never look at C++ again after this point, except
+for the textual invariant pass, which reads the stripped source lines.
 
 The unit of analysis is the *function body*: an ordered list of Events
 (lock acquisitions/releases, calls, error-value discards) plus a
@@ -68,15 +69,20 @@ class TUFacts:
     """Facts extracted from one translation unit (or one source file)."""
     functions: list[Function] = field(default_factory=list)
     includes: list[Include] = field(default_factory=list)
+    # Repo-relative path -> comment/string-stripped source lines, for the
+    # textual invariant pass (filled by the source frontend whichever
+    # frontend supplies the function facts).
+    code: dict[str, list[str]] = field(default_factory=dict)
 
     def merge(self, other: "TUFacts") -> None:
         self.functions.extend(other.functions)
         self.includes.extend(other.includes)
+        self.code.update(other.code)
 
 
 def dedupe(facts: TUFacts) -> TUFacts:
     """Drops duplicate facts (a header parsed through several TUs)."""
-    out = TUFacts()
+    out = TUFacts(code=facts.code)
     seen_fn: set[tuple[str, str, int]] = set()
     for fn in facts.functions:
         key = (fn.name, fn.file, fn.line)

@@ -1,7 +1,8 @@
-"""The four drx_verify analysis passes over the fact IR.
+"""The five drx_verify analysis passes over the fact IR.
 
 All passes operate on a whole-program `Program` built from merged
-TUFacts — C++ never reappears past this point.
+TUFacts. Only the invariant pass reads source text again, as the
+comment/string-stripped lines the source frontend keeps.
 
  lock-order          cross-TU acquisition-order checking against the
                      declared hierarchy (levels are a total order, so a
@@ -15,10 +16,16 @@ TUFacts — C++ never reappears past this point.
  error-discipline    discarded Status/Result values, `.value()` without
                      an is_ok() dominator, raw negative error returns.
  layering            module DAG enforcement from include edges.
+ invariants          project rules no generic tool knows, line by line:
+                     raw-sync-primitive, unannotated-mutex-member,
+                     hot-path-obs-guard, axial-mutation,
+                     cache-lock-alloc, element-granular-copy and
+                     pool-submit-opctx (docs/STATIC_ANALYSIS.md §3).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from facts import (ACQUIRE, CALL, DISCARD, Function, OK_CHECK, REACQUIRE,
@@ -49,7 +56,7 @@ GENERIC_BASES = frozenset({
 
 @dataclass
 class Finding:
-    rule: str        # lock-order | blocking-under-lock | error-discipline | layering
+    rule: str        # a pass name above, or an invariant rule id
     file: str
     line: int
     message: str
@@ -523,6 +530,138 @@ def check_layering(prog: Program,
     return findings
 
 
+# Invariant rules. Paths are repo-relative; each rule's scope or
+# exemption is named by the path sets below, so a file elsewhere (the
+# seeded corpus under tests/) is checked by every unscoped rule.
+SYNC_HEADER = "src/util/sync.hpp"
+RAW_SYNC_RE = re.compile(
+    r"std::(mutex|shared_mutex|recursive_mutex|timed_mutex|condition_variable"
+    r"(_any)?|lock_guard|unique_lock|shared_lock|scoped_lock)\b")
+MUTEX_MEMBER_RE = re.compile(
+    r"^\s*(?:mutable\s+|static\s+)*"
+    r"(?:std::vector<\s*(?:drx::)?util::(?:Shared)?Mutex\s*>"
+    r"|(?:drx::)?util::(?:Shared)?Mutex)\s+(\w+)\s*;")
+OBS_SLOW_RE = re.compile(r"\b(?:detail::)?(profile_\w+_slow|push_span)\s*\(")
+AXIAL_EXTEND_RE = re.compile(r"\bmapping\s*\.\s*extend\s*\(")
+AXIAL_FILES = {"src/core/metadata.cpp", "src/core/metadata.hpp",
+               "src/core/axial_mapping.cpp", "src/core/axial_mapping.hpp"}
+SUBMIT_RE = re.compile(r"(?:\.|->)\s*submit(?:_with_future)?\s*\(")
+ELEMENT_WALK_RE = re.compile(r"\bfor_each_index\s*\(")
+CHUNK_GRID_RE = re.compile(r"chunk|covering|zone", re.IGNORECASE)
+# Data-plane files where a per-element walk is a coalescing regression.
+HOT_COPY_FILES = {
+    "src/core/scatter.hpp", "src/core/copy_plan.hpp",
+    "src/core/copy_plan.cpp", "src/core/drx_file.cpp",
+    "src/core/chunk_cache.hpp", "src/core/chunk_cache.cpp",
+    "src/core/drxmp.hpp", "src/core/drxmp.cpp",
+    "src/baselines/dra_like.cpp", "src/baselines/rowmajor_file.cpp",
+}
+CACHE_FILE = "src/core/chunk_cache.cpp"
+CACHE_FN_RE = re.compile(
+    r"^(?:\w[\w:<>,&*\[\]\s]*)?ChunkCache::([\w:]+)\s*\(")
+# The legacy global lock (mu_) or a shard lock (s.mu, shards_[i].mu);
+# leaf locks like seq_mu_ / io_mu_ match neither alternative.
+CACHE_LOCK_RE = re.compile(
+    r"util::MutexLock\s+\w+\s*\(\s*(?:[\w\[\]\.]+\.)?mu_?\s*\)")
+CACHE_ALLOC_RE = re.compile(r"std::make_unique<\s*std::byte\[\]\s*>")
+
+
+def _cache_lock_alloc(path: str, code: list[str]) -> list[Finding]:
+    """cache-lock-alloc: tracks the held ChunkCache locks by brace depth.
+
+    A `*_locked` helper starts with its shard lock held by contract;
+    `lock.unlock()` suspends the lock until `lock.lock()`. Blocking I/O
+    and shard-pair nesting under these locks belong to the
+    blocking-under-lock and lock-order passes."""
+    out: list[Finding] = []
+    depth = 0
+    held: list[int] = []  # brace depth at each acquisition
+    suspended = False
+    for i, line in enumerate(code):
+        fm = CACHE_FN_RE.match(line)
+        if fm:
+            held = [depth] if fm.group(1).endswith("_locked") else []
+            suspended = False
+        if CACHE_LOCK_RE.search(line):
+            held.append(depth)
+            suspended = False
+        if re.search(r"\block\.unlock\s*\(\s*\)", line):
+            suspended = True
+        elif re.search(r"\block\.lock\s*\(\s*\)", line):
+            suspended = False
+        if held and not suspended and CACHE_ALLOC_RE.search(line):
+            out.append(Finding(
+                "cache-lock-alloc", path, i + 1,
+                "chunk-buffer allocation while holding a cache lock; "
+                "use take_buffer_locked()"))
+        depth += line.count("{") - line.count("}")
+        while held and depth < held[-1]:
+            held.pop()
+    return out
+
+
+def check_invariants(code: dict[str, list[str]]) -> list[Finding]:
+    findings: list[Finding] = []
+    for path, lines in sorted(code.items()):
+        text = "\n".join(lines)
+
+        def hit(i: int, rule: str, message: str) -> None:
+            findings.append(Finding(rule, path, i + 1, message))
+
+        for i, line in enumerate(lines):
+            if path != SYNC_HEADER:
+                m = RAW_SYNC_RE.search(line)
+                if m:
+                    hit(i, "raw-sync-primitive",
+                        f"{m.group(0)} outside util/sync.hpp; use the "
+                        "annotated drx::util wrappers")
+                m = MUTEX_MEMBER_RE.match(line)
+                if m and not re.search(
+                        r"DRX_(?:PT_)?(?:GUARDED_BY|REQUIRES(?:_SHARED)?)"
+                        r"\(\s*" + re.escape(m.group(1)) + r"\s*\)", text):
+                    hit(i, "unannotated-mutex-member",
+                        f"mutex member '{m.group(1)}' has no "
+                        "DRX_GUARDED_BY/DRX_REQUIRES naming it; annotate "
+                        "what it protects or suppress with the reason it "
+                        "guards state the annotations cannot express")
+            if not path.startswith("src/obs/"):
+                m = OBS_SLOW_RE.search(line)
+                if m:
+                    hit(i, "hot-path-obs-guard",
+                        f"{m.group(1)}() bypasses the relaxed-atomic "
+                        "enabled guard; call the inline obs:: wrapper "
+                        "instead")
+            if path not in AXIAL_FILES and AXIAL_EXTEND_RE.search(line):
+                hit(i, "axial-mutation",
+                    "direct mapping.extend(); grow through "
+                    "Metadata::extend_elements so element bounds and the "
+                    "chunk grid stay consistent")
+            if not path.startswith("src/io/") and SUBMIT_RE.search(line):
+                # The context may sit on the next line when the call wraps.
+                call = line + (lines[i + 1] if i + 1 < len(lines) else "")
+                if re.search(r"\bOpContext\s*\{", call):
+                    hit(i, "pool-submit-opctx",
+                        "AsyncIoPool submit with an empty obs::OpContext{} "
+                        "severs the causal chain; pass obs::current_op() "
+                        "or suppress with the reason no op can be in "
+                        "flight")
+                elif not re.search(r"\bcurrent_op\s*\(\s*\)", call):
+                    hit(i, "pool-submit-opctx",
+                        "AsyncIoPool submit without a causal context; pass "
+                        "obs::current_op() as the first argument so stage "
+                        "attribution and flow arrows follow the op")
+            if (path in HOT_COPY_FILES and ELEMENT_WALK_RE.search(line)
+                    and not CHUNK_GRID_RE.search(line)):
+                hit(i, "element-granular-copy",
+                    "per-element for_each_index walk in a data-plane hot "
+                    "path; move elements through the run-coalesced "
+                    "core::CopyPlan (chunk-grid iteration is recognized by "
+                    "chunk/covering/zone on the call line)")
+        if path == CACHE_FILE:
+            findings += _cache_lock_alloc(path, lines)
+    return findings
+
+
 def run_all(prog: Program,
             module_overrides: dict[str, str]) -> list[Finding]:
     prog.module_overrides = module_overrides
@@ -531,6 +670,7 @@ def run_all(prog: Program,
     findings += check_blocking_under_lock(prog)
     findings += check_error_discipline(prog)
     findings += check_layering(prog, module_overrides)
+    findings += check_invariants(prog.facts.code)
     # Deterministic order + dedupe (several TUs can re-derive a header
     # finding).
     seen = set()

@@ -5,13 +5,7 @@ Suppression syntax (in the analyzed C++ sources):
     // drx-verify: allow(<rule>) <justification>
 
 placed on the offending line or the line directly above it. The
-justification is mandatory under `--strict` (the CI mode). Legacy
-`drx-lint: allow(...)` comments are honored through an alias table so
-the sites already justified for the regex linter do not need duplicate
-annotations for the AST passes that replaced those invariants:
-
-    cache-lock-io, cache-lock-alloc  ->  blocking-under-lock
-    cache-shard-pair                 ->  lock-order
+justification is mandatory under `--strict` (the CI mode).
 
 A file can also reassign its layering module (used by the seeded
 corpus, whose files impersonate src/ modules):
@@ -30,15 +24,7 @@ from passes import Finding
 
 SUPPRESS_RE = re.compile(
     r"//\s*drx-verify:\s*allow\(([\w-]+)\)\s*(\S.*)?$")
-LINT_SUPPRESS_RE = re.compile(
-    r"//\s*drx-lint:\s*allow\(([\w-]+)\)\s*(\S.*)?$")
 MODULE_RE = re.compile(r"//\s*drx-verify:\s*module\(([\w-]+)\)")
-
-LINT_ALIASES = {
-    "cache-lock-io": "blocking-under-lock",
-    "cache-lock-alloc": "blocking-under-lock",
-    "cache-shard-pair": "lock-order",
-}
 
 
 @dataclass
@@ -61,25 +47,20 @@ def scan_suppressions(root: Path, files: set[str]) -> Suppressions:
             m = MODULE_RE.search(line)
             if m:
                 sup.module_overrides[rel] = m.group(1)
-            for regex, aliases in ((SUPPRESS_RE, {}),
-                                   (LINT_SUPPRESS_RE, LINT_ALIASES)):
-                sm = regex.search(line)
-                if not sm:
-                    continue
-                rule = aliases.get(sm.group(1), sm.group(1)) if aliases \
-                    else sm.group(1)
-                if aliases and sm.group(1) not in aliases:
-                    continue  # a drx-lint rule with no AST counterpart
-                reason = (sm.group(2) or "").strip()
-                # The comment governs its own line and the whole
-                # statement that follows (comment-above style): coverage
-                # extends line by line until a `;`/`{`/`}` terminator,
-                # bounded so a runaway can't blanket a file.
-                sup.by_site[(rel, line_no, rule)] = reason
-                for j in range(i + 1, min(i + 6, len(lines))):
-                    sup.by_site[(rel, j + 1, rule)] = reason
-                    if re.search(r"[;{}]\s*(//.*)?$", lines[j]):
-                        break
+            sm = SUPPRESS_RE.search(line)
+            if not sm:
+                continue
+            rule = sm.group(1)
+            reason = (sm.group(2) or "").strip()
+            # The comment governs its own line and the whole statement
+            # that follows (comment-above style): coverage extends line
+            # by line until a `;`/`{`/`}` terminator, bounded so a
+            # runaway can't blanket a file.
+            sup.by_site[(rel, line_no, rule)] = reason
+            for j in range(i + 1, min(i + 6, len(lines))):
+                sup.by_site[(rel, j + 1, rule)] = reason
+                if re.search(r"[;{}]\s*(//.*)?$", lines[j]):
+                    break
     return sup
 
 

@@ -179,7 +179,7 @@ class SourceFrontend:
         rel = path.relative_to(self.root).as_posix()
         raw_lines = path.read_text(encoding="utf-8").splitlines()
         lines = strip_comments(raw_lines)
-        facts = TUFacts()
+        facts = TUFacts(code={rel: lines})
         # File-local receiver typing: `device.truncate(...)` with
         # `BlockDevice& device` in this file resolves to the exact
         # `BlockDevice::truncate` instead of fanning out to every

@@ -30,7 +30,6 @@ bench_regression = _load("check_bench_regression")
 prefetch_gate = _load("check_prefetch_gate")
 bench_exact = _load("check_drx_bench_exact")
 exposition = _load("check_exposition")
-lint_drx = _load("lint_drx")
 
 # drx_verify is a package of sibling modules imported bare (it runs as
 # `python3 scripts/drx_verify`), so its directory must be importable
@@ -523,236 +522,6 @@ class TestDrxBenchExact(unittest.TestCase):
         self.assertIn("pfs.requests_per_op", err)
 
 
-class TestLintDrx(unittest.TestCase):
-    def _tree(self, tmp, files):
-        root = Path(tmp)
-        for rel, body in files.items():
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(body, encoding="utf-8")
-        return str(root)
-
-    def test_help_exits_zero(self):
-        code, _, _ = run_main(lint_drx, ["--help"])
-        self.assertEqual(code, 0)
-
-    def test_missing_src_exits_two(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            code, _, err = run_main(lint_drx, ["--root", tmp])
-        self.assertEqual(code, 2)
-        self.assertIn("no src", err)
-
-    def test_clean_tree_exits_zero(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/a.cpp": "util::MutexLock lock(mu_);\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-        self.assertIn("clean", out)
-
-    def test_raw_primitive_flagged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {"src/a.cpp": "std::mutex m;\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("raw-sync-primitive", out)
-
-    def test_suppression_with_reason_accepted(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/a.cpp":
-                "// drx-lint: allow(raw-sync-primitive) interop shim\n"
-                "std::mutex m;\n"})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_suppression_without_reason_flagged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/a.cpp":
-                "// drx-lint: allow(raw-sync-primitive)\n"
-                "std::mutex m;\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("suppression-without-reason", out)
-
-    def test_unannotated_mutex_member_flagged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/a.hpp": "class C {\n  util::Mutex mu_;\n};\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("unannotated-mutex-member", out)
-
-    def test_guarded_mutex_member_clean(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/a.hpp": "class C {\n  util::Mutex mu_;\n"
-                             "  int x DRX_GUARDED_BY(mu_);\n};\n"})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_axial_mutation_outside_metadata_flagged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/other.cpp": "meta_.mapping.extend(0, 2);\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("axial-mutation", out)
-
-    def test_axial_mutation_in_metadata_allowed(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/metadata.cpp": "mapping.extend(0, 2);\n"})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_obs_slow_call_outside_obs_flagged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/a.cpp": "detail::profile_chunk_slow(ev);\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("hot-path-obs-guard", out)
-
-    def test_unguarded_push_span_outside_obs_flagged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/a.cpp":
-                    "obs::detail::push_span(\"x\", \"core\", t0, 0, 0);\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("hot-path-obs-guard", out)
-        self.assertIn("push_span()", out)
-
-    def test_cache_alloc_after_unlock_clean(self):
-        body = ("Status ChunkCache::pin(std::uint64_t a) {\n"
-                "  util::MutexLock lock(s.mu);\n"
-                "  lock.unlock();\n"
-                "  auto buf = std::make_unique<std::byte[]>(n);\n"
-                "  lock.lock();\n"
-                "}\n")
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {"src/core/chunk_cache.cpp": body})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_cache_lock_scope_ends_at_brace(self):
-        body = ("Status ChunkCache::run_job(std::uint64_t a) {\n"
-                "  {\n"
-                "    util::MutexLock lock(mu_);\n"
-                "  }\n"
-                "  auto buf = std::make_unique<std::byte[]>(n);\n"
-                "}\n")
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {"src/core/chunk_cache.cpp": body})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_cache_alloc_under_lock_flagged(self):
-        body = ("Status ChunkCache::pin(std::uint64_t a) {\n"
-                "  util::MutexLock lock(s.mu);\n"
-                "  auto buf = std::make_unique<std::byte[]>(n);\n"
-                "}\n")
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {"src/core/chunk_cache.cpp": body})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("cache-lock-alloc", out)
-
-    def test_locked_helper_allocation_flagged(self):
-        body = ("ChunkCache::Buffer ChunkCache::grab_locked() {\n"
-                "  return std::make_unique<std::byte[]>(n);\n"
-                "}\n")
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {"src/core/chunk_cache.cpp": body})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("cache-lock-alloc", out)
-
-    def test_element_walk_in_hot_copy_file_flagged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/drx_file.cpp":
-                    "for_each_index(clip, [&](const Index& i) {});\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("element-granular-copy", out)
-
-    def test_element_walk_over_chunk_grid_allowed(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/drx_file.cpp":
-                    "for_each_index(space_.covering_chunks(box), fn);\n"})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_element_walk_outside_hot_files_allowed(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/coords.hpp":
-                    "for_each_index(box, [&](const Index& i) {});\n"})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_pool_submit_without_context_flagged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/a.cpp": "pool_->submit([this] { return run(); });\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("pool-submit-opctx", out)
-
-    def test_pool_submit_with_current_op_clean(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/a.cpp":
-                    "pool_->submit(obs::current_op(), [this] { run(); });\n"})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_pool_submit_context_on_next_line_clean(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/mpio/a.cpp":
-                    "results.push_back(pool.submit_with_future(\n"
-                    "    obs::current_op(), [&] { return run(); }));\n"})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_pool_submit_empty_context_flagged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/a.cpp":
-                    "pool_->submit(obs::OpContext{}, [this] { run(); });\n"})
-            code, out, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 1)
-        self.assertIn("severs the causal chain", out)
-
-    def test_pool_submit_empty_context_suppressed_clean(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/core/a.cpp":
-                    "// drx-lint: allow(pool-submit-opctx) startup path, "
-                    "no op can be in flight\n"
-                    "pool_->submit(obs::OpContext{}, [this] { run(); });\n"})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_pool_submit_inside_src_io_exempt(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = self._tree(tmp, {
-                "src/io/async_pool.cpp":
-                    "pool_->submit([this] { return run(); });\n"})
-            code, _, _ = run_main(lint_drx, ["--root", root])
-        self.assertEqual(code, 0)
-
-    def test_repo_tree_is_clean(self):
-        repo = SCRIPTS_DIR.parent
-        code, out, _ = run_main(lint_drx, ["--root", str(repo)])
-        self.assertEqual(code, 0, f"lint_drx findings in repo:\n{out}")
-
-
 class TestDrxVerify(unittest.TestCase):
     """CLI contract of the whole-program analyzer (scripts/drx_verify).
 
@@ -937,6 +706,112 @@ class TestDrxVerify(unittest.TestCase):
         self.assertEqual(len(payload["findings"]), 1)
         self.assertEqual(payload["findings"][0]["rule"], "error-discipline")
         self.assertIn("error-discipline", text)
+
+
+class TestDrxVerifyInvariants(unittest.TestCase):
+    """Path scopes and exemptions of drx_verify's invariant pass.
+
+    Each unscoped rule is pinned by a seeded file in tests/verify/corpus;
+    those files all live under tests/, so the rules that only apply to
+    (or exempt) particular src/ files are covered here on temp trees."""
+
+    CACHE = "src/core/chunk_cache.cpp"
+    UNDER_LOCK = ("Status ChunkCache::pin(std::uint64_t a) {\n"
+                  "  util::MutexLock lock(s.mu);\n"
+                  "  auto buf = std::make_unique<std::byte[]>(n);\n"
+                  "}\n")
+    # name -> (path, source, rule, how many times it must fire there)
+    CASES = {
+        "raw_primitive_in_sync_header":
+            ("src/util/sync.hpp", "std::mutex m;\n", "raw-sync-primitive", 0),
+        "guarded_mutex_member": (
+            "src/a.hpp", "class C {\n  util::Mutex mu_;\n"
+            "  int x DRX_GUARDED_BY(mu_);\n};\n",
+            "unannotated-mutex-member", 0),
+        "profile_slow_path_outside_obs": (
+            "src/core/a.cpp", "detail::profile_chunk_slow(ev);\n",
+            "hot-path-obs-guard", 1),
+        "push_span_inside_obs": (
+            "src/obs/trace.hpp", "detail::push_span(n, c, t, 0, 0);\n",
+            "hot-path-obs-guard", 0),
+        "axial_extend_outside_metadata": (
+            "src/core/other.cpp", "meta_.mapping.extend(0, 2);\n",
+            "axial-mutation", 1),
+        "axial_extend_in_metadata": (
+            "src/core/metadata.cpp", "mapping.extend(0, 2);\n",
+            "axial-mutation", 0),
+        "alloc_under_cache_lock":
+            (CACHE, UNDER_LOCK, "cache-lock-alloc", 1),
+        "alloc_under_lock_outside_cache":
+            ("src/core/other.cpp", UNDER_LOCK, "cache-lock-alloc", 0),
+        "alloc_after_unlock": (CACHE, UNDER_LOCK.replace(
+            "  auto", "  lock.unlock();\n  auto"), "cache-lock-alloc", 0),
+        "alloc_after_lock_scope_ends": (
+            CACHE, "Status ChunkCache::run_job(std::uint64_t a) {\n"
+            "  {\n    util::MutexLock lock(mu_);\n  }\n"
+            "  auto buf = std::make_unique<std::byte[]>(n);\n}\n",
+            "cache-lock-alloc", 0),
+        "alloc_in_locked_helper": (
+            CACHE, "std::unique_ptr<std::byte[]> ChunkCache::grab_locked("
+            "Shard& s) {\n  return std::make_unique<std::byte[]>(n);\n}\n",
+            "cache-lock-alloc", 1),
+        "element_walk_in_hot_file": (
+            "src/core/drx_file.cpp",
+            "for_each_index(clip, [&](const Index& i) {});\n",
+            "element-granular-copy", 1),
+        "chunk_grid_walk_in_hot_file": (
+            "src/core/drx_file.cpp",
+            "for_each_index(space_.covering_chunks(box), fn);\n",
+            "element-granular-copy", 0),
+        "element_walk_outside_hot_files": (
+            "src/core/coords.hpp",
+            "for_each_index(box, [&](const Index& i) {});\n",
+            "element-granular-copy", 0),
+        "submit_with_current_op": (
+            "src/core/a.cpp",
+            "pool_->submit(obs::current_op(), [this] { run(); });\n",
+            "pool-submit-opctx", 0),
+        "submit_context_on_next_line": (
+            "src/mpio/a.cpp", "results.push_back(pool.submit_with_future(\n"
+            "    obs::current_op(), [&] { return run(); }));\n",
+            "pool-submit-opctx", 0),
+        "submit_inside_src_io": (
+            "src/io/async_pool.cpp",
+            "pool_->submit([this] { return run(); });\n",
+            "pool-submit-opctx", 0),
+        "empty_context_suppressed": (
+            "src/core/a.cpp", "// drx-verify: allow(pool-submit-opctx) "
+            "startup path, no op can be in flight\n"
+            "pool_->submit(obs::OpContext{}, [this] { run(); });\n",
+            "pool-submit-opctx", 0),
+    }
+
+    def test_scopes_and_exemptions(self):
+        for name, (path, body, rule, want) in self.CASES.items():
+            with self.subTest(name), tempfile.TemporaryDirectory() as tmp:
+                (Path(tmp) / path).parent.mkdir(parents=True)
+                (Path(tmp) / path).write_text(body, encoding="utf-8")
+                out = Path(tmp) / "findings.json"
+                run_main(drx_verify, [
+                    "--root", tmp, "--hierarchy", TestDrxVerify.HIERARCHY,
+                    "-q", "--json", str(out)])
+                found = json.loads(out.read_text(encoding="utf-8"))
+                self.assertEqual(sum(
+                    1 for f in found["findings"]
+                    if f["rule"] == rule and not f["suppressed"]), want)
+
+    def test_bare_invariant_suppression_fails_strict(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "src").mkdir()
+            (Path(tmp) / "src" / "a.cpp").write_text(
+                "// drx-verify: allow(raw-sync-primitive)\nstd::mutex m;\n",
+                encoding="utf-8")
+            args = ["--root", tmp, "--hierarchy", TestDrxVerify.HIERARCHY]
+            code, _, _ = run_main(drx_verify, args)
+            strict_code, out, _ = run_main(drx_verify, args + ["--strict"])
+        self.assertEqual(code, 0)
+        self.assertEqual(strict_code, 1)
+        self.assertIn("[raw-sync-primitive] suppression without", out)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import time
 import unittest
 from pathlib import Path
 
@@ -138,78 +137,38 @@ class TestStatsCli(unittest.TestCase):
         self.assertIn("top 3 op(s)", out)
         self.assertIn("op.extend", out)
 
-    # ---- --watch (polling mode over the --diff machinery) ----------------
+    def test_top_with_negative_count_is_usage_error(self):
+        # strtoul would wrap -1 to 2^64-1 and print every op.
+        code, _, _ = run_stats("--top", "-1", self._file("t.json", TRACE))
+        self.assertEqual(code, 2)
+
+    # ---- --diff ----------------------------------------------------------
 
     def _snapshot(self, name, counters):
         path = self.tmp / name
         path.write_bytes(snapshot_bytes(counters))
         return str(path)
 
-    def test_watch_without_interval_is_usage_error(self):
-        code, _, _ = run_stats("--watch")
-        self.assertEqual(code, 2)
-
-    def test_watch_with_bad_interval_is_usage_error(self):
-        for bad in ("zero", "0", "-1"):
-            code, _, _ = run_stats("--watch", bad, "x.bin")
-            self.assertEqual(code, 2, f"interval {bad!r}")
-
-    def test_watch_needs_exactly_one_source(self):
-        code, _, _ = run_stats("--watch", "1", "a.bin", "b.bin")
-        self.assertEqual(code, 2)
-        code, _, _ = run_stats("--watch", "1")
-        self.assertEqual(code, 2)
-
-    def test_watch_excludes_other_modes(self):
-        code, _, _ = run_stats("--watch", "1", "--diff", "a.bin")
-        self.assertEqual(code, 2)
-        code, _, _ = run_stats("--watch", "1", "--top", "3", "a.bin")
-        self.assertEqual(code, 2)
-
-    def test_count_without_watch_is_usage_error(self):
-        snap = self._snapshot("s.bin", [("x", 1)])
-        code, _, _ = run_stats("--count", "2", snap)
-        self.assertEqual(code, 2)
-
-    def test_watch_missing_source_exits_one(self):
-        code, _, err = run_stats("--watch", "0.1", "--count", "1",
-                                 str(self.tmp / "absent.bin"))
-        self.assertEqual(code, 1)
-        self.assertIn("cannot read", err)
-
-    def test_watch_url_without_port_exits_one(self):
-        code, _, err = run_stats("--watch", "0.1", "--count", "1",
-                                 "http://127.0.0.1")
-        self.assertEqual(code, 1)
-        self.assertIn("port", err)
-
-    def test_watch_prints_delta_between_polls(self):
-        # Initial scrape sees A; the file is swapped to B during the
-        # sleep, so the one printed delta must be B - A.
-        path = self._snapshot("live.bin", [("serve.requests", 10)])
-        proc = subprocess.Popen(
-            [STATS, "--watch", "1.5", "--count", "1", path],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        time.sleep(0.5)  # well past the initial load, inside the sleep
-        Path(path).write_bytes(snapshot_bytes([("serve.requests", 17)]))
-        out, err = proc.communicate(timeout=60)
-        self.assertEqual(proc.returncode, 0,
-                         f"stdout:\n{out}\nstderr:\n{err}")
-        self.assertIn("delta prev -> now", out)
+    def test_diff_prints_delta(self):
+        a = self._snapshot("a.bin", [("serve.requests", 10)])
+        b = self._snapshot("b.bin", [("serve.requests", 17)])
+        code, out, err = run_stats("--diff", a, b)
+        self.assertEqual(code, 0, f"stdout:\n{out}\nstderr:\n{err}")
+        self.assertIn(f"delta {a} -> {b}", out)
         self.assertIn("serve.requests", out)
         self.assertIn("+7", out)
 
-    def test_watch_json_delta_is_machine_readable(self):
-        path = self._snapshot("same.bin", [("serve.requests", 5)])
-        code, out, err = run_stats("--json", "--watch", "0.1", "--count",
-                                   "2", path)
+    def test_diff_json_is_machine_readable(self):
+        a = self._snapshot("a.bin", [("serve.requests", 5)])
+        code, out, err = run_stats("--json", "--diff", a, a)
         self.assertEqual(code, 0, f"stdout:\n{out}\nstderr:\n{err}")
-        lines = [ln for ln in out.splitlines() if ln.strip()]
-        self.assertEqual(len(lines), 2)  # one delta document per poll
-        for line in lines:
-            doc = json.loads(line)
-            # Source unchanged between polls: every delta is zero.
-            self.assertEqual(doc["counters"].get("serve.requests", 0), 0)
+        self.assertEqual(json.loads(out)["counters"]["serve.requests"], 0)
+
+    def test_diff_missing_snapshot_exits_one(self):
+        a = self._snapshot("a.bin", [("x", 1)])
+        code, _, err = run_stats("--diff", a, str(self.tmp / "absent.bin"))
+        self.assertEqual(code, 1)
+        self.assertIn("cannot read", err)
 
     def test_top_flight_dump_prints_dominant_stage(self):
         path = self._file("flight.json", FLIGHT)

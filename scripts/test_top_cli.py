@@ -9,10 +9,12 @@ Locks in the documented contract (tools/drx_top.cpp header):
   1  scrape/parse failure
   2  usage error
 The offline --render mode is the same code path the live poll loop uses,
-so these fixtures exercise the renderer (windowed latency table, per-shard
-cache row, queue/session gauges) without needing a live exporter.
+so these fixtures exercise the renderer (windowed latency table, counter
+rates, per-shard cache row, queue/session gauges) without needing a live
+exporter.
 """
 
+import copy
 import json
 import subprocess
 import sys
@@ -107,6 +109,19 @@ class TestTopCli(unittest.TestCase):
         code, _, _ = run_top("--port", "70000")
         self.assertEqual(code, 2)
 
+    def test_negative_count_is_usage_error(self):
+        # strtoul would wrap -1 to 2^64-1 and poll forever.
+        code, _, _ = run_top("--count", "-1", "--port", "1")
+        self.assertEqual(code, 2)
+
+    def test_malformed_port_env_is_usage_error(self):
+        # The exporter refuses "9477x" and never starts; reading it as
+        # 9477 would only end in a connection error.
+        code, _, err = run_top(env={"PATH": "/usr/bin:/bin",
+                                    "DRX_METRICS_PORT": "9477x"})
+        self.assertEqual(code, 2)
+        self.assertIn("DRX_METRICS_PORT", err)
+
     def test_bad_interval_is_usage_error(self):
         code, _, _ = run_top("--interval", "0", "--port", "1")
         self.assertEqual(code, 2)
@@ -134,8 +149,19 @@ class TestTopCli(unittest.TestCase):
         self.assertIn("serve.request.latency_us", out)
         self.assertIn("2.0", out)
         self.assertNotIn("serve.request.bytes", out)
+        # Counters as windowed rates: name, per-second rate, window total.
+        row = next(ln for ln in out.splitlines()
+                   if ln.startswith("serve.requests"))
+        self.assertEqual(row.split()[1:], ["2.0", "60"])
         # Per-shard cache traffic, ordered by shard index.
         self.assertIn("cache shards (windowed accesses): 0:40 1:25", out)
+
+    def test_render_skips_counters_that_did_not_move(self):
+        window = copy.deepcopy(WINDOW)
+        window["window"]["metrics"]["counters"]["serve.rejected"] = 0
+        code, out, _ = run_top("--render", self._file("w.json", window))
+        self.assertEqual(code, 0)
+        self.assertNotIn("serve.rejected", out)
 
     def test_render_with_gauges_shows_sessions(self):
         window = self._file("window.json", WINDOW)

@@ -97,7 +97,7 @@ Status RowMajorFile::read_box(const Box& box, MemoryOrder order,
     Index none;
     body(none);
   } else {
-    // drx-lint: allow(element-granular-copy) row-granular: each visit of
+    // drx-verify: allow(element-granular-copy) row-granular: each visit of
     // `body` moves one contiguous fastest-dim file run, not one element.
     core::for_each_index(outer, body);
   }
@@ -151,7 +151,7 @@ Status RowMajorFile::write_box(const Box& box, MemoryOrder order,
     Index none;
     body(none);
   } else {
-    // drx-lint: allow(element-granular-copy) row-granular: each visit of
+    // drx-verify: allow(element-granular-copy) row-granular: each visit of
     // `body` moves one contiguous fastest-dim file run, not one element.
     core::for_each_index(outer, body);
   }

@@ -178,7 +178,7 @@ std::unique_ptr<std::byte[]> ChunkCache::take_buffer_locked(Shard& s) {
   }
   // Cold start only: steady state recycles eviction buffers, so the miss
   // path never allocates while holding the shard lock.
-  // drx-lint: allow(cache-lock-alloc) cold-start fill; bounded by capacity_
+  // drx-verify: allow(cache-lock-alloc) cold-start fill; bounded by capacity_
   return std::make_unique<std::byte[]>(chunk_size());
 }
 

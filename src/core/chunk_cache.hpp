@@ -499,7 +499,7 @@ class ChunkCache final : public io::PrefetchSink {
   /// Interned per-shard access counters: core.cache.shard.<i>.accesses.
   std::vector<obs::MetricId> shard_access_ids_;
 
-  // drx-lint: allow(unannotated-mutex-member) serializes access to the
+  // drx-verify: allow(unannotated-mutex-member) serializes access to the
   // caller-owned DrxFile; there is no member field to annotate.
   util::Mutex io_mu_;  ///< serializes DrxFile storage access (leaf)
 

@@ -270,7 +270,7 @@ class GlobalAccessor {
     outer.hi[fast] = 1;
     Index idx(k);
     Index rel(k);
-    // drx-lint: allow(element-granular-copy) row-granular RMA: each visit
+    // drx-verify: allow(element-granular-copy) row-granular RMA: each visit
     // issues one window get per contiguous owner run, not one per element.
     for_each_index(outer, [&](const Index& oidx) {
       idx = oidx;

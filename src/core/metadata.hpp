@@ -111,7 +111,7 @@ struct Metadata {
   /// neighbour sits elsewhere in the .xta.
   [[nodiscard]] std::uint64_t address_order_runs() const;
 
-  /// The one sanctioned axial-vector mutation (scripts/lint_drx.py rule
+  /// The one sanctioned axial-vector mutation (drx_verify rule
   /// `axial-mutation`): grows dimension `dim` by `delta` elements,
   /// extending the chunk grid through the axial mapping when the new
   /// bounds spill past it. Returns the linear address of the first

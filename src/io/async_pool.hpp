@@ -71,11 +71,11 @@ class AsyncIoPool {
   /// everything before returning.
   ///
   /// `ctx` is the submitter's causal context (obs::current_op() at the
-  /// call site — lint_drx enforces propagation): it is restored on the
+  /// call site — drx_verify enforces propagation): it is restored on the
   /// worker thread so stage attribution follows the op, queue time is
   /// charged to Stage::kQueueWait, and a flow-event pair links the submit
   /// to the dequeue in trace/flight output. Pass obs::OpContext{} only
-  /// where no op can be in flight (lint: allow(pool-submit-opctx)).
+  /// where no op can be in flight (drx-verify: allow(pool-submit-opctx)).
   void submit(const obs::OpContext& ctx, Job job, Completion done = nullptr,
               JobClass cls = JobClass::kUrgent);
 

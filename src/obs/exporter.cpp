@@ -247,14 +247,9 @@ HttpResponse handle_request(std::string_view request_line) {
     JsonWriter w;
     window_to_json(w);
     resp.body = w.str() + "\n";
-  } else if (path == "/snapshot.bin") {
-    resp.content_type = "application/octet-stream";
-    const std::vector<std::byte> blob = live_snapshot().serialize();
-    resp.body.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
   } else {
     resp.status = 404;
-    resp.body = "unknown path (try /metrics, /json, /window.json, "
-                "/snapshot.bin)\n";
+    resp.body = "unknown path (try /metrics, /json, /window.json)\n";
   }
   return resp;
 }

@@ -8,9 +8,8 @@
 //                     side) plus *windowed* histograms (obs/window.hpp)
 //                     labeled window="<horizon>", plus provider gauges.
 //   GET /json         drx-live JSON: cumulative live_snapshot().
-//   GET /window.json  the drx-window document (drx_doctor --window).
-//   GET /snapshot.bin binary MetricsSnapshot (drx_stats --watch diffs
-//                     successive fetches of this).
+//   GET /window.json  the drx-window document (drx_doctor --window,
+//                     drx_top).
 //
 // Enabled by DRX_METRICS_PORT (port number; 0 picks an ephemeral port) or
 // programmatically via start_exporter(). A port already in use does NOT
@@ -85,8 +84,8 @@ void stop_exporter();
 /// live snapshot.
 [[nodiscard]] std::string render_live_json();
 
-/// Minimal HTTP GET against a drx exporter (drx_top, drx_stats --watch,
-/// bench self-scrape, tests). Returns the response body on status 200;
+/// Minimal HTTP GET against a drx exporter (drx_top, bench self-scrape,
+/// tests). Returns the response body on status 200;
 /// kIoError on connect/timeout errors or a non-200 response.
 [[nodiscard]] Result<std::string> http_get(const std::string& host, std::uint16_t port,
                              const std::string& path, int timeout_ms = 2000);

@@ -16,7 +16,7 @@ namespace drx::pfs {
 /// structs (the static contract lives in the access pattern below: every
 /// datafiles[s] touch holds servers[s]->mu).
 struct Pfs::Server {
-  // drx-lint: allow(unannotated-mutex-member) guards fields of another struct
+  // drx-verify: allow(unannotated-mutex-member) guards fields of another struct
   util::Mutex mu;
 };
 

@@ -172,7 +172,7 @@ class Server {
   core::DrxFile* file_;
   std::string name_;
   core::CachedDrxFile cached_;
-  // drx-lint: allow(unannotated-mutex-member) guards the array's
+  // drx-verify: allow(unannotated-mutex-member) guards the array's
   // structure (bounds/metadata owned by DrxFile, not a member here):
   // shared for read/write/prefetch, exclusive for extend.
   util::SharedMutex structure_mu_;

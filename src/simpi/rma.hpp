@@ -75,7 +75,7 @@ class Window {
   /// no field here for GUARDED_BY to name.
   struct Shared {
     explicit Shared(std::size_t n) : locks(n) {}
-    // drx-lint: allow(unannotated-mutex-member) guards caller-owned memory
+    // drx-verify: allow(unannotated-mutex-member) guards caller-owned memory
     std::vector<util::Mutex> locks;
   };
 

@@ -48,7 +48,7 @@ void set_log_level(LogLevel level) noexcept {
 
 void log_message(LogLevel level, const std::string& msg) {
   // Serializes the stderr stream only; there is no guarded field.
-  // drx-lint: allow(unannotated-mutex-member) interleaving guard for stderr
+  // drx-verify: allow(unannotated-mutex-member) interleaving guard for stderr
   static util::Mutex mu;
   const char* tag = "?";
   switch (level) {

@@ -9,9 +9,9 @@
 // semantics: every macro below expands to nothing, the wrappers compile to
 // the same code as the raw primitives, and behavior is identical.
 //
-// scripts/lint_drx.py enforces the layering: raw std::mutex /
-// std::condition_variable / std::lock_guard / std::unique_lock are
-// forbidden everywhere in src/ except this header.
+// drx_verify's raw-sync-primitive rule enforces the layering: raw
+// std::mutex / std::condition_variable / std::lock_guard /
+// std::unique_lock are forbidden everywhere in src/ except this header.
 #pragma once
 
 #include <chrono>

@@ -27,6 +27,12 @@ EXPECTED = {
      "tests/verify/corpus/flush_under_shard_lock.cpp"): 2,
     ("error-discipline", "tests/verify/corpus/dropped_status.cpp"): 3,
     ("layering", "tests/verify/corpus/layering_violation.cpp"): 1,
+    ("raw-sync-primitive", "tests/verify/corpus/raw_sync_primitive.cpp"): 2,
+    ("unannotated-mutex-member",
+     "tests/verify/corpus/unguarded_mutex_member.cpp"): 1,
+    ("hot-path-obs-guard", "tests/verify/corpus/unguarded_push_span.cpp"): 1,
+    ("axial-mutation", "tests/verify/corpus/axial_mutation.cpp"): 1,
+    ("pool-submit-opctx", "tests/verify/corpus/submit_without_opctx.cpp"): 2,
 }
 
 

@@ -17,11 +17,13 @@ class InvertedLocks {
   void direct_inversion() {
     util::MutexLock io(io_mu_);
     util::MutexLock seq(seq_mu_);  // seeded: 62 acquired under 58
+    ++io_ops_;
     ++generation_;
   }
 
   void cross_call_inversion() {
     util::MutexLock io(io_mu_);
+    ++io_ops_;
     bump_generation();  // seeded: callee acquires cache.seq under cache.io
   }
 
@@ -33,7 +35,8 @@ class InvertedLocks {
 
   util::Mutex io_mu_;
   util::Mutex seq_mu_;
-  long generation_ = 0;
+  long io_ops_ DRX_GUARDED_BY(io_mu_) = 0;
+  long generation_ DRX_GUARDED_BY(seq_mu_) = 0;
 };
 
 }  // namespace drx::verify_corpus

@@ -13,17 +13,14 @@
 //                                   # breakdown, from a DRX_TRACE trace or
 //                                   # a drx-flight dump (flight records
 //                                   # carry only the dominant stage)
-//   drx_stats --watch <secs> [--count <n>] <snapshot|http://ip:port>
-//                                   # polling mode: re-scrape the source
-//                                   # each interval and print the delta
-//                                   # (--diff machinery); an http source
-//                                   # hits the exporter's /snapshot.bin
+//
+// Live telemetry from a running process is drx_top's job (it renders
+// the exporter's windowed view, counters included, as rates).
 //
 // The text and JSON renderings are the same ones drx_inspect --stats and
 // the bench JSON reports use (obs::metrics_to_text / metrics_to_json), so
 // every surface prints metrics identically.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,11 +28,9 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/analysis.hpp"
-#include "obs/exporter.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
@@ -124,12 +119,18 @@ drx::Result<drx::obs::MetricsSnapshot> load_snapshot(
       reinterpret_cast<const std::byte*>(raw.data()), raw.size()));
 }
 
-/// Prints the per-metric delta b - a (the --diff output; --watch reuses
-/// it for each successive scrape pair).
-void print_delta(const drx::obs::MetricsSnapshot& a,
-                 const drx::obs::MetricsSnapshot& b,
-                 const std::string& a_label, const std::string& b_label,
-                 bool json) {
+/// Prints the per-metric delta b - a.
+int diff(const std::string& a_path, const std::string& b_path, bool json) {
+  auto a_snap = load_snapshot(a_path);
+  auto b_snap = load_snapshot(b_path);
+  for (const auto* r : {&a_snap, &b_snap}) {
+    if (!r->is_ok()) {
+      std::fprintf(stderr, "error: %s\n", r->status().to_string().c_str());
+      return 1;
+    }
+  }
+  const drx::obs::MetricsSnapshot& a = a_snap.value();
+  const drx::obs::MetricsSnapshot& b = b_snap.value();
   // Union of metric names, in b's order then a-only extras; delta = b - a
   // (negative deltas mean the metric only appears in the baseline, e.g. a
   // run that skipped a phase).
@@ -199,14 +200,14 @@ void print_delta(const drx::obs::MetricsSnapshot& a,
     w.end_object();
     w.end_object();
     std::printf("%s\n", w.str().c_str());
-    return;
+    return 0;
   }
 
   std::size_t width = 0;
   for (const auto& c : counters) width = std::max(width, c.name.size());
   for (const auto& h : hists) width = std::max(width, h.name.size());
-  std::printf("delta %s -> %s\ncounters:\n", a_label.c_str(),
-              b_label.c_str());
+  std::printf("delta %s -> %s\ncounters:\n", a_path.c_str(),
+              b_path.c_str());
   for (const auto& c : counters) {
     if (c.delta == 0) continue;  // unchanged metrics stay out of the way
     std::printf("  %-*s %+lld\n", static_cast<int>(width), c.name.c_str(),
@@ -218,79 +219,6 @@ void print_delta(const drx::obs::MetricsSnapshot& a,
     std::printf("  %-*s count=%+lld sum=%+lld\n", static_cast<int>(width),
                 h.name.c_str(), static_cast<long long>(h.count),
                 static_cast<long long>(h.sum));
-  }
-}
-
-int diff(const std::string& a_path, const std::string& b_path, bool json) {
-  auto a = load_snapshot(a_path);
-  auto b = load_snapshot(b_path);
-  for (const auto* r : {&a, &b}) {
-    if (!r->is_ok()) {
-      std::fprintf(stderr, "error: %s\n", r->status().to_string().c_str());
-      return 1;
-    }
-  }
-  print_delta(a.value(), b.value(), a_path, b_path, json);
-  return 0;
-}
-
-/// A --watch source: either a binary snapshot file (re-read each poll)
-/// or an exporter URL — http://<ip>:<port>[/snapshot.bin] fetches the
-/// live binary snapshot endpoint (obs/exporter.hpp).
-drx::Result<drx::obs::MetricsSnapshot> load_source(const std::string& src) {
-  static constexpr std::string_view kScheme = "http://";
-  if (src.compare(0, kScheme.size(), kScheme) != 0) {
-    return load_snapshot(src);
-  }
-  const std::string rest = src.substr(kScheme.size());
-  const std::size_t slash = rest.find('/');
-  const std::string hostport =
-      slash == std::string::npos ? rest : rest.substr(0, slash);
-  const std::string path =
-      slash == std::string::npos ? std::string("/snapshot.bin")
-                                 : rest.substr(slash);
-  const std::size_t colon = hostport.find(':');
-  if (colon == std::string::npos) {
-    return drx::Status(drx::ErrorCode::kInvalidArgument,
-                       "watch URL needs an explicit port: " + src);
-  }
-  const std::string host = hostport.substr(0, colon);
-  char* end = nullptr;
-  const long port = std::strtol(hostport.c_str() + colon + 1, &end, 10);
-  if (*end != '\0' || port <= 0 || port > 65535) {
-    return drx::Status(drx::ErrorCode::kInvalidArgument,
-                       "bad port in watch URL: " + src);
-  }
-  auto body = drx::obs::http_get(host, static_cast<std::uint16_t>(port),
-                                 path);
-  if (!body.is_ok()) return body.status();
-  return drx::obs::MetricsSnapshot::deserialize(std::span(
-      reinterpret_cast<const std::byte*>(body.value().data()),
-      body.value().size()));
-}
-
-/// Polling mode: scrape, sleep, scrape, print the delta — repeat. One
-/// delta per interval, so `--count N` prints N deltas then exits (0 =
-/// until interrupted).
-int watch(const std::string& src, double interval_s, std::size_t count,
-          bool json) {
-  auto prev = load_source(src);
-  if (!prev.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", prev.status().to_string().c_str());
-    return 1;
-  }
-  std::size_t printed = 0;
-  while (count == 0 || printed < count) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(interval_s));
-    auto cur = load_source(src);
-    if (!cur.is_ok()) {
-      std::fprintf(stderr, "error: %s\n", cur.status().to_string().c_str());
-      return 1;
-    }
-    print_delta(prev.value(), cur.value(), "prev", "now", json);
-    std::fflush(stdout);
-    prev = std::move(cur);
-    ++printed;
   }
   return 0;
 }
@@ -394,8 +322,6 @@ void usage() {
   std::fprintf(stderr,
                "usage: drx_stats [--json] <snapshot>\n"
                "       drx_stats [--json] --diff <a> <b>\n"
-               "       drx_stats [--json] --watch <secs> [--count <n>] "
-               "<snapshot|http://ip:port>\n"
                "       drx_stats --check-json <file>\n"
                "       drx_stats --top <N> <trace.json|flight.json>\n");
 }
@@ -406,9 +332,7 @@ int main(int argc, char** argv) {
   bool json = false;
   bool check = false;
   bool do_diff = false;
-  std::size_t top_n = 0;
-  double watch_s = 0.0;
-  std::size_t watch_count = 0;
+  long top_n = 0;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
@@ -417,36 +341,14 @@ int main(int argc, char** argv) {
       check = true;
     } else if (std::strcmp(argv[i], "--diff") == 0) {
       do_diff = true;
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
-      if (i + 1 >= argc) {
-        usage();
-        return 2;
-      }
-      char* end = nullptr;
-      watch_s = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || watch_s <= 0.0) {
-        usage();
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--count") == 0) {
-      if (i + 1 >= argc) {
-        usage();
-        return 2;
-      }
-      char* end = nullptr;
-      watch_count = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        usage();
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--top") == 0) {
       if (i + 1 >= argc) {
         usage();
         return 2;
       }
       char* end = nullptr;
-      top_n = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || top_n == 0) {
+      top_n = std::strtol(argv[++i], &end, 10);
+      if (end == argv[i] || *end != '\0' || top_n <= 0) {
         usage();
         return 2;
       }
@@ -454,23 +356,12 @@ int main(int argc, char** argv) {
       paths.emplace_back(argv[i]);
     }
   }
-  if (watch_s > 0.0) {
-    if (paths.size() != 1 || check || do_diff || top_n != 0) {
-      usage();
-      return 2;
-    }
-    return watch(paths[0], watch_s, watch_count, json);
-  }
-  if (watch_count != 0) {
-    usage();  // --count is only meaningful with --watch
-    return 2;
-  }
   if (top_n != 0) {
     if (paths.size() != 1 || json || check || do_diff) {
       usage();
       return 2;
     }
-    return top_ops(paths[0], top_n);
+    return top_ops(paths[0], static_cast<std::size_t>(top_n));
   }
   if (do_diff) {
     if (paths.size() != 2 || check) {

@@ -2,9 +2,10 @@
 //
 // Polls the embedded metrics exporter (obs/exporter.hpp, enabled with
 // DRX_METRICS_PORT) and renders the sliding-window view: request rate
-// and windowed p50/p95/p99 per latency histogram, per-shard cache
-// traffic, the cache fast-hit ratio, queue depth, and per-session
-// progress — the operator's answer to "what is the array server doing
+// and windowed p50/p95/p99 per latency histogram, the rate of every
+// counter that moved in the window, per-shard cache traffic, the cache
+// fast-hit ratio, queue depth, and per-session progress — the
+// operator's answer to "what is the array server doing
 // RIGHT NOW", where drx_stats answers "what has it done since boot".
 //
 // Usage:
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -76,6 +78,15 @@ double gauge_value(const std::vector<GaugeRow>& rows, std::string_view name,
   return dflt;
 }
 
+/// Parses a whole decimal argument in [lo, hi]. strtoul would accept
+/// "-1" and wrap it to 2^64-1, and a bare strtol would take "9477x" as
+/// 9477.
+bool parse_long(const char* v, long lo, long hi, long& out) {
+  char* end = nullptr;
+  out = std::strtol(v, &end, 10);
+  return end != v && *end == '\0' && out >= lo && out <= hi;
+}
+
 /// One frame of output from a parsed /window.json (+ optional /json).
 void render(const JsonValue& window_doc, const JsonValue* live_doc,
             const std::string& source) {
@@ -120,6 +131,21 @@ void render(const JsonValue& window_doc, const JsonValue* live_doc,
                 static_cast<unsigned long long>(s.p95),
                 static_cast<unsigned long long>(s.p99),
                 static_cast<unsigned long long>(s.max));
+  }
+
+  // Every counter that moved within the window, as a rate.
+  bool counter_header = false;
+  for (const drx::obs::CounterSample& c : view.counters) {
+    if (c.value == 0) continue;
+    if (!counter_header) {
+      std::printf("%-32s %10s %10s\n", "counter (windowed)", "per s",
+                  "total");
+      counter_header = true;
+    }
+    const double rate =
+        span_s > 0.0 ? static_cast<double>(c.value) / span_s : 0.0;
+    std::printf("%-32s %10.1f %10llu\n", c.name.c_str(), rate,
+                static_cast<unsigned long long>(c.value));
   }
 
   // Per-shard cache traffic within the window.
@@ -282,7 +308,7 @@ int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   long port = -1;
   double interval_s = 2.0;
-  std::size_t count = 0;
+  long count = 0;
   bool no_clear = false;
   std::string render_path;
   std::string gauges_path;
@@ -297,10 +323,7 @@ int main(int argc, char** argv) {
       host = v;
     } else if (arg == "--port") {
       const char* v = next();
-      char* end = nullptr;
-      if (v == nullptr) { usage(); return 2; }
-      port = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || port < 0 || port > 65535) {
+      if (v == nullptr || !parse_long(v, 0, 65535, port)) {
         usage();
         return 2;
       }
@@ -315,10 +338,10 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--count") {
       const char* v = next();
-      char* end = nullptr;
-      if (v == nullptr) { usage(); return 2; }
-      count = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0') { usage(); return 2; }
+      if (v == nullptr || !parse_long(v, 0, LONG_MAX, count)) {
+        usage();
+        return 2;
+      }
     } else if (arg == "--no-clear") {
       no_clear = true;
     } else if (arg == "--render") {
@@ -338,10 +361,17 @@ int main(int argc, char** argv) {
     return render_offline(render_path, gauges_path);
   }
   if (port < 0) {
+    // The exporter rejects a malformed value and never starts, so
+    // polling it would only end in a connection error.
     const char* env = std::getenv("DRX_METRICS_PORT");
-    if (env != nullptr && env[0] != '\0') port = std::strtol(env, nullptr, 10);
+    if (env != nullptr && env[0] != '\0' &&
+        !parse_long(env, 0, 65535, port)) {
+      std::fprintf(stderr, "error: bad DRX_METRICS_PORT '%s'\n", env);
+      usage();
+      return 2;
+    }
   }
-  if (port <= 0 || port > 65535) {
+  if (port <= 0) {
     std::fprintf(stderr,
                  "error: no port (--port or DRX_METRICS_PORT required)\n");
     usage();
@@ -349,6 +379,6 @@ int main(int argc, char** argv) {
   }
   // Clear only when a human is watching; piped output stays appendable.
   const bool clear = !no_clear && ::isatty(STDOUT_FILENO) != 0;
-  return poll_loop(host, static_cast<std::uint16_t>(port), interval_s, count,
-                   clear);
+  return poll_loop(host, static_cast<std::uint16_t>(port), interval_s,
+                   static_cast<std::size_t>(count), clear);
 }
