@@ -541,7 +541,7 @@ MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+|static\s+)*"
     r"(?:std::vector<\s*(?:drx::)?util::(?:Shared)?Mutex\s*>"
     r"|(?:drx::)?util::(?:Shared)?Mutex)\s+(\w+)\s*;")
-OBS_SLOW_RE = re.compile(r"\b(?:detail::)?(profile_\w+_slow|push_span)\s*\(")
+OBS_SLOW_RE = re.compile(r"\b(?:detail::)?(push_span)\s*\(")
 AXIAL_EXTEND_RE = re.compile(r"\bmapping\s*\.\s*extend\s*\(")
 AXIAL_FILES = {"src/core/metadata.cpp", "src/core/metadata.hpp",
                "src/core/axial_mapping.cpp", "src/core/axial_mapping.hpp"}

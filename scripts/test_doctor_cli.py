@@ -47,8 +47,9 @@ class TestDoctorCli(unittest.TestCase):
         self.assertIn("usage", err)
 
     def test_unknown_flag_is_usage_error(self):
-        code, _, _ = run_doctor("--frobnicate")
-        self.assertEqual(code, 2)
+        for args in (["--frobnicate"], ["--profile", "profile.json"]):
+            code, _, _ = run_doctor(*args)
+            self.assertEqual(code, 2, args)
 
     def test_clean_trace_strict_exits_zero(self):
         trace = self._trace("clean.json", {

@@ -728,9 +728,6 @@ class TestDrxVerifyInvariants(unittest.TestCase):
             "src/a.hpp", "class C {\n  util::Mutex mu_;\n"
             "  int x DRX_GUARDED_BY(mu_);\n};\n",
             "unannotated-mutex-member", 0),
-        "profile_slow_path_outside_obs": (
-            "src/core/a.cpp", "detail::profile_chunk_slow(ev);\n",
-            "hot-path-obs-guard", 1),
         "push_span_inside_obs": (
             "src/obs/trace.hpp", "detail::push_span(n, c, t, 0, 0);\n",
             "hot-path-obs-guard", 0),

@@ -47,6 +47,9 @@ WINDOW = {
         "metrics": {
             "counters": {"core.cache.shard.0.accesses": 40,
                          "core.cache.shard.1.accesses": 25,
+                         # Not decimal indexes: no shard row for these.
+                         "core.cache.shard.-1.accesses": 7,
+                         "core.cache.shard. 3.accesses": 9,
                          "serve.requests": 60},
             "histograms": {
                 # 60 observations in bucket 10 (~512us).
@@ -154,7 +157,7 @@ class TestTopCli(unittest.TestCase):
                    if ln.startswith("serve.requests"))
         self.assertEqual(row.split()[1:], ["2.0", "60"])
         # Per-shard cache traffic, ordered by shard index.
-        self.assertIn("cache shards (windowed accesses): 0:40 1:25", out)
+        self.assertIn("cache shards (windowed accesses): 0:40 1:25\n", out)
 
     def test_render_skips_counters_that_did_not_move(self):
         window = copy.deepcopy(WINDOW)

@@ -9,7 +9,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 
@@ -582,7 +581,6 @@ restart:
   // hit or fault again, so counting earlier would count it twice.
   ++s.stats.misses;
   obs::registry().counter(kMisses).add();
-  obs::profile_chunk(obs::ChunkOp::kCacheMiss, address, 0);
   // An overwrite reads nothing, so it is no demand the sequential-scan
   // detector should follow.
   const std::uint64_t readahead_want =

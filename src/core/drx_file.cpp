@@ -11,7 +11,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 
@@ -426,7 +425,6 @@ Status DrxFile::read_chunk(std::uint64_t address, std::span<std::byte> out) {
   static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
   obs::registry().counter(kReads).add();
   obs::registry().counter(kBytes).add(out.size());
-  obs::profile_chunk(obs::ChunkOp::kRead, address, out.size());
   obs::ScopedSpan span("core.read_chunk", "core", out.size());
   obs::StageTimer io(obs::Stage::kIoService);
   return data_->read_at(checked_mul(address, meta_.chunk_bytes()), out);
@@ -458,7 +456,6 @@ Status DrxFile::write_chunk(std::uint64_t address,
   static const obs::MetricId kBytes = obs::counter_id("core.bytes_written");
   obs::registry().counter(kWrites).add();
   obs::registry().counter(kBytes).add(in.size());
-  obs::profile_chunk(obs::ChunkOp::kWrite, address, in.size());
   obs::ScopedSpan span("core.write_chunk", "core", in.size());
   sample_write_entropy(in);
   obs::StageTimer io(obs::Stage::kIoService);
@@ -509,7 +506,6 @@ Status DrxFile::write_chunk_encoded(std::uint64_t address,
   obs::registry().counter(kBytes).add(cb);  // logical bytes, as ever
   obs::registry().counter(kRaw).add(cb);
   obs::registry().counter(kStored).add(enc.bytes.size());
-  obs::profile_chunk(obs::ChunkOp::kWrite, address, cb);
   obs::ScopedSpan span("core.write_chunk", "core", enc.bytes.size());
 
   ChunkSlot& slot = meta_.chunk_table[address];
@@ -540,7 +536,6 @@ Result<DrxFile::EncodedChunk> DrxFile::read_chunk_stored(
   static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
   obs::registry().counter(kReads).add();
   obs::registry().counter(kBytes).add(cb);  // logical bytes, as ever
-  obs::profile_chunk(obs::ChunkOp::kRead, address, checked_size(cb));
   if (!compressed()) {
     scratch.resize(checked_size(cb));
     obs::ScopedSpan span("core.read_chunk", "core", scratch.size());
@@ -648,17 +643,6 @@ Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
   obs::registry().counter(kReads).add(n + carried);
   obs::registry().counter(kBatches).add();
   obs::registry().counter(kBytes).add(checked_mul(n + carried, cb));
-  if (obs::profile_enabled()) {
-    for (const std::uint64_t q : addresses) {
-      obs::profile_chunk(obs::ChunkOp::kRead, q, checked_size(cb));
-    }
-    for (std::size_t j = 0; j < passengers.size(); ++j) {
-      if (rides_in[j] != nullptr) {
-        obs::profile_chunk(obs::ChunkOp::kRead, passengers[j],
-                           checked_size(cb));
-      }
-    }
-  }
 
   // Each request copies only live bytes (Storage::read_gather), packed
   // back to back into `scratch`.

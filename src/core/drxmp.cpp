@@ -11,7 +11,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 
@@ -20,6 +19,15 @@ namespace drx::core {
 namespace {
 std::string meta_name(const std::string& name) { return name + ".xmd"; }
 std::string data_name(const std::string& name) { return name + ".xta"; }
+
+/// Per-rank zone traffic, core.zone.rank.<r>.{calls,bytes}: the inputs of
+/// the rank-imbalance detector. `calls` keeps a rank that moved nothing
+/// in the registry folds, which drop zero-valued counters.
+void count_zone_transfer(int rank, std::uint64_t bytes) {
+  const std::string prefix = "core.zone.rank." + std::to_string(rank);
+  obs::registry().counter(obs::counter_id(prefix + ".calls")).add();
+  obs::registry().counter(obs::counter_id(prefix + ".bytes")).add(bytes);
+}
 
 /// Chunks per pipelined zone-read round; 0 = one round covering the
 /// largest zone, read inline (no I/O worker to overlap with).
@@ -190,6 +198,7 @@ Status DrxMpFile::transfer_chunks(std::span<const Index> chunks,
   const std::size_t n = chunks.size();
   obs::ScopedSpan span(writing ? "core.write_chunks" : "core.read_chunks",
                        "core", checked_mul(n, cb));
+  count_zone_transfer(comm_->rank(), checked_mul(n, cb));
 
   // Sort by linear address: the file view must be monotonic, and ascending
   // address order is what makes zone I/O a near-sequential disk scan
@@ -197,15 +206,6 @@ Status DrxMpFile::transfer_chunks(std::span<const Index> chunks,
   std::vector<std::uint64_t> addresses(n);
   for (std::size_t i = 0; i < n; ++i) {
     addresses[i] = meta_.mapping.address_of(chunks[i]);
-  }
-  if (obs::profile_enabled()) {
-    // Heatmap layer: every chunk this rank's zone transfer touches,
-    // attributed to the calling rank (the zone owner).
-    const obs::ChunkOp op =
-        writing ? obs::ChunkOp::kWrite : obs::ChunkOp::kRead;
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::profile_chunk(op, addresses[i], cb);
-    }
   }
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -245,17 +245,13 @@ Status DrxMpFile::transfer_chunks_compressed(std::span<const Index> chunks,
   const std::uint64_t cb = chunk_bytes();
   const std::size_t n = chunks.size();
   obs::ScopedSpan span("core.read_chunks", "core", checked_mul(n, cb));
+  count_zone_transfer(comm_->rank(), checked_mul(n, cb));
 
   std::vector<std::uint64_t> addresses(n);
   for (std::size_t i = 0; i < n; ++i) {
     addresses[i] = meta_.mapping.address_of(chunks[i]);
     if (addresses[i] >= meta_.chunk_table.size()) {
       return Status(ErrorCode::kOutOfRange, "chunk address out of range");
-    }
-  }
-  if (obs::profile_enabled()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::profile_chunk(obs::ChunkOp::kRead, addresses[i], cb);
     }
   }
 

@@ -8,7 +8,6 @@
 #include "io/async_pool.hpp"
 #include "io/config.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/checked.hpp"
 
@@ -496,12 +495,8 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
       }
     }
 
-    // Aggregator attribution must be captured here: fan-out pool threads
-    // run outside this rank's RankScope.
-    const int agg_rank = obs::current_rank();
-    const auto do_run = [&, agg_rank](const Run& run) -> Status {
+    const auto do_run = [&](const Run& run) -> Status {
       const std::size_t server = frags[run.begin].server;
-      obs::profile_aggregator(agg_rank, 1, run.end_local - run.local);
       std::vector<std::byte> staging(checked_size(run.end_local - run.local));
       if (writing) {
         // Assemble then write. Exact-adjacency coalescing means every byte

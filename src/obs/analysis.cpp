@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
 #include <string_view>
 
 #include "obs/json.hpp"
@@ -101,6 +101,7 @@ ImbalanceStat imbalance(std::span<const double> values,
     if (values[i] > values[imax]) imax = i;
   }
   s.max = values[imax];
+  s.total = sum;
   s.mean = sum / static_cast<double>(values.size());
   s.ratio = s.mean > 0.0 ? s.max / s.mean : 1.0;
   s.argmax = ids.size() == values.size() ? ids[imax]
@@ -108,23 +109,19 @@ ImbalanceStat imbalance(std::span<const double> values,
   return s;
 }
 
-namespace {
-
-/// Reduces a profile table to a per-id load vector, then to an
-/// ImbalanceStat. `include` filters entries (e.g. drop host rank -1);
-/// `seed_ids` pre-seeds entities at zero load so participants that
-/// recorded no traffic still weigh the distribution down.
-template <typename Cell, typename IdFn, typename LoadFn, typename Pred>
-ImbalanceStat reduce_imbalance(const std::vector<Cell>& cells,
-                               std::span<const int> seed_ids, IdFn id_of,
-                               LoadFn load_of, Pred include) {
+ImbalanceStat label_imbalance(const MetricsSnapshot& snap,
+                              std::string_view family,
+                              std::string_view metric,
+                              std::string_view presence) {
   std::map<int, double> load;
-  for (int id : seed_ids) {
-    if (id >= 0) load[id] = 0.0;
-  }
-  for (const Cell& c : cells) {
-    if (!include(c)) continue;
-    load[id_of(c)] += load_of(c);
+  for (const CounterSample& c : snap.counters) {
+    const std::optional<LabelledName> l = parse_labelled(c.name);
+    if (!l || l->family != family) continue;
+    if (l->metric == metric) {
+      load[l->index] += static_cast<double>(c.value);
+    } else if (l->metric == presence) {
+      load.try_emplace(l->index, 0.0);
+    }
   }
   std::vector<double> values;
   std::vector<int> ids;
@@ -135,48 +132,6 @@ ImbalanceStat reduce_imbalance(const std::vector<Cell>& cells,
     values.push_back(v);
   }
   return imbalance(values, ids);
-}
-
-}  // namespace
-
-ImbalanceStat rank_chunk_imbalance(const ProfileSnapshot& p) {
-  return reduce_imbalance(
-      p.chunk, p.ranks, [](const ChunkCell& c) { return c.rank; },
-      [](const ChunkCell& c) { return static_cast<double>(c.bytes); },
-      [](const ChunkCell& c) { return c.rank >= 0; });
-}
-
-ImbalanceStat pfs_server_imbalance(const ProfileSnapshot& p) {
-  return reduce_imbalance(
-      p.pfs, {}, [](const PfsCell& c) { return static_cast<int>(c.server); },
-      [](const PfsCell& c) { return static_cast<double>(c.bytes); },
-      [](const PfsCell&) { return true; });
-}
-
-void analyze_profile(const ProfileSnapshot& p, std::vector<Finding>& out) {
-  // Imbalance findings are emitted even when balanced (severity info):
-  // comparing a BLOCK run against a BLOCK_CYCLIC run needs both scores.
-  if (const ImbalanceStat s = rank_chunk_imbalance(p); s.n >= 2) {
-    Finding f;
-    f.id = "rank-imbalance";
-    f.severity = severity_for_ratio(s.ratio);
-    f.score = s.ratio;
-    f.message = format(
-        "rank %d does %.1fx mean chunk-traffic bytes "
-        "(max %.0f vs mean %.0f over %zu ranks)",
-        s.argmax, s.ratio, s.max, s.mean, s.n);
-    if (f.severity != Severity::kInfo) {
-      f.message += " - zone split is skewed; consider a BLOCK_CYCLIC "
-                   "distribution";
-    }
-    out.push_back(std::move(f));
-  }
-  if (const ImbalanceStat s = pfs_server_imbalance(p); s.n >= 2) {
-    out.push_back(Finding{
-        "pfs-hot-server", severity_for_ratio(s.ratio), s.ratio,
-        format("pfs server %d serves %.1fx mean bytes - striping imbalance",
-               s.argmax, s.ratio)});
-  }
 }
 
 void analyze_metrics(const MetricsSnapshot& snap, std::vector<Finding>& out) {
@@ -280,40 +235,48 @@ void analyze_metrics(const MetricsSnapshot& snap, std::vector<Finding>& out) {
     }
   }
 
+  // Zone balance (the paper's BLOCK vs BLOCK_CYCLIC partitioning):
+  // DrxMpFile's zone transfers bump core.zone.rank.<r>.bytes. Emitted
+  // even when balanced (severity info): comparing a BLOCK run against a
+  // BLOCK_CYCLIC run needs both scores.
+  if (const ImbalanceStat s =
+          label_imbalance(snap, "core.zone.rank", "bytes", "calls");
+      s.n >= 2) {
+    Finding f;
+    f.id = "rank-imbalance";
+    f.severity = severity_for_ratio(s.ratio);
+    f.score = s.ratio;
+    f.message = format(
+        "rank %d does %.1fx mean chunk-traffic bytes "
+        "(max %.0f vs mean %.0f over %zu ranks)",
+        s.argmax, s.ratio, s.max, s.mean, s.n);
+    if (f.severity != Severity::kInfo) {
+      f.message += " - zone split is skewed; consider a BLOCK_CYCLIC "
+                   "distribution";
+    }
+    out.push_back(std::move(f));
+  }
+  if (const ImbalanceStat s = label_imbalance(snap, "pfs.server", "bytes");
+      s.n >= 2) {
+    out.push_back(Finding{
+        "pfs-hot-server", severity_for_ratio(s.ratio), s.ratio,
+        format("pfs server %d serves %.1fx mean bytes - striping imbalance",
+               s.argmax, s.ratio)});
+  }
+
   // Shard hash health (docs/SERVING.md): the sharded ChunkCache exports
   // core.cache.shard.<i>.accesses. A hot shard means the chunk-id hash is
   // clustering (or the workload genuinely hammers one region) and the
   // per-shard locks degrade back toward a single global lock.
-  {
-    std::vector<double> shard_load;
-    std::vector<int> shard_ids;
-    double shard_total = 0.0;
-    for (const CounterSample& c : snap.counters) {
-      constexpr std::string_view kPrefix = "core.cache.shard.";
-      constexpr std::string_view kSuffix = ".accesses";
-      if (c.name.size() <= kPrefix.size() + kSuffix.size()) continue;
-      if (c.name.compare(0, kPrefix.size(), kPrefix) != 0) continue;
-      if (c.name.compare(c.name.size() - kSuffix.size(), kSuffix.size(),
-                         kSuffix) != 0) {
-        continue;
-      }
-      const std::string idx = c.name.substr(
-          kPrefix.size(), c.name.size() - kPrefix.size() - kSuffix.size());
-      shard_ids.push_back(std::atoi(idx.c_str()));
-      shard_load.push_back(static_cast<double>(c.value));
-      shard_total += static_cast<double>(c.value);
-    }
-    if (shard_load.size() >= 2 && shard_total >= 1024.0) {
-      const ImbalanceStat s = imbalance(shard_load, shard_ids);
-      if (s.ratio >= kWarnRatio) {
-        out.push_back(Finding{
-            "cache-shard-imbalance", severity_for_ratio(s.ratio), s.ratio,
-            format("cache shard %d takes %.1fx the mean access load "
-                   "(max %.0f vs mean %.0f over %zu shards) - per-shard "
-                   "locking degrades toward a single lock",
-                   s.argmax, s.ratio, s.max, s.mean, s.n)});
-      }
-    }
+  if (const ImbalanceStat s =
+          label_imbalance(snap, "core.cache.shard", "accesses");
+      s.n >= 2 && s.total >= 1024.0 && s.ratio >= kWarnRatio) {
+    out.push_back(Finding{
+        "cache-shard-imbalance", severity_for_ratio(s.ratio), s.ratio,
+        format("cache shard %d takes %.1fx the mean access load "
+               "(max %.0f vs mean %.0f over %zu shards) - per-shard "
+               "locking degrades toward a single lock",
+               s.argmax, s.ratio, s.max, s.mean, s.n)});
   }
 
   // Serving fairness (docs/SERVING.md): ~Server publishes the min/max

@@ -1,11 +1,11 @@
 // Pure analysis functions over observability artifacts: metrics
-// snapshots, access-profile heatmaps (obs/profile.hpp), trace JSON, and
-// sampled time series. Each detector appends Findings; drx_doctor is a
-// thin CLI over this header, and tests drive the detectors directly on
-// synthetic inputs.
+// snapshots, trace JSON, flight dumps and sampled time series. Each
+// detector appends Findings; drx_doctor is a thin CLI over this header,
+// and tests drive the detectors directly on synthetic inputs.
 //
 // The detectors encode the paper's performance story: balanced zone
-// partitions (rank imbalance), even striping (hot pfs servers; two-phase
+// partitions (rank imbalance, from the core.zone.rank.<r>.* counters),
+// even striping (hot pfs servers, from pfs.server.<i>.bytes; two-phase
 // aggregators own whole servers, so this also covers aggregator skew), and
 // a cache/read-ahead pipeline that overlaps instead of thrashing.
 #pragma once
@@ -18,7 +18,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
-#include "obs/profile.hpp"
 #include "util/error.hpp"
 
 namespace drx::obs {
@@ -62,6 +61,7 @@ struct ImbalanceStat {
   std::size_t n = 0;
   double max = 0.0;
   double mean = 0.0;
+  double total = 0.0;
   double ratio = 1.0;  ///< max/mean; 1.0 = perfectly balanced
   int argmax = -1;
 };
@@ -69,28 +69,29 @@ struct ImbalanceStat {
 [[nodiscard]] ImbalanceStat imbalance(std::span<const double> values,
                                       std::span<const int> ids = {});
 
+/// Skew across one label family of a snapshot (obs::parse_labelled): the
+/// load of index i is counter `<family>.<i>.<metric>`. An index that only
+/// carries `<family>.<i>.<presence>` counts as zero load: a zone rank
+/// that took part but moved nothing IS the skew. Names whose index is not
+/// decimal (the host's core.zone.rank.-1.bytes, ...) are skipped.
+[[nodiscard]] ImbalanceStat label_imbalance(const MetricsSnapshot& snap,
+                                            std::string_view family,
+                                            std::string_view metric,
+                                            std::string_view presence = {});
+
 /// Imbalance thresholds shared by all skew detectors.
 inline constexpr double kWarnRatio = 1.5;
 inline constexpr double kErrorRatio = 4.0;
 
-// ---- profile detectors ----------------------------------------------------
-
-/// Per-rank chunk-traffic bytes (heatmap rows summed; host rank -1
-/// excluded — it is not a zone owner). Ranks in p.ranks that recorded no
-/// traffic count as zero load: an idle participant IS the skew.
-[[nodiscard]] ImbalanceStat rank_chunk_imbalance(const ProfileSnapshot& p);
-
-/// Per-server pfs bytes (hot server / striping imbalance).
-[[nodiscard]] ImbalanceStat pfs_server_imbalance(const ProfileSnapshot& p);
-
-/// Runs every profile detector. Imbalance findings are always emitted
-/// (info when balanced) so balanced and skewed runs are comparable.
-void analyze_profile(const ProfileSnapshot& p, std::vector<Finding>& out);
-
 // ---- metrics detectors ----------------------------------------------------
 
-/// Cache thrash, prefetch effectiveness (issued vs useful vs wasted), and
-/// dropped trace events, from plain counters.
+/// Cache thrash, prefetch effectiveness (issued vs useful vs wasted),
+/// dropped trace events, and the label-family skews: rank-imbalance
+/// (core.zone.rank.<r>.bytes, participants by .calls), pfs-hot-server
+/// (pfs.server.<i>.bytes) and cache-shard-imbalance
+/// (core.cache.shard.<i>.accesses). The first two are always emitted when
+/// two or more ranks/servers are present (info when balanced), so
+/// balanced and skewed runs are comparable.
 void analyze_metrics(const MetricsSnapshot& snap, std::vector<Finding>& out);
 
 /// Rebuilds a (counter + histogram count/sum) snapshot from the JSON

@@ -111,36 +111,22 @@ std::string render_labels(
   return out;
 }
 
-/// Splits bounded-cardinality structure labels out of a counter name:
-/// core.cache.shard.<i>.accesses -> (core.cache.shard.accesses,
-/// shard="i"). Everything else passes through unlabeled.
+/// Splits bounded-cardinality structure labels out of a counter name
+/// (obs::parse_labelled): core.cache.shard.<i>.accesses ->
+/// (core.cache.shard.accesses, shard="i"), and likewise pfs.server.<i>.*
+/// and core.zone.rank.<r>.*. Everything else passes through unlabeled.
 struct LabeledName {
   std::string name;
   std::vector<std::pair<std::string, std::string>> labels;
 };
 
 LabeledName split_labels(const std::string& name) {
-  static constexpr std::string_view kShardPrefix = "core.cache.shard.";
-  if (name.size() > kShardPrefix.size() &&
-      name.compare(0, kShardPrefix.size(), kShardPrefix) == 0) {
-    const std::size_t dot = name.find('.', kShardPrefix.size());
-    if (dot != std::string::npos) {
-      const std::string index = name.substr(kShardPrefix.size(),
-                                            dot - kShardPrefix.size());
-      const bool numeric =
-          !index.empty() &&
-          std::all_of(index.begin(), index.end(),
-                      [](char c) { return c >= '0' && c <= '9'; });
-      if (numeric) {
-        LabeledName out;
-        out.name = std::string(kShardPrefix.substr(0, kShardPrefix.size() - 1))
-                   + name.substr(dot);
-        out.labels.emplace_back("shard", index);
-        return out;
-      }
-    }
-  }
-  return LabeledName{name, {}};
+  const std::optional<LabelledName> l = parse_labelled(name);
+  if (!l) return LabeledName{name, {}};
+  LabeledName out;
+  out.name = std::string(l->family) + "." + std::string(l->metric);
+  out.labels.emplace_back(std::string(l->label), std::to_string(l->index));
+  return out;
 }
 
 std::string format_double(double v) {
@@ -155,7 +141,7 @@ std::string format_double(double v) {
 }
 
 /// Samples accumulated per metric family. Label-split counters
-/// (core.cache.shard.<i>.*) and per-session gauges arrive interleaved
+/// (split_labels) and per-session gauges arrive interleaved
 /// across label sets; the exposition format requires one TYPE line per
 /// family with all its samples contiguous, so rendering buffers
 /// family -> body and emits grouped.
@@ -404,8 +390,8 @@ std::string render_prometheus() {
 
   // Counters stay cumulative — that is the Prometheus contract for the
   // counter type; scrapers window them with rate(). Label-split families
-  // (per-shard counters) interleave in the sorted snapshot, so samples
-  // are grouped per family before emission.
+  // (per-shard, per-server, per-rank counters) interleave in the sorted
+  // snapshot, so samples are grouped per family before emission.
   std::map<std::string, std::string> counter_families;
   for (const CounterSample& c : cumulative.counters) {
     LabeledName ln = split_labels(c.name);

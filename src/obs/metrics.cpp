@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -9,7 +10,6 @@
 #include <unordered_map>
 
 #include "obs/json.hpp"
-#include "obs/profile.hpp"
 #include "obs/window.hpp"
 #include "util/logging.hpp"
 #include "util/serde.hpp"
@@ -392,9 +392,6 @@ RankScope::RankScope(int rank)
   tls_registry = &registry_;
   tls_rank = rank;
   register_live(&registry_);
-  // Idle ranks must still appear in access profiles: zero traffic from a
-  // participant is the signal the imbalance detectors exist to catch.
-  profile_rank(rank);
 }
 
 RankScope::~RankScope() {
@@ -453,6 +450,31 @@ HistogramSummary summarize_histogram(const HistogramSample& h) {
     }
   }
   return s;
+}
+
+std::optional<LabelledName> parse_labelled(std::string_view name) {
+  static constexpr LabelledName kFamilies[] = {
+      {"core.cache.shard", "shard", 0, {}},
+      {"pfs.server", "server", 0, {}},
+      {"core.zone.rank", "rank", 0, {}},
+  };
+  for (const LabelledName& f : kFamilies) {
+    if (name.size() <= f.family.size() || !name.starts_with(f.family) ||
+        name[f.family.size()] != '.') {
+      continue;
+    }
+    const std::string_view rest = name.substr(f.family.size() + 1);
+    const std::size_t dot = rest.find('.');
+    if (dot == std::string_view::npos || dot + 1 == rest.size()) break;
+    // from_chars takes a leading '-', so the first digit is checked here.
+    if (rest[0] < '0' || rest[0] > '9') break;
+    int index = 0;
+    const auto [end, ec] =
+        std::from_chars(rest.data(), rest.data() + dot, index);
+    if (ec != std::errc() || end != rest.data() + dot) break;
+    return LabelledName{f.family, f.label, index, rest.substr(dot + 1)};
+  }
+  return std::nullopt;
 }
 
 std::string metrics_to_text(const MetricsSnapshot& snap) {

@@ -16,13 +16,15 @@
 //    reduce all rank registries to rank 0).
 //
 // Naming scheme: `<layer>.<object>.<metric>` with layers `core`, `mpio`,
-// `simpi`, `pfs` (see docs/OBSERVABILITY.md).
+// `simpi`, `pfs` (see docs/OBSERVABILITY.md). Per-structure breakdowns
+// are labelled counters, `<family>.<index>.<metric>` (parse_labelled).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -182,7 +184,9 @@ int current_rank() noexcept;
 
 /// Installs a per-rank registry + rank id on the current thread for the
 /// scope's lifetime; folds the registry into the enclosing one (normally
-/// the process registry) on destruction.
+/// the process registry) on destruction. The fold skips zero-valued
+/// counters, so a rank that must stay visible after it (a zone rank that
+/// moved no bytes) bumps a counter of its own: core.zone.rank.<r>.calls.
 class RankScope {
  public:
   explicit RankScope(int rank);
@@ -235,9 +239,30 @@ struct HistogramSummary {
 [[nodiscard]] std::uint64_t histogram_bucket_upper_bound(
     std::size_t i) noexcept;
 
+// ---- labelled counter names -----------------------------------------------
+
+/// A counter name `<family>.<index>.<metric>` of one of the bounded-
+/// cardinality label families: core.cache.shard (label `shard`),
+/// pfs.server (`server`) and core.zone.rank (`rank`). E.g.
+/// core.cache.shard.3.accesses is (core.cache.shard, shard, 3, accesses).
+/// `metric` points into the parsed name.
+struct LabelledName {
+  std::string_view family;
+  std::string_view label;
+  int index = 0;
+  std::string_view metric;
+};
+
+/// The one parser of labelled names (the /metrics exposition, drx_top and
+/// the skew detectors). The index must be a non-empty run of decimal
+/// digits that fits an int — no sign, no blanks — and the metric must be
+/// non-empty; anything else, and any other family, is nullopt.
+[[nodiscard]] std::optional<LabelledName> parse_labelled(
+    std::string_view name);
+
 // ---- rendering & cross-run plumbing ---------------------------------------
 
-/// Fixed-width text table of a snapshot (drx_stats, drx_inspect --stats).
+/// Fixed-width text table of a snapshot (drx_stats).
 [[nodiscard]] std::string metrics_to_text(const MetricsSnapshot& snap);
 
 /// Emits the snapshot as one JSON object {"counters":{...},

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/checked.hpp"
 
@@ -16,8 +16,15 @@ namespace drx::pfs {
 /// structs (the static contract lives in the access pattern below: every
 /// datafiles[s] touch holds servers[s]->mu).
 struct Pfs::Server {
+  explicit Server(int index)
+      : bytes(obs::counter_id("pfs.server." + std::to_string(index) +
+                              ".bytes")) {}
+
   // drx-verify: allow(unannotated-mutex-member) guards fields of another struct
   util::Mutex mu;
+  /// pfs.server.<i>.bytes: bytes read or written on this server (the
+  /// pfs-hot-server detector's input).
+  const obs::MetricId bytes;
 };
 
 /// Striped file state: one datafile (BlockDevice) per server, plus the
@@ -65,8 +72,7 @@ struct FileHandle::State {
   /// nothing.
   [[nodiscard]] Status read_datafile(std::size_t server, std::uint64_t local,
                                      std::span<std::byte> out) {
-    obs::profile_pfs(/*write=*/false, static_cast<std::uint32_t>(server),
-                     out.size());
+    obs::registry().counter(servers[server]->bytes).add(out.size());
     obs::ScopedSpan seg_span("pfs.server_read", "pfs", out.size());
     util::MutexLock lock(servers[server]->mu);
     BlockDevice& device = *datafiles[server];
@@ -79,8 +85,7 @@ struct FileHandle::State {
   /// as zeros.
   [[nodiscard]] Status write_datafile(std::size_t server, std::uint64_t local,
                                       std::span<const std::byte> data) {
-    obs::profile_pfs(/*write=*/true, static_cast<std::uint32_t>(server),
-                     data.size());
+    obs::registry().counter(servers[server]->bytes).add(data.size());
     obs::ScopedSpan seg_span("pfs.server_write", "pfs", data.size());
     util::MutexLock lock(servers[server]->mu);
     return datafiles[server]->write(local, data);
@@ -248,7 +253,7 @@ Pfs::Pfs(PfsConfig config) : config_(config) {
   DRX_CHECK(config_.stripe_size >= 1);
   servers_.reserve(static_cast<std::size_t>(config_.num_servers));
   for (int i = 0; i < config_.num_servers; ++i) {
-    servers_.push_back(std::make_unique<Server>());
+    servers_.push_back(std::make_unique<Server>(i));
   }
 }
 

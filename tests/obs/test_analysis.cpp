@@ -1,5 +1,5 @@
 // Detector unit tests (obs/analysis.hpp) on synthetic inputs: imbalance
-// math, profile/metrics/trace/window-series detectors, and report
+// math, label-family skew/metrics/trace/window-series detectors, and report
 // rendering.
 #include "obs/analysis.hpp"
 
@@ -10,7 +10,6 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 
 namespace drx::obs::analysis {
 namespace {
@@ -43,28 +42,44 @@ TEST(Imbalance, MathAndArgmax) {
   EXPECT_DOUBLE_EQ(imbalance(zeros).ratio, 1.0);  // no load = balanced
 }
 
-ProfileSnapshot skewed_profile() {
-  // Rank 0 moves 4x the chunk bytes of each of ranks 1..3; host rank -1
-  // must be excluded from the reduction.
-  ProfileSnapshot p;
-  p.chunk.push_back(ChunkCell{0, 0, 4, 0, 0, 4000});
-  p.chunk.push_back(ChunkCell{0, 1, 4, 0, 0, 4000});
-  p.chunk.push_back(ChunkCell{1, 2, 1, 0, 0, 2000});
-  p.chunk.push_back(ChunkCell{2, 3, 1, 0, 0, 2000});
-  p.chunk.push_back(ChunkCell{3, 4, 1, 0, 0, 2000});
-  p.chunk.push_back(ChunkCell{-1, 5, 9, 9, 9, 999999});
-  p.pfs.push_back(PfsCell{0, 0, 10, 0, 9000});
-  p.pfs.push_back(PfsCell{1, 1, 10, 0, 1000});
-  p.pfs.push_back(PfsCell{2, 1, 10, 0, 1000});
-  p.pfs.push_back(PfsCell{3, 0, 10, 0, 1000});
-  p.aggregator.push_back(AggCell{0, 4, 8000});
-  p.aggregator.push_back(AggCell{1, 4, 1000});
-  return p;
+/// Zone traffic as DrxMpFile records it: core.zone.rank.<r>.calls and
+/// .bytes per rank, given as (rank, calls, bytes).
+struct ZoneCell {
+  int rank;
+  std::uint64_t calls;
+  std::uint64_t bytes;
+};
+
+MetricsSnapshot zone_counters(const std::vector<ZoneCell>& cells) {
+  MetricsSnapshot snap;
+  for (const ZoneCell& c : cells) {
+    const std::string prefix = "core.zone.rank." + std::to_string(c.rank);
+    snap.counters.push_back(CounterSample{prefix + ".calls", c.calls});
+    if (c.bytes != 0) {
+      snap.counters.push_back(CounterSample{prefix + ".bytes", c.bytes});
+    }
+  }
+  return snap;
+}
+
+ImbalanceStat rank_imbalance(const MetricsSnapshot& snap) {
+  return label_imbalance(snap, "core.zone.rank", "bytes", "calls");
+}
+
+MetricsSnapshot skewed_counters() {
+  // Rank 0 moves 4x the zone bytes of each of ranks 1..3; a host name
+  // (rank -1) must be excluded from the reduction.
+  MetricsSnapshot snap = zone_counters(
+      {{0, 2, 8000}, {1, 1, 2000}, {2, 1, 2000}, {3, 1, 2000},
+       {-1, 27, 999999}});
+  snap.counters.push_back(CounterSample{"pfs.server.0.bytes", 10000});
+  snap.counters.push_back(CounterSample{"pfs.server.1.bytes", 2000});
+  return snap;
 }
 
 TEST(ProfileDetectors, RankChunkImbalanceExcludesHost) {
-  const ImbalanceStat s = rank_chunk_imbalance(skewed_profile());
-  EXPECT_EQ(s.n, 4u);  // ranks 0..3; the -1 host cell is ignored
+  const ImbalanceStat s = rank_imbalance(skewed_counters());
+  EXPECT_EQ(s.n, 4u);  // ranks 0..3; the -1 host names are skipped
   EXPECT_EQ(s.argmax, 0);
   EXPECT_DOUBLE_EQ(s.max, 8000.0);
   EXPECT_DOUBLE_EQ(s.mean, 3500.0);
@@ -73,7 +88,7 @@ TEST(ProfileDetectors, RankChunkImbalanceExcludesHost) {
 
 TEST(ProfileDetectors, AnalyzeProfileFlagsSkewAndSuggestsCyclic) {
   std::vector<Finding> fs;
-  analyze_profile(skewed_profile(), fs);
+  analyze_metrics(skewed_counters(), fs);
 
   const Finding* rank = find_by_id(fs, "rank-imbalance");
   ASSERT_NE(rank, nullptr);
@@ -87,13 +102,10 @@ TEST(ProfileDetectors, AnalyzeProfileFlagsSkewAndSuggestsCyclic) {
 }
 
 TEST(ProfileDetectors, BalancedProfileStaysInfo) {
-  ProfileSnapshot p;
-  for (int r = 0; r < 4; ++r) {
-    p.chunk.push_back(ChunkCell{r, static_cast<std::uint64_t>(r), 1, 1, 0,
-                                1000});
-  }
   std::vector<Finding> fs;
-  analyze_profile(p, fs);
+  analyze_metrics(
+      zone_counters({{0, 1, 1000}, {1, 1, 1000}, {2, 1, 1000}, {3, 1, 1000}}),
+      fs);
   const Finding* rank = find_by_id(fs, "rank-imbalance");
   ASSERT_NE(rank, nullptr);  // still emitted, for run-to-run comparison
   EXPECT_EQ(rank->severity, Severity::kInfo);
@@ -102,23 +114,18 @@ TEST(ProfileDetectors, BalancedProfileStaysInfo) {
 }
 
 TEST(ProfileDetectors, IdleParticipantsCountAsZeroLoad) {
-  // Ranks 2 and 3 participated (RankScope) but moved no chunks: the
+  // Ranks 2 and 3 took part (a zone call each) but moved no chunks: the
   // imbalance must be computed over all four ranks, not the busy two.
-  ProfileSnapshot p;
-  p.ranks = {0, 1, 2, 3};
-  p.chunk.push_back(ChunkCell{0, 0, 0, 4, 0, 1000});
-  p.chunk.push_back(ChunkCell{1, 1, 0, 4, 0, 1000});
-  const ImbalanceStat s = rank_chunk_imbalance(p);
+  const ImbalanceStat s = rank_imbalance(
+      zone_counters({{0, 1, 1000}, {1, 1, 1000}, {2, 1, 0}, {3, 1, 0}}));
   EXPECT_EQ(s.n, 4u);
   EXPECT_DOUBLE_EQ(s.mean, 500.0);
   EXPECT_DOUBLE_EQ(s.ratio, 2.0);
 }
 
 TEST(ProfileDetectors, SingleRankEmitsNothing) {
-  ProfileSnapshot p;
-  p.chunk.push_back(ChunkCell{0, 0, 1, 0, 0, 100});
   std::vector<Finding> fs;
-  analyze_profile(p, fs);
+  analyze_metrics(zone_counters({{0, 1, 100}}), fs);
   EXPECT_TRUE(fs.empty());  // n < 2: imbalance is meaningless
 }
 
@@ -558,14 +565,23 @@ MetricsSnapshot shard_counters(const std::vector<std::uint64_t>& accesses) {
 }
 
 TEST(MetricsDetectors, CacheShardImbalanceFlagsAHotShard) {
-  // Shard 2 takes 4x the mean: error-grade skew.
+  // Shard 2 takes 4x the mean: error-grade skew. Names whose index is not
+  // decimal are no shard at all, however loud (a snapshot read from a
+  // file may carry anything).
+  MetricsSnapshot snap =
+      shard_counters({100, 100, 1400, 100, 100, 100, 100, 100});
+  for (const char* name :
+       {"core.cache.shard.x.accesses", "core.cache.shard.-1.accesses",
+        "core.cache.shard. 3.accesses", "core.cache.shard..accesses"}) {
+    snap.counters.push_back(CounterSample{name, 100000});
+  }
   std::vector<Finding> fs;
-  analyze_metrics(shard_counters({100, 100, 1400, 100, 100, 100, 100, 100}),
-                  fs);
+  analyze_metrics(snap, fs);
   const Finding* f = find_by_id(fs, "cache-shard-imbalance");
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->severity, Severity::kError);
   EXPECT_NE(f->message.find("shard 2"), std::string::npos);
+  EXPECT_NE(f->message.find("over 8 shards"), std::string::npos);
 
   // Mild skew (2x the mean) warns.
   fs.clear();

@@ -1,7 +1,9 @@
 // End-to-end doctor acceptance test: a 4-rank run with a hot region under
 // a BLOCK zone split must be flagged as rank-imbalanced (with the
 // BLOCK_CYCLIC suggestion), the same workload under BLOCK_CYCLIC must
-// score materially lower, and the doctor JSON report must validate.
+// score materially lower, and the doctor JSON report must validate. The
+// detectors read the per-rank zone and per-server pfs counters of the
+// metrics registry, so these runs also pin where those counters land.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,7 +14,7 @@
 #include "core/zone.hpp"
 #include "obs/analysis.hpp"
 #include "obs/json.hpp"
-#include "obs/profile.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/pfs.hpp"
 #include "simpi/runtime.hpp"
 
@@ -35,10 +37,10 @@ const Finding* find_by_id(const std::vector<Finding>& fs,
 /// Runs a 4-rank job against a fresh array (elements {64,16}, chunks
 /// {8,8} -> an 8x2 chunk grid) where only the "hot" half of the grid
 /// (chunk rows 0..3) is written: each rank writes the hot chunks that
-/// `dist` assigns to it. Returns the access-profile heatmap of the run.
-ProfileSnapshot run_hot_half_workload(const std::string& name,
+/// `dist` assigns to it. Returns the metrics the run added.
+MetricsSnapshot run_hot_half_workload(const std::string& name,
                                       const core::Distribution& dist) {
-  clear_profile();
+  const MetricsSnapshot before = process_registry().snapshot();
   pfs::PfsConfig cfg;
   pfs::Pfs fs(cfg);
   simpi::run(kRanks, [&](simpi::Comm& comm) {
@@ -59,56 +61,38 @@ ProfileSnapshot run_hot_half_workload(const std::string& name,
         file.write_chunks(mine, staging, /*collective=*/true).is_ok());
     ASSERT_TRUE(file.close().is_ok());
   });
-  ProfileSnapshot snap = profile_snapshot();
-  clear_profile();
-  return snap;
+  return snapshot_delta(process_registry().snapshot(), before);
 }
 
-class DoctorFixture : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "drx_doctor_test_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".json";
-    clear_profile();
-    set_profile_path(path_);
-  }
-  void TearDown() override {
-    set_profile_path("");
-    clear_profile();
-    std::remove(path_.c_str());
-  }
+analysis::ImbalanceStat rank_imbalance(const MetricsSnapshot& snap) {
+  return analysis::label_imbalance(snap, "core.zone.rank", "bytes", "calls");
+}
 
-  std::string path_;
-};
-
-TEST_F(DoctorFixture, BlockSplitOfHotRegionIsFlaggedCyclicIsNot) {
+TEST(DoctorFixture, BlockSplitOfHotRegionIsFlaggedCyclicIsNot) {
   const core::Shape grid{8, 2};
   const core::Distribution block = core::Distribution::block(grid, kRanks);
   const core::Distribution cyclic =
       core::Distribution::block_cyclic(grid, kRanks, core::Shape{1, 1});
 
-  const ProfileSnapshot block_snap =
+  const MetricsSnapshot block_snap =
       run_hot_half_workload("skew_block", block);
-  const ProfileSnapshot cyclic_snap =
+  const MetricsSnapshot cyclic_snap =
       run_hot_half_workload("skew_cyclic", cyclic);
 
   // BLOCK over a 2x2 process grid puts all 8 hot chunks on the two
   // coord0==0 ranks: 2 of 4 ranks carry everything -> ratio 2.0.
-  const analysis::ImbalanceStat bs =
-      analysis::rank_chunk_imbalance(block_snap);
+  const analysis::ImbalanceStat bs = rank_imbalance(block_snap);
   EXPECT_EQ(bs.n, 4u);
   EXPECT_NEAR(bs.ratio, 2.0, 1e-9);
 
   // BLOCK_CYCLIC(1,1) deals the hot rows across all 4 ranks evenly.
-  const analysis::ImbalanceStat cs =
-      analysis::rank_chunk_imbalance(cyclic_snap);
+  const analysis::ImbalanceStat cs = rank_imbalance(cyclic_snap);
   EXPECT_EQ(cs.n, 4u);
   EXPECT_NEAR(cs.ratio, 1.0, 1e-9);
 
   // The detector flags BLOCK (warn + remediation hint)...
   std::vector<Finding> block_fs;
-  analysis::analyze_profile(block_snap, block_fs);
+  analysis::analyze_metrics(block_snap, block_fs);
   const Finding* flagged = find_by_id(block_fs, "rank-imbalance");
   ASSERT_NE(flagged, nullptr);
   EXPECT_EQ(flagged->severity, Severity::kWarn);
@@ -117,7 +101,7 @@ TEST_F(DoctorFixture, BlockSplitOfHotRegionIsFlaggedCyclicIsNot) {
 
   // ...and reports BLOCK_CYCLIC as balanced, materially lower.
   std::vector<Finding> cyclic_fs;
-  analysis::analyze_profile(cyclic_snap, cyclic_fs);
+  analysis::analyze_metrics(cyclic_snap, cyclic_fs);
   const Finding* balanced = find_by_id(cyclic_fs, "rank-imbalance");
   ASSERT_NE(balanced, nullptr);
   EXPECT_EQ(balanced->severity, Severity::kInfo);
@@ -150,23 +134,77 @@ TEST_F(DoctorFixture, BlockSplitOfHotRegionIsFlaggedCyclicIsNot) {
   EXPECT_TRUE(saw_imbalance);
 }
 
-TEST_F(DoctorFixture, ProfileRoundTripPreservesDetectorVerdict) {
-  // The profile written by DRX_PROFILE and re-read by drx_doctor must
-  // produce the same imbalance verdict as the in-memory snapshot.
+TEST(DoctorFixture, ProfileRoundTripPreservesDetectorVerdict) {
+  // The snapshot written by DRX_METRICS and re-read by
+  // drx_doctor --metrics must produce the same imbalance verdict as the
+  // in-memory one.
   const core::Shape grid{8, 2};
   const core::Distribution block = core::Distribution::block(grid, kRanks);
-  const ProfileSnapshot snap = run_hot_half_workload("skew_rt", block);
+  const MetricsSnapshot snap = run_hot_half_workload("skew_rt", block);
 
-  JsonWriter w;
-  profile_to_json(snap, w);
-  auto reread = profile_from_json(w.str());
+  auto reread = MetricsSnapshot::deserialize(snap.serialize());
   ASSERT_TRUE(reread.is_ok()) << reread.status().to_string();
-  const analysis::ImbalanceStat a = analysis::rank_chunk_imbalance(snap);
-  const analysis::ImbalanceStat b =
-      analysis::rank_chunk_imbalance(reread.value());
+  const analysis::ImbalanceStat a = rank_imbalance(snap);
+  const analysis::ImbalanceStat b = rank_imbalance(reread.value());
+  EXPECT_EQ(a.n, 4u);
   EXPECT_EQ(a.n, b.n);
   EXPECT_DOUBLE_EQ(a.ratio, b.ratio);
   EXPECT_EQ(a.argmax, b.argmax);
+}
+
+TEST(DoctorFixture, MultiRankZoneWritesLandInPerRankCounters) {
+  constexpr std::uint64_t kChunkBytes = 4 * 4 * sizeof(std::int32_t);
+  pfs::PfsConfig cfg;
+  cfg.num_servers = 2;
+  pfs::Pfs fs(cfg);
+  const MetricsSnapshot before = process_registry().snapshot();
+
+  simpi::run(kRanks, [&](simpi::Comm& comm) {
+    core::DrxFile::Options opts;
+    opts.dtype = core::ElementType::kInt32;
+    auto fr = core::DrxMpFile::create(comm, fs, "prof", core::Shape{16, 16},
+                                      core::Shape{4, 4}, opts);
+    ASSERT_TRUE(fr.is_ok());
+    core::DrxMpFile file = std::move(fr).value();
+    const core::Distribution dist = file.block_distribution();
+    std::vector<std::byte> buf(static_cast<std::size_t>(
+        file.zone_buffer_bytes(dist, comm.rank())));
+    ASSERT_TRUE(file
+                    .write_my_zone(dist, core::MemoryOrder::kRowMajor, buf,
+                                   /*collective=*/true)
+                    .is_ok());
+    ASSERT_TRUE(file.close().is_ok());
+  });
+
+  const MetricsSnapshot snap =
+      snapshot_delta(process_registry().snapshot(), before);
+  // Every chunk of the 4x4 grid is written exactly once, attributed to
+  // its zone owner: one call and a 2x2-chunk zone per rank, and nothing
+  // for any other rank.
+  std::uint64_t bytes = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    const std::string prefix = "core.zone.rank." + std::to_string(r);
+    EXPECT_EQ(snap.counter(prefix + ".calls"), 1u) << "rank " << r;
+    EXPECT_EQ(snap.counter(prefix + ".bytes"), 4 * kChunkBytes)
+        << "rank " << r;
+    bytes += snap.counter(prefix + ".bytes");
+  }
+  EXPECT_EQ(bytes, 16 * kChunkBytes);  // 4x4 chunk grid
+  const analysis::ImbalanceStat s = rank_imbalance(snap);
+  EXPECT_EQ(s.n, static_cast<std::size_t>(kRanks));
+
+  // Each server's counter holds exactly the bytes its datafiles moved:
+  // a request path that skipped the counter would break the equality.
+  const std::vector<pfs::IoStats> servers = fs.server_stats();
+  ASSERT_EQ(servers.size(), 2u);
+  std::uint64_t written = 0;
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    EXPECT_EQ(snap.counter("pfs.server." + std::to_string(i) + ".bytes"),
+              servers[i].bytes_read + servers[i].bytes_written)
+        << "server " << i;
+    written += servers[i].bytes_written;
+  }
+  EXPECT_GE(written, bytes);  // the zone data reached the servers
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 //
 // Ingests any combination of:
 //   --metrics <snapshot.bin>   binary DRX_METRICS snapshot
-//   --profile <profile.json>   DRX_PROFILE access heatmaps
 //   --trace <trace.json>       DRX_TRACE Trace Event Format output
 //   --bench <report.json>      DRX_BENCH_JSON report file (one doc/line)
 //   --flight <flight.json>     flight-recorder post-mortem dump
@@ -11,9 +10,11 @@
 //                              (SLO burn rates, in-window latency
 //                              regressions, I/O stalls)
 //
-// and runs the obs::analysis detectors: rank/server imbalance,
-// cache thrash, prefetch effectiveness, dropped traces, critical path,
-// and I/O stalls. Output is a human report, or strict JSON with --json.
+// and runs the obs::analysis detectors: rank/server imbalance (from the
+// core.zone.rank.<r>.* and pfs.server.<i>.bytes counters of a metrics
+// snapshot or bench report), cache thrash, prefetch effectiveness,
+// dropped traces, critical path, and I/O stalls. Output is a human
+// report, or strict JSON with --json.
 //
 // Analysis verdicts (imbalance, thrash, stalls) are advisory: a CI job
 // should read them, not fail on them — a multi-phase bench legitimately
@@ -34,7 +35,6 @@
 #include "obs/analysis.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 
 namespace {
 
@@ -64,15 +64,6 @@ int analyze_metrics_file(const std::string& path, Report& report) {
       reinterpret_cast<const std::byte*>(raw.data()), raw.size()));
   if (!snap.is_ok()) return fail_input(path, snap.status().to_string());
   drx::obs::analysis::analyze_metrics(snap.value(), report.findings);
-  return 0;
-}
-
-int analyze_profile_file(const std::string& path, Report& report) {
-  std::string raw;
-  if (!read_file(path, raw)) return fail_input(path, "cannot read");
-  auto prof = drx::obs::profile_from_json(raw);
-  if (!prof.is_ok()) return fail_input(path, prof.status().to_string());
-  drx::obs::analysis::analyze_profile(prof.value(), report.findings);
   return 0;
 }
 
@@ -141,7 +132,6 @@ void usage() {
   std::fprintf(stderr,
                "usage: drx_doctor [--json] [--strict]\n"
                "                  [--metrics <snapshot.bin>]\n"
-               "                  [--profile <profile.json>]\n"
                "                  [--trace <trace.json>]\n"
                "                  [--bench <report.json>]\n"
                "                  [--flight <flight.json>]\n"
@@ -160,8 +150,8 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--strict") {
       strict = true;
-    } else if (arg == "--metrics" || arg == "--profile" || arg == "--trace" ||
-               arg == "--bench" || arg == "--flight" || arg == "--window") {
+    } else if (arg == "--metrics" || arg == "--trace" || arg == "--bench" ||
+               arg == "--flight" || arg == "--window") {
       if (i + 1 >= argc) {
         usage();
         return 2;
@@ -181,7 +171,6 @@ int main(int argc, char** argv) {
   for (const auto& [kind, path] : inputs) {
     int rc = 0;
     if (kind == "metrics") rc = analyze_metrics_file(path, report);
-    if (kind == "profile") rc = analyze_profile_file(path, report);
     if (kind == "trace") rc = analyze_trace_file(path, report);
     if (kind == "bench") rc = analyze_bench_file(path, report);
     if (kind == "flight") rc = analyze_flight_file(path, report);

@@ -5,8 +5,6 @@
 //   drx_inspect --chunk-table <name>    # also dumps the chunk address
 //                                       # grid (small arrays only)
 //   drx_inspect --json <name>           # metadata as a JSON object
-//   drx_inspect --stats <snapshot>      # text table of a DRX_METRICS
-//                                       # snapshot (same as drx_stats)
 //
 // Prints the metadata a DRX/DRX-MP process replicates on open: rank,
 // element type, bounds, chunk shape, data-file geometry, and the axial
@@ -15,14 +13,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/drx_file.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 using namespace drx;  // NOLINT: tool brevity
 using core::Box;
@@ -123,26 +118,6 @@ int inspect_json(const std::string& name) {
   w.end_array();
   w.end_object();
   std::printf("%s\n", w.str().c_str());
-  return 0;
-}
-
-/// Text table of a DRX_METRICS snapshot (shared rendering with drx_stats).
-int show_stats(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-    return 1;
-  }
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  auto snap = obs::MetricsSnapshot::deserialize(std::span(
-      reinterpret_cast<const std::byte*>(raw.data()), raw.size()));
-  if (!snap.is_ok()) {
-    std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
-                 snap.status().to_string().c_str());
-    return 1;
-  }
-  std::fputs(obs::metrics_to_text(snap.value()).c_str(), stdout);
   return 0;
 }
 
@@ -258,19 +233,15 @@ int inspect(const std::string& name, bool chunk_table) {
 
 int main(int argc, char** argv) {
   const char* const kUsage =
-      "usage: drx_inspect [--chunk-table|--json] <name>\n"
-      "       drx_inspect --stats <snapshot>\n";
+      "usage: drx_inspect [--chunk-table|--json] <name>\n";
   bool chunk_table = false;
   bool json = false;
-  bool stats = false;
   std::string name;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--chunk-table") == 0) {
       chunk_table = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      stats = true;
     } else if (name.empty()) {
       name = argv[i];
     } else {
@@ -278,11 +249,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (name.empty() || (json && stats) || (chunk_table && (json || stats))) {
+  if (name.empty() || (chunk_table && json)) {
     std::fputs(kUsage, stderr);
     return 2;
   }
-  if (stats) return show_stats(name);
   if (json) return inspect_json(name);
   return inspect(name, chunk_table);
 }

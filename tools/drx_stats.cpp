@@ -17,9 +17,8 @@
 // Live telemetry from a running process is drx_top's job (it renders
 // the exporter's windowed view, counters included, as rates).
 //
-// The text and JSON renderings are the same ones drx_inspect --stats and
-// the bench JSON reports use (obs::metrics_to_text / metrics_to_json), so
-// every surface prints metrics identically.
+// The JSON rendering is the same one the bench JSON reports use
+// (obs::metrics_to_json), so every surface prints metrics identically.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

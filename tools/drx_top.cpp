@@ -150,25 +150,14 @@ void render(const JsonValue& window_doc, const JsonValue* live_doc,
 
   // Per-shard cache traffic within the window.
   struct ShardRow {
-    long shard;
+    int shard;
     std::uint64_t accesses;
   };
   std::vector<ShardRow> shards;
-  static constexpr std::string_view kPrefix = "core.cache.shard.";
-  static constexpr std::string_view kSuffix = ".accesses";
   for (const drx::obs::CounterSample& c : view.counters) {
-    if (c.name.size() <= kPrefix.size() + kSuffix.size()) continue;
-    if (c.name.compare(0, kPrefix.size(), kPrefix) != 0) continue;
-    if (c.name.compare(c.name.size() - kSuffix.size(), kSuffix.size(),
-                       kSuffix) != 0) {
-      continue;
-    }
-    const std::string index = c.name.substr(
-        kPrefix.size(), c.name.size() - kPrefix.size() - kSuffix.size());
-    char* end = nullptr;
-    const long shard = std::strtol(index.c_str(), &end, 10);
-    if (end == index.c_str() || *end != '\0') continue;
-    shards.push_back(ShardRow{shard, c.value});
+    const auto l = drx::obs::parse_labelled(c.name);
+    if (!l || l->label != "shard" || l->metric != "accesses") continue;
+    shards.push_back(ShardRow{l->index, c.value});
   }
   std::sort(shards.begin(), shards.end(),
             [](const ShardRow& a, const ShardRow& b) {
@@ -177,7 +166,7 @@ void render(const JsonValue& window_doc, const JsonValue* live_doc,
   if (!shards.empty()) {
     std::printf("cache shards (windowed accesses):");
     for (const ShardRow& s : shards) {
-      std::printf(" %ld:%llu", s.shard,
+      std::printf(" %d:%llu", s.shard,
                   static_cast<unsigned long long>(s.accesses));
     }
     std::printf("\n");
