@@ -33,8 +33,10 @@ EXPECTED = {
         ("end_to_end", "sim_ms_per_op", 11.033584, REL_TOL),
     ],
     "append_extend": [
-        ("per_layer", "pfs.requests_per_op", 13.22265625, 0.0),
-        ("end_to_end", "sim_ms_per_op", 12.2629418, REL_TOL),
+        ("per_layer", "pfs.requests_per_op", 12.64453125, 0.0),
+        ("per_layer", "pfs.seeks_per_op", 8.6328125, 0.0),
+        ("per_layer", "pfs.bytes_read_per_op", 1901952, 0.0),
+        ("end_to_end", "sim_ms_per_op", 12.0138010703, REL_TOL),
     ],
 }
 
@@ -86,8 +88,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="check_drx_bench_exact.py",
         description="Fail unless the full-size zone_collective and "
-                    "append_extend reports carry their pinned request "
-                    "counts and simulated times.",
+                    "append_extend reports carry their pinned request, "
+                    "seek and byte counts and simulated times.",
         epilog="Exit codes: 0 every value matched, 1 a value moved, 2 if "
                "a report is unreadable, smoke-size or of another workload.")
     parser.add_argument("reports", nargs="+", help="drx_bench --json output")

@@ -453,8 +453,10 @@ ZONE_PINNED = ({"sim_ms_per_op": 11.033584000000157},
                {"pfs.requests_per_op": 8, "pfs.seeks_per_op": 8,
                 "pfs.sim_ms_min": 11.033583999999799,
                 "pfs.sim_ms_max": 11.03358400000073})
-APPEND_PINNED = ({"sim_ms_per_op": 12.262941796874955},
-                 {"pfs.requests_per_op": 13.22265625})
+APPEND_PINNED = ({"sim_ms_per_op": 12.013801070312411},
+                 {"pfs.requests_per_op": 12.64453125,
+                  "pfs.seeks_per_op": 8.6328125,
+                  "pfs.bytes_read_per_op": 1901952})
 
 
 class TestDrxBenchExact(unittest.TestCase):
@@ -487,7 +489,7 @@ class TestDrxBenchExact(unittest.TestCase):
         e2e, per_layer = APPEND_PINNED
         code, _, err = self._run([drx_bench_doc(
             "append_extend", e2e,
-            dict(per_layer, **{"pfs.requests_per_op": 13.2265625}))])
+            dict(per_layer, **{"pfs.requests_per_op": 12.6484375}))])
         self.assertEqual(code, 1)
         self.assertIn("pfs.requests_per_op", err)
 

@@ -15,12 +15,6 @@ namespace drx::mpio {
 
 namespace {
 
-/// Gap (bytes) up to which an aggregator's read coalesces non-adjacent
-/// pieces into one device access (ROMIO-style data sieving). Writes never
-/// sieve — that would clobber the hole — and coalesce only exact-adjacent
-/// runs. Mutable for the sieve ablation bench.
-std::atomic<std::uint64_t> g_read_sieve_gap{64 * 1024};
-
 struct Piece {
   std::uint64_t offset = 0;  ///< absolute file offset
   std::uint64_t length = 0;
@@ -29,14 +23,6 @@ struct Piece {
 };
 
 }  // namespace
-
-std::uint64_t read_sieve_gap() noexcept {
-  return g_read_sieve_gap.load(std::memory_order_relaxed);
-}
-
-void set_read_sieve_gap(std::uint64_t bytes) noexcept {
-  g_read_sieve_gap.store(bytes, std::memory_order_relaxed);
-}
 
 Result<File> File::open(simpi::Comm& comm, pfs::Pfs& fs,
                         const std::string& name, int mode) {
@@ -466,25 +452,28 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
     static const obs::MetricId kRuns = obs::counter_id("mpio.agg_runs");
     obs::registry().counter(kPieces).add(agg_pieces.size());
 
-    // Coalesce the sorted fragments into one device access per locally
-    // contiguous run of a datafile: exact-adjacent for writes, within the
-    // sieve gap for reads (holes inside one datafile, never another
-    // server's stripes).
+    // Coalesce the sorted fragments into one device access per run of a
+    // datafile. A fragment joins its server's open run when it touches or
+    // overlaps it or, for reads only, when the hole before it is below the
+    // cost model's sieve gap (core::plan_reads's data-sieving test).
     struct Run {
       std::size_t begin, end;          ///< range in `frags`
       std::uint64_t local, end_local;  ///< datafile byte range covered
       std::uint64_t file_end;          ///< max global end of its bytes
     };
     std::vector<Run> runs;
-    const std::uint64_t gap_allowed =
-        writing ? 0 : g_read_sieve_gap.load(std::memory_order_relaxed);
+    const std::uint64_t sieve_gap =
+        writing ? 0 : state_->fs->config().cost.sieve_gap_bytes();
     const auto frag_file_end = [&](const Fragment& f) {
       return agg_pieces[f.piece].offset + f.piece_pos + f.length;
     };
+    const auto joins = [&](const Run& run, const Fragment& f) {
+      return frags[run.begin].server == f.server &&
+             (f.local <= run.end_local || f.local - run.end_local < sieve_gap);
+    };
     for (std::size_t i = 0; i < frags.size(); ++i) {
       const Fragment& f = frags[i];
-      if (!runs.empty() && frags[runs.back().begin].server == f.server &&
-          f.local <= runs.back().end_local + gap_allowed) {
+      if (!runs.empty() && joins(runs.back(), f)) {
         Run& run = runs.back();
         run.end = i + 1;
         run.end_local = std::max(run.end_local, f.local + f.length);
@@ -497,10 +486,11 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
 
     const auto do_run = [&](const Run& run) -> Status {
       const std::size_t server = frags[run.begin].server;
-      std::vector<std::byte> staging(checked_size(run.end_local - run.local));
       if (writing) {
-        // Assemble then write. Exact-adjacency coalescing means every byte
-        // of the staging buffer is covered by some fragment.
+        // Assemble then write. Without sieving, every byte of the staging
+        // buffer is covered by some fragment.
+        std::vector<std::byte> staging(
+            checked_size(run.end_local - run.local));
         for (std::size_t i = run.begin; i < run.end; ++i) {
           const Fragment& f = frags[i];
           std::memcpy(staging.data() + (f.local - run.local),
@@ -510,20 +500,21 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
         return state_->handle.write_local(server, run.local, staging,
                                           run.file_end);
       }
-      Status st = state_->handle.read_local(server, run.local, staging);
-      if (st.is_ok()) {
-        // Every fragment has its own slice of its source's reply, so
-        // scattering from workers is race-free.
-        for (std::size_t i = run.begin; i < run.end; ++i) {
-          const Fragment& f = frags[i];
-          const Piece& piece = agg_pieces[f.piece];
-          std::memcpy(replies[static_cast<std::size_t>(piece.source)].data() +
-                          piece.reply_pos + f.piece_pos,
-                      staging.data() + (f.local - run.local),
-                      checked_size(f.length));
-        }
+      // Each fragment lands straight in its own slice of its source's
+      // reply, so gathering from workers is race-free.
+      std::vector<pfs::GatherPiece> gather;
+      gather.reserve(run.end - run.begin);
+      for (std::size_t i = run.begin; i < run.end; ++i) {
+        const Fragment& f = frags[i];
+        const Piece& piece = agg_pieces[f.piece];
+        std::span<std::byte> reply(
+            replies[static_cast<std::size_t>(piece.source)]);
+        gather.push_back(pfs::GatherPiece{
+            f.local, reply.subspan(checked_size(piece.reply_pos + f.piece_pos),
+                                   checked_size(f.length))});
       }
-      return st;
+      return state_->handle.read_local(server, run.local, run.end_local,
+                                       gather);
     };
 
     // One job per server, issuing that server's runs in ascending order, so

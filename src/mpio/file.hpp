@@ -22,13 +22,6 @@
 
 namespace drx::mpio {
 
-/// Data-sieving gap for collective-read aggregation: non-adjacent pieces
-/// within this many bytes coalesce into one device access (default 64 KiB,
-/// matching ROMIO's spirit). Exposed as a knob for the sieve ablation
-/// bench; applies process-wide.
-std::uint64_t read_sieve_gap() noexcept;
-void set_read_sieve_gap(std::uint64_t bytes) noexcept;
-
 /// Open-mode bits (MPI_MODE_*).
 enum ModeBits : int {
   kModeRdOnly = 1,
@@ -83,7 +76,8 @@ class File {
   // Two-phase: requests are exchanged, each PFS server's stripes belong to
   // one of the first min(P, servers) ranks acting as aggregators, each
   // aggregator issues one access per contiguous run of a server's
-  // datafile, and payloads are redistributed with alltoallv.
+  // datafile (a read also crosses holes below the PFS cost model's
+  // sieve gap), and payloads are redistributed with alltoallv.
 
   [[nodiscard]] Status read_all(void* buf, std::uint64_t count,
                   const simpi::Datatype& memtype);

@@ -94,12 +94,11 @@ void BlockDevice::copy_out(std::uint64_t offset,
 
 Status BlockDevice::read(std::uint64_t offset, std::span<std::byte> out) {
   const std::optional<std::uint64_t> end = try_add(offset, out.size());
-  if (!end || *end > size_) {
-    return Status(ErrorCode::kOutOfRange, "read past end of datafile");
+  if (!end) {
+    return Status(ErrorCode::kOutOfRange, "read past the largest offset");
   }
-  charge(offset, out.size(), /*is_write=*/false);
-  copy_out(offset, out);
-  return Status::ok();
+  const GatherPiece whole{offset, out};
+  return read_gather(offset, *end, {&whole, 1});
 }
 
 Status BlockDevice::read_gather(std::uint64_t lo, std::uint64_t hi,

@@ -42,7 +42,8 @@ class BlockDevice {
     DRX_CHECK(model != nullptr);
   }
 
-  /// Reads [offset, offset+out.size()); error if the range passes EOF.
+  /// Reads [offset, offset+out.size()): read_gather over one piece.
+  /// Error if the range passes EOF or its end overflows.
   [[nodiscard]] Status read(std::uint64_t offset, std::span<std::byte> out);
 
   /// Reads [lo, hi) as ONE request (one seek at most, busy time and

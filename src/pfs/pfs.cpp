@@ -66,19 +66,20 @@ struct FileHandle::State {
     std::vector<Piece> pieces;
   };
 
-  /// One device access on `server`'s datafile. The range may cross a
-  /// sparse hole whose stripes were never materialized on this server;
+  /// One device access reading [lo, hi) of `server`'s datafile, which
+  /// copies only `pieces` (BlockDevice::read_gather). The range may cross
+  /// a sparse hole whose stripes were never materialized on this server;
   /// holes read as zeros, and growing the datafile over them allocates
   /// nothing.
-  [[nodiscard]] Status read_datafile(std::size_t server, std::uint64_t local,
-                                     std::span<std::byte> out) {
-    obs::registry().counter(servers[server]->bytes).add(out.size());
-    obs::ScopedSpan seg_span("pfs.server_read", "pfs", out.size());
+  [[nodiscard]] Status read_datafile(std::size_t server, std::uint64_t lo,
+                                     std::uint64_t hi,
+                                     std::span<const GatherPiece> pieces) {
+    obs::registry().counter(servers[server]->bytes).add(hi - lo);
+    obs::ScopedSpan seg_span("pfs.server_read", "pfs", hi - lo);
     util::MutexLock lock(servers[server]->mu);
     BlockDevice& device = *datafiles[server];
-    const std::uint64_t end = checked_add(local, out.size());
-    if (end > device.size()) DRX_RETURN_IF_ERROR(device.truncate(end));
-    return device.read(local, out);
+    if (hi > device.size()) DRX_RETURN_IF_ERROR(device.truncate(hi));
+    return device.read_gather(lo, hi, pieces);
   }
 
   /// One device access on `server`'s datafile; a gap before it reads
@@ -148,17 +149,18 @@ Status FileHandle::read_at(std::uint64_t offset, std::span<std::byte> out) {
       return Status(ErrorCode::kOutOfRange, "read past end of file");
     }
   }
-  std::vector<std::byte> staging;
+  std::vector<GatherPiece> gather;
   for (const auto& seg : state_->map_range(offset, out.size())) {
-    staging.resize(checked_size(seg.length));
-    DRX_RETURN_IF_ERROR(
-        state_->read_datafile(seg.server, seg.local_offset, staging));
-    std::uint64_t run = 0;
+    gather.clear();
+    std::uint64_t local = seg.local_offset;
     for (const auto& piece : seg.pieces) {
-      std::memcpy(out.data() + piece.buf_offset, staging.data() + run,
-                  checked_size(piece.length));
-      run += piece.length;
+      gather.push_back(GatherPiece{
+          local, out.subspan(checked_size(piece.buf_offset),
+                             checked_size(piece.length))});
+      local += piece.length;
     }
+    DRX_RETURN_IF_ERROR(state_->read_datafile(
+        seg.server, seg.local_offset, seg.local_offset + seg.length, gather));
   }
   return Status::ok();
 }
@@ -189,13 +191,15 @@ Location FileHandle::locate(std::uint64_t offset) const {
   return state_->locate(offset);
 }
 
-Status FileHandle::read_local(std::size_t server, std::uint64_t local,
-                              std::span<std::byte> out) {
+Status FileHandle::read_local(std::size_t server, std::uint64_t lo,
+                              std::uint64_t hi,
+                              std::span<const GatherPiece> pieces) {
   DRX_CHECK(valid());
   DRX_CHECK(server < state_->servers.size());
-  obs::ScopedSpan span("pfs.read", "pfs", out.size());
+  DRX_CHECK(lo <= hi);
+  obs::ScopedSpan span("pfs.read", "pfs", hi - lo);
   obs::StageTimer io(obs::Stage::kIoService);
-  return state_->read_datafile(server, local, out);
+  return state_->read_datafile(server, lo, hi, pieces);
 }
 
 Status FileHandle::write_local(std::size_t server, std::uint64_t local,

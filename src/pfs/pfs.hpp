@@ -60,10 +60,13 @@ class FileHandle {
   /// The server and datafile offset of global byte `offset`.
   [[nodiscard]] Location locate(std::uint64_t offset) const;
 
-  /// Reads [local, local+out.size()) of `server`'s datafile in one device
-  /// access. Holes read as zeros; the caller checks the logical size.
-  [[nodiscard]] Status read_local(std::size_t server, std::uint64_t local,
-                                  std::span<std::byte> out);
+  /// Reads [lo, hi) of `server`'s datafile in one device access, charged
+  /// for hi - lo bytes, and copies only `pieces` (each inside [lo, hi);
+  /// BlockDevice::read_gather). Holes read as zeros; the caller checks
+  /// the logical size.
+  [[nodiscard]] Status read_local(std::size_t server, std::uint64_t lo,
+                                  std::uint64_t hi,
+                                  std::span<const GatherPiece> pieces);
 
   /// Writes `data` at `local` in `server`'s datafile in one device access,
   /// then grows the logical size to at least `file_end` (the global end

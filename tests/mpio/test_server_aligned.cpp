@@ -187,9 +187,14 @@ TEST(ServerAligned, WholeFileWriteIsOneRequestPerServer) {
 }
 
 /// Whole-file write, then a strided collective read of every other cell
-/// with data sieving off, so each server serves many runs.
+/// under a cost model with no fixed request cost (sieve gap 0), so each
+/// server serves many runs.
 ServerCounts write_then_strided_read(const Grid& g) {
-  pfs::Pfs fs(cfg(g));
+  pfs::PfsConfig c = cfg(g);
+  c.cost.seek_us = 0;
+  c.cost.request_overhead_us = 0;
+  c.cost.network_latency_us = 0;
+  pfs::Pfs fs(c);
   const std::uint64_t n = cells_per_rank(g);
   std::vector<pfs::IoStats> before;
   simpi::run(g.ranks, [&](Comm& comm) {
@@ -214,7 +219,6 @@ ServerCounts write_then_strided_read(const Grid& g) {
 }
 
 TEST(ServerAligned, FanOutKeepsPerServerRequestsAndSeeks) {
-  set_read_sieve_gap(0);
   for (const Grid& g : grid()) {
     SCOPED_TRACE(label(g));
     io::set_io_threads(0);
@@ -224,7 +228,6 @@ TEST(ServerAligned, FanOutKeepsPerServerRequestsAndSeeks) {
     EXPECT_EQ(inline_counts, fanned_counts);
   }
   io::set_io_threads(-1);
-  set_read_sieve_gap(64 * 1024);
 }
 
 }  // namespace

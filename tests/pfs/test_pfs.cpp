@@ -112,7 +112,8 @@ TEST(Pfs, LocalAccessHitsOneDatafileAndGrowsSize) {
   EXPECT_EQ(global, data);
   // Server 0's datafile was never written: a hole reads as zeros.
   std::vector<std::byte> hole(32, std::byte{0xFF});
-  ASSERT_TRUE(h.read_local(0, 0, hole).is_ok());
+  const GatherPiece whole{0, hole};
+  ASSERT_TRUE(h.read_local(0, 0, 32, {&whole, 1}).is_ok());
   EXPECT_EQ(hole, std::vector<std::byte>(32));
   EXPECT_EQ(h.size(), 96u);
 }
@@ -170,7 +171,10 @@ TEST(Pfs, GrowthMaterializesNoBytes) {
   ASSERT_TRUE(f.read_at(std::uint64_t{1} << 29, out).is_ok());
   EXPECT_EQ(out, std::vector<std::byte>(out.size()));
   std::vector<std::byte> local(cfg.stripe_size, std::byte{0xFF});
-  ASSERT_TRUE(f.read_local(5, 1000 * cfg.stripe_size, local).is_ok());
+  const GatherPiece piece{1000 * cfg.stripe_size, local};
+  ASSERT_TRUE(f.read_local(5, piece.offset, piece.offset + local.size(),
+                           {&piece, 1})
+                  .is_ok());
   EXPECT_EQ(local, std::vector<std::byte>(local.size()));
   for (std::size_t s = 0; s < 8; ++s) EXPECT_EQ(f.resident_bytes(s), 0u) << s;
 
