@@ -141,10 +141,10 @@ std::string cached_mode() {
 // time, so its slots sit in row order while addresses run down columns,
 // and scans it with plain pins through a cache configured like the A2
 // rows (DRX_IO_THREADS / DRX_PREFETCH_DEPTH): the sequential detector's
-// read-ahead windows read across the holes between their chunks and
-// carry the hole chunks the scan reaches soon (docs/ASYNC_IO.md). CI
-// gates it, like the sequential sweep, on prefetch-on beating
-// prefetch-off (check_prefetch_gate.py).
+// read-ahead windows, each as large as half the pool, read across the
+// holes between their chunks (docs/ASYNC_IO.md). CI gates it,
+// like the sequential sweep, on prefetch-on beating prefetch-off
+// (check_prefetch_gate.py).
 
 enum class ScanLayout { kUncompressed, kRle, kRleBanded };
 
@@ -194,8 +194,8 @@ ScanSample scan_stream(ScanLayout layout) {
   const auto before = raw->stats();
   {
     // The band-written pool holds four 32-chunk columns, the proportion
-    // of the drxbench scan_ooc workload: read-ahead may then reach the
-    // next column's chunks in its holes (half the pool).
+    // of the drxbench scan_ooc workload: a read-ahead window (half the
+    // pool) then spans two columns.
     core::ChunkCache cache(
         file, banded ? 128 : 64,
         banded ? core::ChunkCache::AsyncOptions::from_config()

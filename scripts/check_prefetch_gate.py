@@ -8,8 +8,8 @@ storage request count (the request count is deterministic, so a scheduler
 hiccup cannot mask a regression), on two scans:
   - the sequential sweep of the A2 table (bench_chunk_cache);
   - the band-written compressed scan (bench_chunk_cache_compression row
-    "rle, band-written"), whose read-ahead windows read across storage
-    holes and carry the chunks in them.
+    "rle, band-written"), whose read-ahead windows, each as large as
+    half the pool, read across storage holes.
 """
 
 import argparse
@@ -118,7 +118,8 @@ def main(argv=None):
     failures = []
     if issued <= 0:
         failures.append("prefetch-on run never issued a prefetch "
-                        "(DRX_IO_THREADS/DRX_PREFETCH_DEPTH not applied?)")
+                        "(DRX_IO_THREADS > 0 and a non-zero "
+                        "DRX_PREFETCH_DEPTH switch not applied?)")
     for name, (off_ms, off_reqs), (on_ms, on_reqs) in scans:
         print(f"{name}: off {off_ms:.1f} sim ms / {off_reqs} requests, "
               f"on {on_ms:.1f} sim ms / {on_reqs} requests")

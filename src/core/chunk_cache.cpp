@@ -26,8 +26,6 @@ const obs::MetricId kDeferredWb =
 const obs::MetricId kWriteQueueHits =
     obs::counter_id("core.cache.write_queue_hits");
 const obs::MetricId kPrefIssued = obs::counter_id("core.cache.prefetch_issued");
-const obs::MetricId kPrefPassengers =
-    obs::counter_id("core.cache.prefetch_passengers");
 const obs::MetricId kPrefUseful = obs::counter_id("core.cache.prefetch_useful");
 const obs::MetricId kPrefWasted = obs::counter_id("core.cache.prefetch_wasted");
 const obs::MetricId kPrefWaits = obs::counter_id("core.cache.prefetch_waits");
@@ -101,7 +99,7 @@ ChunkCache::ChunkCache(DrxFile& file, std::size_t capacity,
   pool_options.queue_capacity = std::max<std::size_t>(16, 2 * capacity);
   pool_ = std::make_unique<io::AsyncIoPool>(pool_options);
   if (pool_->async()) {
-    prefetch_depth_ = async.prefetch_depth;
+    read_ahead_on_ = async.prefetch_depth != 0;
     // Become the file's prefetch sink so higher-layer hints
     // (DrxFile::prefetch_box) turn into background faults.
     if (file_->prefetch_sink() == nullptr) file_->set_prefetch_sink(this);
@@ -583,8 +581,7 @@ restart:
   obs::registry().counter(kMisses).add();
   // An overwrite reads nothing, so it is no demand the sequential-scan
   // detector should follow.
-  const std::uint64_t readahead_want =
-      overwrite ? 0 : note_sequential(address, address);
+  const bool sequential = !overwrite && note_sequential(address, address);
 
   // Miss served from the write-behind queue: the newest bytes for this
   // chunk sit in a queued (not yet completed) write; copying them is both
@@ -628,12 +625,12 @@ restart:
 
   if (!write_submits.empty()) submit_writes(write_submits);
   if (overwrite) return std::span<std::byte>(buffer, cb);
-  if (readahead_want > 0) {
+  if (sequential) {
     // Reserving read-ahead frames locks other shards, so it happens only
     // after this shard's lock is dropped (one shard lock at a time).
-    std::vector<std::uint64_t> job;
-    const std::size_t passengers = read_ahead(address, readahead_want, job);
-    submit_fill(std::move(job), passengers);
+    FillJob job;
+    read_ahead(address, job);
+    submit_fill(std::move(job));
   }
 
   fault_timer.stop();
@@ -706,31 +703,29 @@ void ChunkCache::unpin(std::uint64_t address, bool dirty, bool writable) {
   maybe_publish_locked(s, address, frame);
 }
 
-std::uint64_t ChunkCache::note_sequential(std::uint64_t front,
-                                          std::uint64_t back) {
-  if (!async() || prefetch_depth_ == 0) return 0;
+bool ChunkCache::note_sequential(std::uint64_t front, std::uint64_t back) {
+  if (!async() || !read_ahead_on_) return false;
   util::MutexLock seq(seq_mu_);
   seq_run_ = (last_miss_ != kNoAddress && front == last_miss_ + 1)
                  ? seq_run_ + 1
                  : 1;
   last_miss_ = back;
-  return seq_run_ >= kSequentialThreshold ? prefetch_depth_ : 0;
+  return seq_run_ >= kSequentialThreshold;
 }
 
 void ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
-                              std::vector<std::uint64_t>& job,
-                              bool passengers) {
+                              FillJob& job) {
   const std::uint64_t total = file_->metadata().mapping.total_chunks();
   const std::size_t cap = fill_budget();
   // One in-flight load per shard per job: run_prefetch_job recomputes
   // the same bitmask from the job's addresses to pair the decrement.
   std::uint64_t participating = 0;  // shard bitmask; shard_count_ <= 64
-  for (const std::uint64_t address : job) {
+  for (const std::uint64_t address : job.addresses) {
     participating |= std::uint64_t{1} << shard_index(address);
   }
   std::vector<std::uint64_t> write_submits;
   for (const std::uint64_t address : addresses) {
-    if (job.size() >= cap) break;
+    if (job.addresses.size() >= cap) break;
     if (address >= total) continue;
     const std::size_t si = shard_index(address);
     Shard& s = shards_[si];
@@ -753,6 +748,7 @@ void ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
     frame.data = take_buffer_locked(s);
     frame.loading = true;
     frame.prefetched = true;
+    job.frames.push_back(frame.data.get());
     const auto [pos, inserted] = s.frames.emplace(address, std::move(frame));
     DRX_CHECK(inserted);
     if ((participating & (std::uint64_t{1} << si)) == 0) {
@@ -760,54 +756,33 @@ void ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
       ++s.loads_inflight;
     }
     ++s.stats.prefetch_issued;
-    if (passengers) ++s.stats.prefetch_passengers;
     obs::registry().counter(kPrefIssued).add();
-    job.push_back(address);
+    job.addresses.push_back(address);
   }
   if (!write_submits.empty()) submit_writes(write_submits);
 }
 
-std::size_t ChunkCache::read_ahead(std::uint64_t after, std::uint64_t want,
-                                   std::vector<std::uint64_t>& job) {
-  std::vector<std::uint64_t> window(checked_size(want));
+void ChunkCache::read_ahead(std::uint64_t after, FillJob& job) {
+  // The window is the room the job has left of the fill budget
+  // (reserve_fill never lets a job outgrow it), up to the last chunk.
+  const std::uint64_t total = file_->metadata().mapping.total_chunks();
+  if (after + 1 >= total) return;
+  const std::uint64_t count = std::min<std::uint64_t>(
+      fill_budget() - job.addresses.size(), total - after - 1);
+  if (count == 0) return;
+  std::vector<std::uint64_t> window(checked_size(count));
   std::iota(window.begin(), window.end(), after + 1);
   reserve_fill(window, job);
-  {
-    // Keep the detector's run alive across the hits the window creates.
-    util::MutexLock seq(seq_mu_);
-    last_miss_ = window.back();
-  }
-  // Passengers: on a compressed array the window's requests read across
-  // holes that hold other live chunks. Those the scan reaches within the
-  // fill budget ride in the same job instead of being read again later.
-  // They are reserved like the window (never a resident, in-flight or
-  // write-queued chunk), so the bytes they are read from are the newest.
-  const std::uint64_t reach = after + fill_budget();
-  if (job.empty() || job.size() >= fill_budget() || reach <= window.back()) {
-    return 0;
-  }
-  std::vector<std::uint64_t> candidates(checked_size(reach - window.back()));
-  std::iota(candidates.begin(), candidates.end(), window.back() + 1);
-  std::vector<std::uint64_t> inside;
-  {
-    util::MutexLock io(io_mu_);
-    inside = file_->chunks_inside_requests(job, candidates);
-  }
-  const std::size_t before = job.size();
-  reserve_fill(inside, job, /*passengers=*/true);
-  const std::size_t passengers = job.size() - before;
-  if (passengers > 0) obs::registry().counter(kPrefPassengers).add(passengers);
-  return passengers;
+  // Keep the detector's run alive across the hits the window creates.
+  util::MutexLock seq(seq_mu_);
+  last_miss_ = window.back();
 }
 
-void ChunkCache::submit_fill(std::vector<std::uint64_t> job,
-                             std::size_t passengers) {
-  if (job.empty()) return;
+void ChunkCache::submit_fill(FillJob job) {
+  if (job.addresses.empty()) return;
   pool_->submit(
       obs::current_op(),
-      [this, job = std::move(job), passengers] {
-        return run_prefetch_job(job, passengers);
-      },
+      [this, job = std::move(job)] { return run_prefetch_job(job); },
       nullptr, io::AsyncIoPool::JobClass::kBackground);
 }
 
@@ -819,29 +794,27 @@ void ChunkCache::prefetch(std::uint64_t first, std::uint64_t count) {
 
 void ChunkCache::prefetch(std::span<const std::uint64_t> addresses) {
   if (!async() || addresses.empty()) return;
-  std::vector<std::uint64_t> job;
+  FillJob job;
   reserve_fill(addresses, job);
   submit_fill(std::move(job));
 }
 
 void ChunkCache::prefetch_chunks(std::span<const std::uint64_t> addresses) {
   if (!async() || addresses.empty()) return;
-  std::vector<std::uint64_t> job;
+  FillJob job;
   reserve_fill(addresses, job);
-  if (job.empty()) return;
+  if (job.addresses.empty()) return;
   // The pins these frames serve will hit, so the detector never sees them
   // as misses: feed it the reserved run's address span instead. A run
   // that continues the previous one (a scan of small boxes) carries its
   // read-ahead window in the same job; read_chunks_stored still gives
   // the window its own request unless the hole to it costs less than a
   // seek.
-  const auto [lo, hi] = std::minmax_element(job.begin(), job.end());
+  const auto [lo, hi] =
+      std::minmax_element(job.addresses.begin(), job.addresses.end());
   const std::uint64_t last = *hi;
-  std::size_t passengers = 0;
-  if (const std::uint64_t want = note_sequential(*lo, last)) {
-    passengers = read_ahead(last, want, job);
-  }
-  submit_fill(std::move(job), passengers);
+  if (note_sequential(*lo, last)) read_ahead(last, job);
+  submit_fill(std::move(job));
 }
 
 Status ChunkCache::run_write_job(std::uint64_t address) {
@@ -905,42 +878,37 @@ Status ChunkCache::run_write_job(std::uint64_t address) {
   }
 }
 
-Status ChunkCache::run_prefetch_job(std::span<const std::uint64_t> addresses,
-                                    std::size_t passengers) {
+Status ChunkCache::run_prefetch_job(const FillJob& job) {
   const std::size_t cb = chunk_size();
-  auto staging = std::make_unique<std::byte[]>(addresses.size() * cb);
-  // Fetch stored bytes under the io mutex, decode into staging outside
-  // it: frames are published already-decoded, so readers never pay codec
-  // latency, and decode overlaps concurrent I/O.
+  // Fetch stored bytes under the io mutex, decode outside it straight
+  // into the reserved frames: a loading frame's buffer belongs to this
+  // job (pins wait, eviction and invalidate skip it), so frames are
+  // published already-decoded, readers never pay codec latency, and
+  // decode overlaps concurrent I/O.
   std::vector<std::byte> stored;
   std::vector<DrxFile::StoredRef> refs;
   Status st;
   {
-    const std::size_t planned = addresses.size() - passengers;
     util::MutexLock io(io_mu_);
-    st = file_->read_chunks_stored(addresses.first(planned), stored, refs,
-                                   addresses.subspan(planned));
+    st = file_->read_chunks_stored(job.addresses, stored, refs);
   }
   for (std::size_t i = 0; st.is_ok() && i < refs.size(); ++i) {
-    if (!refs[i].fetched) continue;
     st = file_->decode_chunk(
         refs[i].codec,
         std::span<const std::byte>(stored.data() + refs[i].offset,
                                    refs[i].size),
-        std::span<std::byte>(staging.get() + i * cb, cb));
+        std::span<std::byte>(job.frames[i], cb));
   }
   std::uint64_t participating = 0;
-  for (std::size_t i = 0; i < addresses.size(); ++i) {
-    const std::uint64_t address = addresses[i];
+  for (const std::uint64_t address : job.addresses) {
     const std::size_t si = shard_index(address);
     participating |= std::uint64_t{1} << si;
     Shard& s = shards_[si];
     util::MutexLock lock(s.mu);
     auto it = s.frames.find(address);
-    if (it == s.frames.end() || !it->second.loading) continue;
-    if (st.is_ok() && refs[i].fetched) {
+    DRX_CHECK(it != s.frames.end() && it->second.loading);
+    if (st.is_ok()) {
       Frame& frame = it->second;
-      std::memcpy(frame.data.get(), staging.get() + i * cb, cb);
       frame.loading = false;
       // Settled and unpinned (pins wait while it loads): evictable like
       // any other frame, and counted as wasted if nobody pins it first.
@@ -948,9 +916,8 @@ Status ChunkCache::run_prefetch_job(std::span<const std::uint64_t> addresses,
       frame.lru_it = s.lru.begin();
       frame.in_lru = true;
     } else {
-      // Drop the reservation (a failed fill, or a passenger whose slot
-      // moved out of the requests); a waiting pin re-faults
-      // synchronously and observes any error itself.
+      // Drop the reservation; a waiting pin re-faults synchronously and
+      // observes any error itself.
       recycle_buffer_locked(s, std::move(it->second.data));
       s.frames.erase(it);
     }
@@ -1105,7 +1072,6 @@ ChunkCache::Stats ChunkCache::stats() const {
     total.deferred_writebacks += s.stats.deferred_writebacks;
     total.write_queue_hits += s.stats.write_queue_hits;
     total.prefetch_issued += s.stats.prefetch_issued;
-    total.prefetch_passengers += s.stats.prefetch_passengers;
     total.prefetch_useful += s.stats.prefetch_useful;
     total.prefetch_wasted += s.stats.prefetch_wasted;
     total.prefetch_waits += s.stats.prefetch_waits;

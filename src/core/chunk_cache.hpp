@@ -41,12 +41,11 @@
 //    pinned, with ONE storage read per group of chunks that sit close
 //    enough on storage that reading the holes between them beats a seek
 //    (DrxFile::read_chunks_stored groups the list by storage position);
-//  - read-ahead (io_threads > 0 only): a detectably sequential demand
-//    run (consecutive miss addresses, or hinted runs that continue one
-//    another) speculatively faults the next DRX_PREFETCH_DEPTH chunk
-//    addresses the same way. The window's job also carries passengers:
-//    chunks whose stored bytes its requests transfer anyway (holes it
-//    reads across) and that the scan reaches within half the pool.
+//  - read-ahead (io_threads > 0 and DRX_PREFETCH_DEPTH non-zero): a
+//    detectably sequential demand run (consecutive miss addresses, or
+//    hinted runs that continue one another) speculatively faults the
+//    next chunk addresses the same way, as many as the fill budget of
+//    half the pool has room for.
 #pragma once
 
 #include <algorithm>
@@ -94,9 +93,6 @@ class ChunkCache final : public io::PrefetchSink {
     std::uint64_t deferred_writebacks = 0;  ///< write-backs queued, not blocked on
     std::uint64_t write_queue_hits = 0;     ///< misses served from a queued write
     std::uint64_t prefetch_issued = 0;      ///< chunks speculatively requested
-    /// The part of prefetch_issued a read-ahead window's requests carry
-    /// for free (sieved passengers, docs/ASYNC_IO.md).
-    std::uint64_t prefetch_passengers = 0;
     std::uint64_t prefetch_useful = 0;      ///< prefetched chunks later pinned
     std::uint64_t prefetch_wasted = 0;      ///< prefetched chunks evicted unpinned
     std::uint64_t prefetch_waits = 0;       ///< pins that waited on an in-flight load
@@ -111,7 +107,9 @@ class ChunkCache final : public io::PrefetchSink {
   /// Async-engine configuration; the default runs every job inline.
   struct AsyncOptions {
     int io_threads = 0;  ///< pool workers; 0 = jobs run on the caller
-    std::uint64_t prefetch_depth = 0; ///< read-ahead chunks (needs threads > 0)
+    /// Read-ahead on when non-zero (needs threads > 0); the window size
+    /// comes from the cost model, never from this value.
+    std::uint64_t prefetch_depth = 0;
     int shards = 0;  ///< lock shards; 0 = DRX_CACHE_SHARDS (unset -> 1)
 
     /// DRX_IO_THREADS / DRX_PREFETCH_DEPTH (or their test overrides).
@@ -442,29 +440,28 @@ class ChunkCache final : public io::PrefetchSink {
   [[nodiscard]] std::size_t fill_budget() const noexcept {
     return std::max<std::size_t>(1, capacity_ / 2);
   }
+  /// One fill job: the chunks reserve_fill reserved and the buffers of
+  /// their loading frames, which the job owns until it settles them.
+  struct FillJob {
+    std::vector<std::uint64_t> addresses;
+    std::vector<std::byte*> frames;
+  };
   /// Reserves loading frames for the eligible chunks of `addresses`, in
   /// order (resident, in-flight and write-queued chunks are skipped),
   /// appending each to `job` until the job holds fill_budget() frames.
-  /// `passengers` counts them in Stats::prefetch_passengers too. Locks
-  /// one shard at a time; called with no shard lock held.
-  void reserve_fill(std::span<const std::uint64_t> addresses,
-                    std::vector<std::uint64_t>& job, bool passengers = false);
+  /// Locks one shard at a time; called with no shard lock held.
+  void reserve_fill(std::span<const std::uint64_t> addresses, FillJob& job);
   /// Feeds one demand run, the addresses front..back (a miss: front ==
-  /// back), to the sequential detector; returns the read-ahead window to
-  /// follow it with (0 = none).
-  std::uint64_t note_sequential(std::uint64_t front, std::uint64_t back);
-  /// Reserves the read-ahead window after + 1..after + want into `job`,
-  /// then its passengers: the chunks up to after + fill_budget() that
-  /// lie inside the requests planned for `job`
-  /// (DrxFile::chunks_inside_requests, under the io mutex). Appends the
-  /// passengers last and returns how many it reserved. Passengers do not
-  /// advance the sequential detector: its run ends at the window.
-  std::size_t read_ahead(std::uint64_t after, std::uint64_t want,
-                         std::vector<std::uint64_t>& job);
-  /// Submits `job` (reserved by reserve_fill; its last `passengers`
-  /// entries ride along) to the pool as one background
-  /// run_prefetch_job; an empty job is dropped.
-  void submit_fill(std::vector<std::uint64_t> job, std::size_t passengers = 0);
+  /// back), to the sequential detector; true = follow it with read-ahead.
+  bool note_sequential(std::uint64_t front, std::uint64_t back);
+  /// Reserves the read-ahead window after `after` into `job`: the next
+  /// chunks, as many as the job has frames left of fill_budget() (none
+  /// past the last chunk), so it never reaches past after +
+  /// fill_budget().
+  void read_ahead(std::uint64_t after, FillJob& job);
+  /// Submits `job` to the pool as one background run_prefetch_job; an
+  /// empty job is dropped.
+  void submit_fill(FillJob job);
 
   /// Chunk-sized frame buffer from the shard free list (evictions recycle
   /// their buffers there), allocating only when the list is empty — so
@@ -477,19 +474,16 @@ class ChunkCache final : public io::PrefetchSink {
   // Pool jobs (run on workers, or inline on the submitter at 0 threads).
   // Submitted with no shard lock held: inline jobs take shard locks.
   [[nodiscard]] Status run_write_job(std::uint64_t address);
-  /// Reads and settles a fill job. Its last `passengers` addresses are
-  /// read only where the others' requests already transfer them; a
-  /// passenger no request transfers is released like a failed fill's
-  /// frame.
-  [[nodiscard]] Status run_prefetch_job(std::span<const std::uint64_t> addresses,
-                                        std::size_t passengers);
+  /// Reads a fill job, decodes each chunk straight into its reserved
+  /// frame, and settles the frames (a failed fill drops them all).
+  [[nodiscard]] Status run_prefetch_job(const FillJob& job);
 
   [[nodiscard]] Status flush_shard_locked(Shard& s, util::MutexLock& lock)
       DRX_REQUIRES(s.mu);
 
   DrxFile* file_;
   const std::size_t capacity_;
-  std::uint64_t prefetch_depth_ = 0;
+  bool read_ahead_on_ = false;
   bool fast_enabled_ = false;
   std::unique_ptr<io::AsyncIoPool> pool_;  ///< never null; 0 threads = inline
 
@@ -506,7 +500,7 @@ class ChunkCache final : public io::PrefetchSink {
   // Sequential-scan detector: a demand run (a miss, or a hinted run that
   // reserved frames) starting at last_miss_ + 1 extends the run; anything
   // else restarts it. Read-ahead fires once the run reaches
-  // kSequentialThreshold, and sets last_miss_ to the end of the issued
+  // kSequentialThreshold, and sets last_miss_ to the end of the reserved
   // window so prefetch hits keep the run alive. Resident hits never feed
   // it. Global across shards (consecutive addresses hash to different
   // shards) under the leaf lock seq_mu_.

@@ -44,9 +44,8 @@ void record_effective_read_bw(std::size_t raw_bytes,
                static_cast<std::uint64_t>(us));
 }
 
-/// How a fill of a list of chunks is split into storage requests. The
-/// one planner behind DrxFile::read_chunks_stored and
-/// DrxFile::chunks_inside_requests.
+/// How DrxFile::read_chunks_stored splits a fill of a list of chunks
+/// into storage requests.
 struct ReadPlan {
   struct Piece {
     std::uint64_t offset;
@@ -64,16 +63,6 @@ struct ReadPlan {
   std::vector<Piece> pieces;       ///< one per listed chunk, in list order
   std::vector<std::size_t> order;  ///< `pieces` indices by storage offset
   std::vector<Request> requests;   ///< ascending, disjoint ranges
-
-  /// The request whose range holds all of `p`'s stored bytes, or null.
-  [[nodiscard]] const Request* holding(const Piece& p) const {
-    auto it = std::upper_bound(
-        requests.begin(), requests.end(), p.offset,
-        [](std::uint64_t off, const Request& r) { return off < r.lo; });
-    if (it == requests.begin()) return nullptr;
-    --it;
-    return p.offset + p.stored <= it->hi ? &*it : nullptr;
-  }
 };
 
 ReadPlan::Piece piece_of(const Metadata& meta, std::uint64_t q) {
@@ -580,92 +569,49 @@ Status DrxFile::decode_chunk(codec::CodecId chunk_codec,
   return st;
 }
 
-std::vector<std::uint64_t> DrxFile::chunks_inside_requests(
-    std::span<const std::uint64_t> addresses,
-    std::span<const std::uint64_t> candidates) const {
-  std::vector<std::uint64_t> inside;
-  const std::uint64_t total = meta_.mapping.total_chunks();
-  if (addresses.empty() ||
-      std::any_of(addresses.begin(), addresses.end(),
-                  [total](std::uint64_t q) { return q >= total; })) {
-    return inside;
-  }
-  const ReadPlan plan = plan_reads(meta_, *data_, addresses);
-  for (const std::uint64_t q : candidates) {
-    if (q < total && plan.holding(piece_of(meta_, q)) != nullptr) {
-      inside.push_back(q);
-    }
-  }
-  return inside;
-}
-
 Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
                                    std::vector<std::byte>& scratch,
-                                   std::vector<StoredRef>& refs,
-                                   std::span<const std::uint64_t> passengers) {
+                                   std::vector<StoredRef>& refs) {
   refs.clear();
   scratch.clear();
   if (addresses.empty()) return Status::ok();
   const std::uint64_t total = meta_.mapping.total_chunks();
-  for (const auto list : {addresses, passengers}) {
-    for (const std::uint64_t q : list) {
-      if (q >= total) {
-        return Status(ErrorCode::kOutOfRange, "chunk address out of range");
-      }
+  for (const std::uint64_t q : addresses) {
+    if (q >= total) {
+      return Status(ErrorCode::kOutOfRange, "chunk address out of range");
     }
   }
   const std::size_t n = addresses.size();
   const ReadPlan plan = plan_reads(meta_, *data_, addresses);
-  // A passenger rides in the request that already transfers its bytes;
-  // one that lies in none (its slot moved since it was chosen) is left
-  // unread, so passengers never add a request or a transferred byte.
-  std::vector<ReadPlan::Piece> riders;
-  std::vector<const ReadPlan::Request*> rides_in;
-  riders.reserve(passengers.size());
-  rides_in.reserve(passengers.size());
   std::uint64_t live_bytes = 0;
   for (const ReadPlan::Piece& p : plan.pieces) live_bytes += p.stored;
-  std::size_t carried = 0;
-  for (const std::uint64_t q : passengers) {
-    riders.push_back(piece_of(meta_, q));
-    rides_in.push_back(plan.holding(riders.back()));
-    if (rides_in.back() != nullptr) {
-      live_bytes += riders.back().stored;
-      ++carried;
-    }
-  }
 
   const std::uint64_t cb = meta_.chunk_bytes();
   static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
   static const obs::MetricId kBatches =
       obs::counter_id("core.chunk_read_batches");
   static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
-  obs::registry().counter(kReads).add(n + carried);
+  obs::registry().counter(kReads).add(n);
   obs::registry().counter(kBatches).add();
-  obs::registry().counter(kBytes).add(checked_mul(n + carried, cb));
+  obs::registry().counter(kBytes).add(checked_mul(n, cb));
 
   // Each request copies only live bytes (Storage::read_gather), packed
   // back to back into `scratch`.
   scratch.resize(checked_size(live_bytes));
-  refs.resize(n + passengers.size());
+  refs.resize(n);
   obs::ScopedSpan span("core.read_chunks_batch", "core",
                        checked_size(live_bytes));
   obs::StageTimer io(obs::Stage::kIoService);
   std::vector<pfs::GatherPiece> gather;
   std::size_t pos = 0;
-  const auto take = [&](const ReadPlan::Piece& p, std::size_t ref) {
-    gather.push_back(pfs::GatherPiece{
-        p.offset, std::span<std::byte>(scratch.data() + pos, p.stored)});
-    refs[ref] = StoredRef{p.codec, pos, p.stored, /*fetched=*/true};
-    pos += p.stored;
-  };
   for (const ReadPlan::Request& r : plan.requests) {
     gather.clear();
     for (std::size_t k = r.begin; k < r.end; ++k) {
-      take(plan.pieces[plan.order[k]], plan.order[k]);
-    }
-    for (std::size_t j = 0; j < passengers.size(); ++j) {
-      if (rides_in[j] == &r) take(riders[j], n + j);
+      const ReadPlan::Piece& p = plan.pieces[plan.order[k]];
+      gather.push_back(pfs::GatherPiece{
+          p.offset, std::span<std::byte>(scratch.data() + pos, p.stored)});
+      refs[plan.order[k]] = StoredRef{p.codec, pos, p.stored};
+      pos += p.stored;
     }
     DRX_RETURN_IF_ERROR(data_->read_gather(r.lo, r.hi, gather));
   }

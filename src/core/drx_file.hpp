@@ -145,7 +145,6 @@ class DrxFile {
     codec::CodecId codec = codec::CodecId::kNone;
     std::size_t offset = 0;  ///< byte offset into the scratch buffer
     std::uint32_t size = 0;  ///< stored bytes
-    bool fetched = false;    ///< false: a passenger no request carried
   };
 
   /// Encodes a raw chunk with the array codec into `scratch` (resized
@@ -184,33 +183,13 @@ class DrxFile {
   /// request copies only live bytes (Storage::read_gather): `scratch`
   /// holds the chunks' stored bytes packed back to back.
   ///
-  /// `passengers` never shape the requests: one whose stored bytes lie
-  /// inside a request planned from `addresses` is copied out of the bytes
-  /// that request transfers anyway, and its ref (after the addresses',
-  /// in `passengers` order) is marked fetched; any other is left unread.
-  /// So passengers add no request and no transferred byte. The caller
-  /// must own the newest bytes of every passenger (ChunkCache reserves
-  /// them first).
-  ///
   /// Reads the slot table, so callers that share the file with
   /// write-behind hold the same lock.
   /// Decode the refs with `decode_chunk` outside that lock. The fill
   /// primitive behind ChunkCache's box hints and sequential read-ahead.
   [[nodiscard]] Status read_chunks_stored(
       std::span<const std::uint64_t> addresses,
-      std::vector<std::byte>& scratch, std::vector<StoredRef>& refs,
-      std::span<const std::uint64_t> passengers = {});
-
-  /// The `candidates` (in their order; out-of-range ones skipped) whose
-  /// stored bytes lie inside one of the requests read_chunks_stored
-  /// would plan for `addresses` right now: the chunks that fill could
-  /// carry as passengers. None on a storage that never reads across a
-  /// hole (Storage::sieve_gap_bytes() == 0), and on a raw array none
-  /// past the highest listed address (a raw slot sits at its address).
-  /// Reads the slot table under the same lock as read_chunks_stored.
-  [[nodiscard]] std::vector<std::uint64_t> chunks_inside_requests(
-      std::span<const std::uint64_t> addresses,
-      std::span<const std::uint64_t> candidates) const;
+      std::vector<std::byte>& scratch, std::vector<StoredRef>& refs);
 
   /// Run-coalesced scatter/gather between a chunk buffer and a
   /// box-linearized user buffer for the element range `clip` (which lies

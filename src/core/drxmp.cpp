@@ -29,12 +29,15 @@ void count_zone_transfer(int rank, std::uint64_t bytes) {
   obs::registry().counter(obs::counter_id(prefix + ".bytes")).add(bytes);
 }
 
-/// Chunks per pipelined zone-read round; 0 = one round covering the
-/// largest zone, read inline (no I/O worker to overlap with).
-std::uint64_t zone_read_batch() {
+/// Chunks per pipelined zone-read round: as many as the transfer one
+/// request and seek are worth under the file system's cost model
+/// (CostModel::sieve_gap_bytes, rounded up; at least one). 0 = one round
+/// covering the largest zone, read inline (no I/O worker to overlap with).
+std::uint64_t zone_read_batch(const pfs::Pfs& fs, std::uint64_t chunk_bytes) {
   if (io::io_threads() <= 0) return 0;
-  const std::uint64_t depth = io::prefetch_depth();
-  return depth > 0 ? depth : 8;
+  const std::uint64_t gap = fs.config().cost.sieve_gap_bytes();
+  return std::max<std::uint64_t>(
+      1, gap / chunk_bytes + (gap % chunk_bytes != 0 ? 1 : 0));
 }
 }  // namespace
 
@@ -355,7 +358,7 @@ Status DrxMpFile::read_my_zone(const Distribution& dist, MemoryOrder order,
   }
 
   return read_my_zone_pipelined(dist, order, out, collective, chunks, box,
-                                zone_read_batch());
+                                zone_read_batch(*fs_, chunk_bytes()));
 }
 
 Status DrxMpFile::read_my_zone_pipelined(const Distribution& dist,

@@ -1,12 +1,16 @@
 #include "io/async_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "io/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/logging.hpp"
 
 namespace drx::io {
 
@@ -22,14 +26,22 @@ const obs::MetricId kBackgroundSubmitted =
 const obs::MetricId kQueueDepth = obs::histogram_id("io.pool.queue_depth");
 const obs::MetricId kJobUs = obs::histogram_id("io.pool.job_us");
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+/// Knob `name` from the environment: `fallback` when unset or empty, and
+/// also (with one warning) when it is not a decimal in [min, max].
+std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                      std::uint64_t min, std::uint64_t max) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw) return fallback;
-  return static_cast<std::uint64_t>(v);
+  if (const auto v = parse_knob(raw, min, max)) return *v;
+  DRX_LOG(kWarn) << name << "='" << raw << "' is not a whole number in ["
+                 << min << ", " << max << "]; using the default "
+                 << fallback;
+  return fallback;
 }
+
+constexpr std::uint64_t kAnyCount = std::numeric_limits<std::uint64_t>::max();
+// DRX_IO_THREADS and DRX_CACHE_SHARDS take any count and cap it here.
+constexpr std::uint64_t kMaxThreadsOrShards = 64;
 
 // Overrides: the sentinel means "defer to the environment".
 constexpr int kThreadsFromEnv = -1;
@@ -42,21 +54,33 @@ std::atomic<std::uint64_t> g_serve_queue_depth_override{0};
 
 }  // namespace
 
+std::optional<std::uint64_t> parse_knob(std::string_view text,
+                                        std::uint64_t min,
+                                        std::uint64_t max) noexcept {
+  // from_chars takes no sign or blank; `ptr != end` rejects a suffix.
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < min || v > max) {
+    return std::nullopt;
+  }
+  return v;
+}
+
 int io_threads() noexcept {
   const int o = g_io_threads_override.load(std::memory_order_relaxed);
   if (o >= 0) return o;
   // Read once: the engine treats the environment as process-constant.
-  static const int from_env = [] {
-    const auto v = env_u64("DRX_IO_THREADS", 0);
-    return static_cast<int>(v > 64 ? 64 : v);
-  }();
+  static const int from_env = static_cast<int>(std::min<std::uint64_t>(
+      env_u64("DRX_IO_THREADS", 0, 0, kAnyCount), kMaxThreadsOrShards));
   return from_env;
 }
 
 std::uint64_t prefetch_depth() noexcept {
   const std::uint64_t o = g_prefetch_override.load(std::memory_order_relaxed);
   if (o != kPrefetchFromEnv) return o;
-  static const std::uint64_t from_env = env_u64("DRX_PREFETCH_DEPTH", 0);
+  static const std::uint64_t from_env =
+      env_u64("DRX_PREFETCH_DEPTH", 0, 0, kAnyCount);
   return from_env;
 }
 
@@ -90,10 +114,8 @@ void set_cache_admit(CacheAdmit mode) noexcept {
 int cache_shards() noexcept {
   const int o = g_cache_shards_override.load(std::memory_order_relaxed);
   if (o >= 0) return o;
-  static const int from_env = [] {
-    const auto v = env_u64("DRX_CACHE_SHARDS", 0);
-    return static_cast<int>(v > 64 ? 64 : v);
-  }();
+  static const int from_env = static_cast<int>(std::min<std::uint64_t>(
+      env_u64("DRX_CACHE_SHARDS", 0, 0, kAnyCount), kMaxThreadsOrShards));
   return from_env;
 }
 
@@ -105,7 +127,7 @@ void set_cache_shards(int shards) noexcept {
 bool cache_fast_reads() noexcept {
   const int o = g_cache_fast_reads_override.load(std::memory_order_relaxed);
   if (o >= 0) return o != 0;
-  static const bool from_env = env_u64("DRX_CACHE_FAST_READS", 1) != 0;
+  static const bool from_env = env_u64("DRX_CACHE_FAST_READS", 1, 0, 1) != 0;
   return from_env;
 }
 
@@ -118,10 +140,8 @@ std::size_t serve_queue_depth() noexcept {
   const std::uint64_t o =
       g_serve_queue_depth_override.load(std::memory_order_relaxed);
   if (o != 0) return static_cast<std::size_t>(o);
-  static const std::size_t from_env = [] {
-    const std::uint64_t v = env_u64("DRX_SERVE_QUEUE_DEPTH", 128);
-    return static_cast<std::size_t>(v == 0 ? 128 : v);
-  }();
+  static const std::size_t from_env = static_cast<std::size_t>(
+      env_u64("DRX_SERVE_QUEUE_DEPTH", 128, 1, std::size_t{1} << 20));
   return from_env;
 }
 

@@ -1,16 +1,21 @@
 // Runtime knobs for the async chunk I/O engine (docs/ASYNC_IO.md).
 //
-// Both knobs are read from the environment once at startup and can be
+// The knobs are read from the environment once at startup and can be
 // overridden programmatically (tests and benches flip them without
 // re-exec'ing). Worker threads are opt-in: at the zero defaults every
 // pool runs its jobs inline on the submitting thread, through the same
-// code paths the workers would take.
+// code paths the workers would take. A numeric knob must be a whole
+// decimal in its range (parse_knob); anything else keeps the default
+// and logs one warning.
 //
-//   DRX_IO_THREADS     worker threads per AsyncIoPool consumer
-//                      (0 = no threads; every submission runs inline)
-//   DRX_PREFETCH_DEPTH chunks of speculative read-ahead issued when a
-//                      cache detects a sequential miss run (0 = off;
-//                      only active when DRX_IO_THREADS > 0)
+//   DRX_IO_THREADS     worker threads per AsyncIoPool consumer, capped
+//                      at 64 (0 = no threads; every submission runs
+//                      inline)
+//   DRX_PREFETCH_DEPTH read-ahead switch: non-zero turns on speculative
+//                      read-ahead when a cache detects a sequential miss
+//                      run (0 = off; only active when DRX_IO_THREADS >
+//                      0). The value is not a size: each window fills
+//                      the cache's fill budget (ChunkCache::read_ahead)
 //   DRX_CACHE_ADMIT    ChunkCache admission policy for element-granular
 //                      misses (docs/PERFORMANCE.md): `auto` (default) uses
 //                      the ghost/probation filter so scan/random patterns
@@ -25,20 +30,22 @@
 //                      default; 0 = every read takes the shard mutex —
 //                      the pre-sharding behavior, kept as an ablation
 //                      knob for benches)
-//   DRX_SERVE_QUEUE_DEPTH  bound of the drx::serve submission queue
-//                      (default 128); a session submitting into a full
-//                      queue blocks until a worker drains it
+//   DRX_SERVE_QUEUE_DEPTH  bound of the drx::serve submission queue,
+//                      1..1048576 (default 128); a session submitting
+//                      into a full queue blocks until a worker drains it
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace drx::io {
 
 /// Worker-thread count consumers should size their pools with.
 [[nodiscard]] int io_threads() noexcept;
 
-/// Read-ahead depth in chunks for sequential-scan prefetching.
+/// Read-ahead switch for sequential-scan prefetching: non-zero = on.
 [[nodiscard]] std::uint64_t prefetch_depth() noexcept;
 
 /// ChunkCache admission policy for element-granular misses.
@@ -63,6 +70,12 @@ enum class CacheAdmit {
 /// drx::serve submission-queue bound from DRX_SERVE_QUEUE_DEPTH
 /// (default 128, never 0).
 [[nodiscard]] std::size_t serve_queue_depth() noexcept;
+
+/// One knob value: all of `text` as a decimal integer in [min, max].
+/// nullopt for anything else (empty, a sign, blanks, a suffix, overflow,
+/// out of range).
+[[nodiscard]] std::optional<std::uint64_t> parse_knob(
+    std::string_view text, std::uint64_t min, std::uint64_t max) noexcept;
 
 /// Programmatic overrides (tests/benches). Negative `threads` restores
 /// the environment-derived value; so do `kPrefetchFromEnv` for depth,

@@ -660,12 +660,11 @@ TEST(CachedDrxFileAsync, SievedHoleNeverOverridesQueuedWriteBehind) {
   }
 }
 
-// The band-written array of the passenger tests: 16x16 chunks of 8x8
+// The band-written array of the read-ahead tests: 16x16 chunks of 8x8
 // doubles. F* addresses run down the 16-chunk columns while the slots sit
 // in row bands, so a read-ahead window down a column is one sieved
-// request across the rows it spans, and the hole bytes it transfers are
-// the same rows' chunks of the next columns.
-const Shape kPassengerArray{128, 128};
+// request across the rows it spans.
+const Shape kBandedArray{128, 128};
 
 /// Checks chunk `q` of a make_banded_file against unique_value.
 void expect_chunk_values(const DrxFile& file, std::uint64_t q,
@@ -679,183 +678,185 @@ void expect_chunk_values(const DrxFile& file, std::uint64_t q,
                  });
 }
 
-// A read-ahead window's sieved request transfers the live chunks in its
-// holes anyway; those the scan reaches within half the pool ride along
-// in the same job. The address-order scan then reads each hole chunk
-// once instead of once per window that crosses it, at no added request
-// or byte per window.
-TEST(CachedDrxFileAsync, ReadAheadCarriesSievedPassengers) {
+/// Pins every chunk of `file` in address order through a cache of
+/// `capacity` frames with read-ahead on, one fill job at a time (flush()
+/// waits for it), and returns how many chunks each pin reserved. No job
+/// may reserve more than half the pool and, when `controls` records the
+/// reads, a job read only chunks in (q, q + capacity / 2] for the pin at
+/// q. `stats` receives the cache's totals.
+std::vector<std::uint64_t> scan_reservations(
+    DrxFile& file, std::size_t capacity, FaultyStorage::Controls* controls,
+    ChunkCache::Stats& stats) {
+  const std::uint64_t budget = capacity / 2;
+  const std::uint64_t total = file.metadata().mapping.total_chunks();
+  std::map<std::uint64_t, std::uint64_t> address_at;  // by storage offset
+  for (std::uint64_t q = 0; q < total; ++q) {
+    address_at[file.metadata().storage_extent(q).offset] = q;
+  }
+  // Depth 1: the value only switches read-ahead on.
+  ChunkCache cache(file, capacity, ChunkCache::AsyncOptions{1, 1, 1});
+  std::vector<std::uint64_t> reserved;
+  for (std::uint64_t q = 0; q < total; ++q) {
+    const std::uint64_t issued = cache.stats().prefetch_issued;
+    const std::size_t read = controls ? controls->gathered().size() : 0;
+    auto p = cache.pin(q, /*writable=*/false);
+    EXPECT_TRUE(p.is_ok());
+    cache.unpin(q, false, false);
+    EXPECT_TRUE(cache.flush().is_ok());
+    reserved.push_back(cache.stats().prefetch_issued - issued);
+    EXPECT_LE(reserved.back(), budget) << "pin " << q;
+    if (controls == nullptr) continue;
+    const std::vector<std::uint64_t> offsets = controls->gathered();
+    EXPECT_EQ(offsets.size() - read, reserved.back()) << "pin " << q;
+    for (std::size_t k = read; k < offsets.size(); ++k) {
+      const std::uint64_t c = address_at.at(offsets[k]);
+      EXPECT_GT(c, q);
+      EXPECT_LE(c, q + budget) << "pin " << q;
+    }
+  }
+  stats = cache.stats();
+  return reserved;
+}
+
+// A read-ahead window fills the room its job has left of the fill budget,
+// whatever the storage's cost model says a seek is worth, and stops at the
+// last chunk. Here the model prices a seek at four chunks of transfer; the
+// windows still take half the pool.
+TEST(ChunkCacheAsync, ReadAheadWindowsFillTheBudget) {
+  constexpr std::size_t kCapacity = 512;
+  constexpr std::uint64_t kBudget = kCapacity / 2;
+  pfs::CostModel four_chunks;
+  four_chunks.seek_us = 4 * 512;  // 8x8 doubles per chunk
+  four_chunks.request_overhead_us = 0;
+  four_chunks.network_latency_us = 0;
+  four_chunks.disk_per_byte_us = 1;
+  four_chunks.network_per_byte_us = 0;
+  ASSERT_EQ(four_chunks.sieve_gap_bytes(), 4u * 512);
+  DrxFile::Options options;
+  options.dtype = ElementType::kDouble;
+  auto created = DrxFile::create(std::make_unique<pfs::MemStorage>(),
+                                 std::make_unique<pfs::MemStorage>(four_chunks),
+                                 Shape{256, 256}, Shape{8, 8}, options);
+  ASSERT_TRUE(created.is_ok()) << created.status();
+  DrxFile file = std::move(created).value();
+  const std::uint64_t total = file.metadata().mapping.total_chunks();
+  ASSERT_EQ(total, 1024u);
+  ChunkCache::Stats stats;
+  const std::vector<std::uint64_t> reserved =
+      scan_reservations(file, kCapacity, nullptr, stats);
+  // The misses at 0 and 1 start the run; each later miss lands just past
+  // the previous window and reads ahead again. The last window is short.
+  std::vector<std::uint64_t> expected(checked_size(total), 0);
+  for (std::uint64_t q = 1; q + 1 < total; q += kBudget + 1) {
+    expected[q] = std::min(kBudget, total - q - 1);
+  }
+  ASSERT_EQ(expected[772], total - 773);
+  EXPECT_EQ(reserved, expected);
+  EXPECT_EQ(stats.prefetch_wasted, 0u);
+}
+
+// Read-ahead never stretches speculation: no fill job holds more than
+// half the pool, or reads a chunk behind the stream or past
+// after + capacity / 2, on raw, compressed and striped storage alike.
+TEST(ChunkCacheAsync, ReadAheadStaysInsideTheSpeculationBudget) {
+  constexpr std::size_t kCapacity = 48;
+  constexpr std::uint64_t kBudget = kCapacity / 2;
+  for (const codec::CodecId c : {codec::CodecId::kRle, codec::CodecId::kNone}) {
+    SCOPED_TRACE(codec::codec_name(c));
+    FaultyStorage::Controls controls;
+    DrxFile file = make_banded_file(
+        c, std::make_unique<FaultyStorage>(controls), kBandedArray);
+    ChunkCache::Stats stats;
+    const std::vector<std::uint64_t> reserved =
+        scan_reservations(file, kCapacity, &controls, stats);
+    EXPECT_EQ(reserved[1], kBudget);
+    EXPECT_EQ(reserved[kBudget + 2], kBudget);
+    EXPECT_GE(static_cast<double>(stats.prefetch_useful),
+              0.95 * static_cast<double>(stats.prefetch_issued));
+  }
+  {
+    SCOPED_TRACE("rle, band-written, striped storage");
+    pfs::Pfs fs(pfs::PfsConfig{});
+    auto handle = fs.create("banded");
+    ASSERT_TRUE(handle.is_ok());
+    DrxFile file = make_banded_file(
+        codec::CodecId::kRle,
+        std::make_unique<pfs::PfsStorage>(std::move(handle).value()),
+        kBandedArray);
+    ChunkCache::Stats stats;
+    const std::vector<std::uint64_t> reserved =
+        scan_reservations(file, kCapacity, nullptr, stats);
+    EXPECT_EQ(reserved[1], kBudget);
+  }
+}
+
+// A scan down the band-written array's columns: every window is one
+// sieved request across the rows it spans. Budget-sized windows cross
+// each row band a few times instead of once per eight chunks.
+TEST(CachedDrxFileAsync, BandWrittenScanReadsAheadInBudgetWindows) {
   DrxFile file = make_banded_file(codec::CodecId::kRle,
                                   std::make_unique<pfs::MemStorage>(),
-                                  kPassengerArray);
+                                  kBandedArray);
   auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
   const std::uint64_t total = file.metadata().mapping.total_chunks();
   ASSERT_EQ(total, 256u);
-  {
-    CachedDrxFile cached(file, 64, ChunkCache::AsyncOptions{2, 8, 1});
-    const pfs::IoStats before = io;
-    std::vector<double> out(8 * 8);
-    for (std::uint64_t q = 0; q < total; ++q) {
-      const Index c = file.metadata().mapping.index_of(q);
-      const Box box{{c[0] * 8, c[1] * 8}, {c[0] * 8 + 8, c[1] * 8 + 8}};
-      ASSERT_TRUE(cached
-                      .read_box(box, MemoryOrder::kRowMajor,
-                                std::as_writable_bytes(std::span(out)))
-                      .is_ok());
-      expect_chunk_values(file, q, std::as_bytes(std::span(out)));
-    }
-    ASSERT_TRUE(cached.flush().is_ok());
-    const pfs::IoStats scan = io - before;
-    const ChunkCache::Stats stats = cached.stats();
-    EXPECT_GT(stats.prefetch_passengers, 0u);
-    EXPECT_GE(static_cast<double>(stats.prefetch_useful),
-              0.95 * static_cast<double>(stats.prefetch_issued));
-    // Without passengers every window re-reads the next columns' chunks
-    // in its holes: this scan transferred 2605568 bytes before them (in
-    // 30 requests), and 993280 with them (in 26).
-    EXPECT_LT(scan.bytes_read, 1300000u);
-  }
-
-  // One window, from a cold cache: the misses at 0 and 1 read ahead over
-  // 2..9 and carry passengers. The same fill without them, on an
-  // identical file, costs exactly as many requests and bytes.
-  const auto fill_cost = [](DrxFile& f, bool through_cache) {
-    auto& stats = static_cast<pfs::MemStorage&>(f.data_storage()).stats();
-    const pfs::IoStats before = stats;
-    if (through_cache) {
-      ChunkCache cache(f, 64, ChunkCache::AsyncOptions{1, 8, 1});
-      for (const std::uint64_t q : {0u, 1u}) {
-        auto p = cache.pin(q, /*writable=*/false);
-        EXPECT_TRUE(p.is_ok());
-        cache.unpin(q, false, false);
-      }
-      EXPECT_TRUE(cache.flush().is_ok());
-      EXPECT_GT(cache.stats().prefetch_passengers, 0u);
-    } else {
-      std::vector<std::byte> scratch;
-      for (const std::uint64_t q : {0u, 1u}) {
-        EXPECT_TRUE(f.read_chunk_stored(q, scratch).is_ok());
-      }
-      std::vector<std::uint64_t> window(8);
-      std::iota(window.begin(), window.end(), std::uint64_t{2});
-      std::vector<DrxFile::StoredRef> refs;
-      EXPECT_TRUE(f.read_chunks_stored(window, scratch, refs).is_ok());
-    }
-    return stats - before;
-  };
-  DrxFile alone = make_banded_file(codec::CodecId::kRle,
-                                   std::make_unique<pfs::MemStorage>(),
-                                   kPassengerArray);
-  DrxFile carried = make_banded_file(codec::CodecId::kRle,
-                                     std::make_unique<pfs::MemStorage>(),
-                                     kPassengerArray);
-  const pfs::IoStats a = fill_cost(alone, /*through_cache=*/false);
-  const pfs::IoStats b = fill_cost(carried, /*through_cache=*/true);
-  EXPECT_EQ(b.read_requests, a.read_requests);
-  EXPECT_EQ(b.bytes_read, a.bytes_read);
-}
-
-// The fill primitive itself: read_chunks_stored plans its requests from
-// the listed chunks alone. A passenger inside one of them is copied out
-// of bytes that request transfers anyway; one outside every request (a
-// chunk whose slot moved after it was chosen, say) is left unread. The
-// device sees the same requests and bytes either way.
-TEST(DrxFileFill, PassengersRideOnlyInsideTheirRequests) {
-  DrxFile file = make_banded_file(codec::CodecId::kRle,
-                                  std::make_unique<pfs::MemStorage>(),
-                                  kPassengerArray);
-  auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
-  std::vector<std::uint64_t> window(8);
-  std::iota(window.begin(), window.end(), std::uint64_t{2});
-  std::vector<std::uint64_t> candidates(32);
-  std::iota(candidates.begin(), candidates.end(), std::uint64_t{10});
-  std::vector<std::uint64_t> passengers =
-      file.chunks_inside_requests(window, candidates);
-  ASSERT_FALSE(passengers.empty());
-  const auto outside = std::find_if(
-      candidates.begin(), candidates.end(), [&](std::uint64_t q) {
-        return std::find(passengers.begin(), passengers.end(), q) ==
-               passengers.end();
-      });
-  ASSERT_NE(outside, candidates.end());
-  passengers.push_back(*outside);
-
-  std::vector<std::byte> scratch;
-  std::vector<DrxFile::StoredRef> refs;
-  pfs::IoStats before = io;
-  ASSERT_TRUE(file.read_chunks_stored(window, scratch, refs).is_ok());
-  const pfs::IoStats alone = io - before;
-  before = io;
-  ASSERT_TRUE(
-      file.read_chunks_stored(window, scratch, refs, passengers).is_ok());
-  const pfs::IoStats carried = io - before;
-  EXPECT_EQ(carried.read_requests, alone.read_requests);
-  EXPECT_EQ(carried.bytes_read, alone.bytes_read);
-
-  ASSERT_EQ(refs.size(), window.size() + passengers.size());
-  std::vector<std::byte> raw(checked_size(file.chunk_bytes()));
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    const bool listed = i < window.size();
-    const std::uint64_t q =
-        listed ? window[i] : passengers[i - window.size()];
-    EXPECT_EQ(refs[i].fetched, q != *outside) << q;
-    if (!refs[i].fetched) continue;
-    ASSERT_TRUE(file.decode_chunk(refs[i].codec,
-                                  std::span<const std::byte>(scratch).subspan(
-                                      refs[i].offset, refs[i].size),
-                                  raw)
+  CachedDrxFile cached(file, 64, ChunkCache::AsyncOptions{2, 1, 1});
+  const pfs::IoStats before = io;
+  std::vector<double> out(8 * 8);
+  for (std::uint64_t q = 0; q < total; ++q) {
+    const Index c = file.metadata().mapping.index_of(q);
+    const Box box{{c[0] * 8, c[1] * 8}, {c[0] * 8 + 8, c[1] * 8 + 8}};
+    ASSERT_TRUE(cached
+                    .read_box(box, MemoryOrder::kRowMajor,
+                              std::as_writable_bytes(std::span(out)))
                     .is_ok());
-    expect_chunk_values(file, q, raw);
+    expect_chunk_values(file, q, std::as_bytes(std::span(out)));
   }
+  ASSERT_TRUE(cached.flush().is_ok());
+  const pfs::IoStats scan = io - before;
+  const ChunkCache::Stats stats = cached.stats();
+  EXPECT_GE(static_cast<double>(stats.prefetch_useful),
+            0.95 * static_cast<double>(stats.prefetch_issued));
+  // 32-chunk windows: 9 requests and 987648 bytes.
+  EXPECT_LE(scan.read_requests, 9u);
+  EXPECT_LE(scan.bytes_read, 987648u);
 }
 
-// Passengers are reserved before the fill reads, by the same check the
-// window uses, so a chunk whose newest bytes are not on storage yet is
-// never carried. Here the chunk sits inside the window's request and
-// within reach, once as a write-back held in the queue and once as a
-// dirty resident frame.
-TEST(CachedDrxFileAsync, PassengerNeverOverridesQueuedWriteBehind) {
+// A window is reserved before its job reads, by the same check every fill
+// uses, so a chunk whose newest bytes are not on storage yet is never
+// filled from it. Here the chunk lies inside the window, once as a
+// write-back held in the queue and once as a dirty resident frame.
+TEST(CachedDrxFileAsync, ReadAheadNeverOverridesQueuedWriteBehind) {
   constexpr std::size_t kCapacity = 64;
-  constexpr std::uint64_t kDepth = 4;
+  constexpr std::uint64_t kHeld = 10;
   for (const bool queued : {true, false}) {
     SCOPED_TRACE(queued ? "queued write-back" : "dirty resident frame");
     FaultyStorage::Controls controls;
     DrxFile file = make_banded_file(
         codec::CodecId::kRle, std::make_unique<FaultyStorage>(controls),
-        kPassengerArray);
+        kBandedArray);
     const std::size_t n = checked_size(file.chunk_bytes()) / sizeof(double);
-    // The hints at 0 and 1 read ahead over 2..5; their job plans its
-    // requests from 1..5 and may carry 6..1 + kCapacity / 2.
-    std::vector<std::uint64_t> job(5);
-    std::iota(job.begin(), job.end(), std::uint64_t{1});
-    std::vector<std::uint64_t> reach(kCapacity / 2 - 4);
-    std::iota(reach.begin(), reach.end(), std::uint64_t{6});
-    const std::vector<std::uint64_t> planned =
-        file.chunks_inside_requests(job, reach);
-    ASSERT_GE(planned.size(), 2u);
-    // Reserving the first passenger evicts the held chunk, whose
-    // write-back then queues before its own turn comes.
-    const std::uint64_t held = queued ? planned[1] : planned[0];
 
-    ChunkCache cache(file, kCapacity, ChunkCache::AsyncOptions{2, kDepth, 1});
+    ChunkCache cache(file, kCapacity, ChunkCache::AsyncOptions{2, 1, 1});
     OpenGateAtExit gate{controls};
     // Fill the pool with misses that never run in sequence, far from the
-    // stream. The reservations before the first passenger (0, 1 and the
-    // window) evict the 6 least recent; the next LRU frame is the held
-    // chunk when it is queued, and the most recent one otherwise.
+    // stream. The hints at 0 and 1 and the window's reservations of
+    // 2, 3, ... evict the least recent frames in turn, so a held chunk
+    // sixth in line is evicted (its write-back queued) before the window
+    // reaches it; one most recent is never evicted.
     std::vector<std::uint64_t> order;
     for (std::uint64_t f = 0; order.size() + 1 < kCapacity; ++f) {
       order.push_back(254 - 2 * f);
     }
-    order.insert(queued ? order.begin() + 6 : order.end(), held);
+    order.insert(queued ? order.begin() + 5 : order.end(), kHeld);
     for (const std::uint64_t q : order) {
       auto p = cache.pin(q);
       ASSERT_TRUE(p.is_ok());
-      if (q == held) {
+      if (q == kHeld) {
         auto* v = reinterpret_cast<double*>(p.value().data());
         std::fill(v, v + n, 7.5);  // compresses: rewritten in place
       }
-      cache.unpin(q, /*dirty=*/q == held);
+      cache.unpin(q, /*dirty=*/q == kHeld);
     }
     ASSERT_EQ(cache.resident(), kCapacity);
 
@@ -864,125 +865,32 @@ TEST(CachedDrxFileAsync, PassengerNeverOverridesQueuedWriteBehind) {
     const std::uint64_t second[] = {1};
     cache.prefetch_chunks(first);
     cache.prefetch_chunks(second);  // continues the run: reads ahead
-    const ChunkCache::Stats stats = cache.stats();
-    ASSERT_EQ(stats.prefetch_issued, 2 + kDepth + planned.size() - 1);
-    ASSERT_EQ(stats.prefetch_passengers, planned.size() - 1);
+    // 0, 1 and the window 2..kCapacity / 2, which skips the held chunk.
+    ASSERT_EQ(cache.stats().prefetch_issued, kCapacity / 2);
 
     // The newest bytes come back while the write-back is still held.
-    auto p = cache.pin(held, /*writable=*/false);
+    auto p = cache.pin(kHeld, /*writable=*/false);
     ASSERT_TRUE(p.is_ok());
     const auto* v = reinterpret_cast<const double*>(p.value().data());
     EXPECT_EQ(v[0], 7.5);
     EXPECT_EQ(v[n - 1], 7.5);
-    cache.unpin(held, false, false);
+    cache.unpin(kHeld, false, false);
     EXPECT_EQ(cache.stats().write_queue_hits, queued ? 1u : 0u);
 
     controls.writes_open = true;
     ASSERT_TRUE(cache.flush().is_ok());
     std::vector<std::byte> raw(checked_size(file.chunk_bytes()));
-    ASSERT_TRUE(file.read_chunk(held, raw).is_ok());
+    ASSERT_TRUE(file.read_chunk(kHeld, raw).is_ok());
     double seen = 0;
     std::memcpy(&seen, raw.data() + raw.size() - sizeof(seen), sizeof(seen));
     EXPECT_EQ(seen, 7.5);
-    for (const std::uint64_t q : planned) {
-      if (q == held) continue;
+    for (std::uint64_t q = 2; q <= kCapacity / 2; ++q) {
+      if (q == kHeld) continue;
       auto r = cache.pin(q, /*writable=*/false);
       ASSERT_TRUE(r.is_ok());
       expect_chunk_values(file, q, r.value());
       cache.unpin(q, false, false);
     }
-  }
-}
-
-// Passengers never stretch speculation: no fill job holds more than half
-// the pool or a chunk behind the stream or past after + capacity / 2,
-// and the detector's run still ends at the window. Where no request
-// reads across a hole (a raw array, or striped storage, which never
-// sieves) read-ahead reserves its window and nothing else.
-TEST(ChunkCacheAsync, PassengersStayInsideTheSpeculationBudget) {
-  constexpr std::size_t kCapacity = 48;
-  constexpr std::uint64_t kDepth = 4;
-  constexpr std::size_t kBudget = kCapacity / 2;
-  // Pins every chunk in address order, one fill job at a time (flush()
-  // waits for it). Each job must reserve at most kBudget chunks and, when
-  // `controls` records the reads, read only chunks in (q, q + reach] for
-  // the pin at q. Returns how many chunks each pin reserved; `stats`
-  // receives the cache's totals.
-  const auto scan = [&](DrxFile& file, std::uint64_t reach,
-                       FaultyStorage::Controls* controls,
-                       ChunkCache::Stats& stats) {
-    const std::uint64_t total = file.metadata().mapping.total_chunks();
-    std::map<std::uint64_t, std::uint64_t> address_at;  // by storage offset
-    for (std::uint64_t q = 0; q < total; ++q) {
-      address_at[file.metadata().storage_extent(q).offset] = q;
-    }
-    ChunkCache cache(file, kCapacity, ChunkCache::AsyncOptions{1, kDepth, 1});
-    std::vector<std::uint64_t> reserved;
-    for (std::uint64_t q = 0; q < total; ++q) {
-      const std::uint64_t issued = cache.stats().prefetch_issued;
-      const std::size_t read = controls ? controls->gathered().size() : 0;
-      auto p = cache.pin(q, /*writable=*/false);
-      EXPECT_TRUE(p.is_ok());
-      cache.unpin(q, false, false);
-      EXPECT_TRUE(cache.flush().is_ok());
-      reserved.push_back(cache.stats().prefetch_issued - issued);
-      EXPECT_LE(reserved.back(), kBudget) << "pin " << q;
-      if (controls == nullptr) continue;
-      const std::vector<std::uint64_t> offsets = controls->gathered();
-      EXPECT_EQ(offsets.size() - read, reserved.back()) << "pin " << q;
-      for (std::size_t k = read; k < offsets.size(); ++k) {
-        const std::uint64_t c = address_at.at(offsets[k]);
-        EXPECT_GT(c, q);
-        EXPECT_LE(c, q + reach) << "pin " << q;
-      }
-    }
-    stats = cache.stats();
-    return reserved;
-  };
-
-  {
-    SCOPED_TRACE("rle, band-written, sieving storage");
-    FaultyStorage::Controls controls;
-    DrxFile file = make_banded_file(
-        codec::CodecId::kRle, std::make_unique<FaultyStorage>(controls),
-        kPassengerArray);
-    ChunkCache::Stats stats;
-    const std::vector<std::uint64_t> reserved =
-        scan(file, kBudget, &controls, stats);
-    EXPECT_GT(stats.prefetch_passengers, 0u);
-    // The misses at 0 and 1 read ahead over 2..5, whose passengers sit in
-    // the next column. The run ends at 5, so the miss at 6 continues it
-    // and reads ahead again at once.
-    EXPECT_EQ(reserved[0], 0u);
-    EXPECT_GT(reserved[1], kDepth);
-    EXPECT_GT(reserved[6], 0u);
-  }
-  {
-    SCOPED_TRACE("raw, sieving storage");
-    FaultyStorage::Controls controls;
-    DrxFile file = make_banded_file(codec::CodecId::kNone,
-                                    std::make_unique<FaultyStorage>(controls),
-                                    kPassengerArray);
-    ChunkCache::Stats stats;
-    scan(file, kDepth, &controls, stats);
-    EXPECT_GT(stats.prefetch_issued, 0u);
-    EXPECT_EQ(stats.prefetch_passengers, 0u);
-  }
-  {
-    SCOPED_TRACE("rle, band-written, striped storage");
-    pfs::Pfs fs(pfs::PfsConfig{});
-    auto handle = fs.create("passengers");
-    ASSERT_TRUE(handle.is_ok());
-    DrxFile file = make_banded_file(
-        codec::CodecId::kRle,
-        std::make_unique<pfs::PfsStorage>(std::move(handle).value()),
-        kPassengerArray);
-    ChunkCache::Stats stats;
-    for (const std::uint64_t r : scan(file, kDepth, nullptr, stats)) {
-      EXPECT_LE(r, kDepth);
-    }
-    EXPECT_GT(stats.prefetch_issued, 0u);
-    EXPECT_EQ(stats.prefetch_passengers, 0u);
   }
 }
 
@@ -994,8 +902,8 @@ TEST(CachedDrxFileAsync, ScanOfOneChunkBoxesReadsAhead) {
   DrxFile file = make_file(Shape{512, 512}, Shape{16, 16});  // 1024 chunks
   write_row_bands(file, 16, unique_value);
   auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
-  constexpr std::uint64_t kDepth = 8;
-  CachedDrxFile cached(file, 64, ChunkCache::AsyncOptions{2, kDepth});
+  constexpr std::uint64_t kBudget = 32;  // half the pool
+  CachedDrxFile cached(file, 2 * kBudget, ChunkCache::AsyncOptions{2, 1});
   const std::uint64_t total = file.metadata().mapping.total_chunks();
   ASSERT_EQ(total, 1024u);
 
@@ -1014,9 +922,10 @@ TEST(CachedDrxFileAsync, ScanOfOneChunkBoxesReadsAhead) {
     });
   }
   ASSERT_TRUE(cached.flush().is_ok());
-  // One request per read-ahead window (plus the two that start the run),
-  // not one per chunk.
-  EXPECT_LE(io.read_requests - reads_before, (total + kDepth - 1) / kDepth + 2);
+  // One request per fill job, a hinted chunk and the budget-sized window
+  // after it (plus the two that start the run), not one per chunk.
+  EXPECT_LE(io.read_requests - reads_before,
+            (total + kBudget - 1) / kBudget + 2);
   EXPECT_GT(cached.stats().prefetch_useful, 0u);
 }
 
