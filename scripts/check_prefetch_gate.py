@@ -8,8 +8,8 @@ storage request count (the request count is deterministic, so a scheduler
 hiccup cannot mask a regression), on two scans:
   - the sequential sweep of the A2 table (bench_chunk_cache);
   - the band-written compressed scan (bench_chunk_cache_compression row
-    "rle, band-written"), whose read-ahead windows, each as large as
-    half the pool, read across storage holes.
+    "rle, band-written"), whose read-ahead windows, each taking every
+    frame but the one its miss pins, read across storage holes.
 """
 
 import argparse

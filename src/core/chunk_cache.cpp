@@ -713,19 +713,34 @@ bool ChunkCache::note_sequential(std::uint64_t front, std::uint64_t back) {
   return seq_run_ >= kSequentialThreshold;
 }
 
-void ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
-                              FillJob& job) {
+std::size_t ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
+                                     FillJob& job) {
   const std::uint64_t total = file_->metadata().mapping.total_chunks();
-  const std::size_t cap = fill_budget();
   // One in-flight load per shard per job: run_prefetch_job recomputes
   // the same bitmask from the job's addresses to pair the decrement.
   std::uint64_t participating = 0;  // shard bitmask; shard_count_ <= 64
   for (const std::uint64_t address : job.addresses) {
     participating |= std::uint64_t{1} << shard_index(address);
   }
-  std::vector<std::uint64_t> write_submits;
+  // A job never evicts a chunk it was asked for, in this call or an
+  // earlier one (a box hint, then its read-ahead window): the caller is
+  // about to pin those, and evicting one would leave a hole its pin
+  // faults alone. The asked-for settled frames move to the LRU's front
+  // first, so the fill takes every other frame before it runs into one.
+  job.asked.insert(job.asked.end(), addresses.begin(), addresses.end());
+  std::sort(job.asked.begin(), job.asked.end());
   for (const std::uint64_t address : addresses) {
-    if (job.addresses.size() >= cap) break;
+    Shard& s = shard_of(address);
+    util::MutexLock lock(s.mu);
+    const auto it = s.frames.find(address);
+    if (it != s.frames.end() && it->second.in_lru) {
+      s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+    }
+  }
+  std::vector<std::uint64_t> write_submits;
+  std::size_t walked = 0;
+  for (; walked < addresses.size(); ++walked) {
+    const std::uint64_t address = addresses[walked];
     if (address >= total) continue;
     const std::size_t si = shard_index(address);
     Shard& s = shards_[si];
@@ -736,9 +751,17 @@ void ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
         s.pending_writes.count(address) != 0) {
       continue;
     }
-    // Make room by evicting unpinned frames; their dirty write-backs are
-    // deferred to the pool, so speculation never blocks on I/O here.
-    while (s.frames.size() >= s.capacity && !s.lru.empty()) {
+    // Make room by evicting settled frames from the LRU's back; their
+    // dirty write-backs are deferred to the pool, so speculation never
+    // blocks on I/O here. Stop at the first chunk whose room would cost a
+    // pinned or loading frame (none in the LRU) or an asked-for one.
+    const auto evictable = [&] {
+      s.mu.assert_held();
+      return !s.lru.empty() && !std::binary_search(job.asked.begin(),
+                                                   job.asked.end(),
+                                                   s.lru.back());
+    };
+    while (s.frames.size() >= s.capacity && evictable()) {
       DRX_IGNORE_STATUS(evict_one_locked(s, write_submits),
                         "speculative fill: write-back errors are recorded "
                         "by record_error and surface on flush()");
@@ -760,22 +783,24 @@ void ChunkCache::reserve_fill(std::span<const std::uint64_t> addresses,
     job.addresses.push_back(address);
   }
   if (!write_submits.empty()) submit_writes(write_submits);
+  return walked;
 }
 
 void ChunkCache::read_ahead(std::uint64_t after, FillJob& job) {
-  // The window is the room the job has left of the fill budget
-  // (reserve_fill never lets a job outgrow it), up to the last chunk.
+  // Ask for a whole pool of chunks, up to the last one: reserve_fill
+  // decides where the window ends.
   const std::uint64_t total = file_->metadata().mapping.total_chunks();
   if (after + 1 >= total) return;
-  const std::uint64_t count = std::min<std::uint64_t>(
-      fill_budget() - job.addresses.size(), total - after - 1);
-  if (count == 0) return;
+  const std::uint64_t count =
+      std::min<std::uint64_t>(capacity_, total - after - 1);
   std::vector<std::uint64_t> window(checked_size(count));
   std::iota(window.begin(), window.end(), after + 1);
-  reserve_fill(window, job);
-  // Keep the detector's run alive across the hits the window creates.
+  const std::size_t walked = reserve_fill(window, job);
+  if (walked == 0) return;
+  // Keep the detector's run alive across the hits the window creates,
+  // and let the miss just past a stopped window continue it.
   util::MutexLock seq(seq_mu_);
-  last_miss_ = window.back();
+  last_miss_ = window[walked - 1];
 }
 
 void ChunkCache::submit_fill(FillJob job) {
@@ -805,15 +830,18 @@ void ChunkCache::prefetch_chunks(std::span<const std::uint64_t> addresses) {
   reserve_fill(addresses, job);
   if (job.addresses.empty()) return;
   // The pins these frames serve will hit, so the detector never sees them
-  // as misses: feed it the reserved run's address span instead. A run
+  // as misses: feed it the hint's address span instead, so a chunk the
+  // reservation stopped short of faults as a miss inside the run, never
+  // as one that continues it. Only a hint over consecutive addresses is
+  // a run (a 2-D box spans F* columns, and two boxes that merely abut in
+  // address order are no scan); any other restarts the detector. A run
   // that continues the previous one (a scan of small boxes) carries its
   // read-ahead window in the same job; read_chunks_stored still gives
   // the window its own request unless the hole to it costs less than a
   // seek.
-  const auto [lo, hi] =
-      std::minmax_element(job.addresses.begin(), job.addresses.end());
-  const std::uint64_t last = *hi;
-  if (note_sequential(*lo, last)) read_ahead(last, job);
+  const auto [lo, hi] = std::minmax_element(addresses.begin(), addresses.end());
+  const bool run = *hi - *lo + 1 == addresses.size();
+  if (note_sequential(run ? *lo : kNoAddress, *hi)) read_ahead(*hi, job);
   submit_fill(std::move(job));
 }
 
@@ -880,24 +908,27 @@ Status ChunkCache::run_write_job(std::uint64_t address) {
 
 Status ChunkCache::run_prefetch_job(const FillJob& job) {
   const std::size_t cb = chunk_size();
-  // Fetch stored bytes under the io mutex, decode outside it straight
-  // into the reserved frames: a loading frame's buffer belongs to this
+  // Fetch stored bytes under the io mutex straight into the reserved
+  // frames, decode outside it: a loading frame's buffer belongs to this
   // job (pins wait, eviction and invalidate skip it), so frames are
   // published already-decoded, readers never pay codec latency, and
-  // decode overlaps concurrent I/O.
-  std::vector<std::byte> stored;
+  // decode overlaps concurrent I/O. An encoded chunk decodes through one
+  // chunk of scratch back into its frame, so a job holds no buffer the
+  // size of its stored bytes.
   std::vector<DrxFile::StoredRef> refs;
   Status st;
   {
     util::MutexLock io(io_mu_);
-    st = file_->read_chunks_stored(job.addresses, stored, refs);
+    st = file_->read_chunks_stored(job.addresses, job.frames, refs);
   }
+  std::vector<std::byte> raw;
   for (std::size_t i = 0; st.is_ok() && i < refs.size(); ++i) {
+    if (refs[i].codec == codec::CodecId::kNone) continue;  // landed raw
+    raw.resize(cb);
     st = file_->decode_chunk(
-        refs[i].codec,
-        std::span<const std::byte>(stored.data() + refs[i].offset,
-                                   refs[i].size),
-        std::span<std::byte>(job.frames[i], cb));
+        refs[i].codec, std::span<const std::byte>(job.frames[i], refs[i].size),
+        raw);
+    if (st.is_ok()) std::memcpy(job.frames[i], raw.data(), cb);
   }
   std::uint64_t participating = 0;
   for (const std::uint64_t address : job.addresses) {

@@ -44,8 +44,10 @@
 //  - read-ahead (io_threads > 0 and DRX_PREFETCH_DEPTH non-zero): a
 //    detectably sequential demand run (consecutive miss addresses, or
 //    hinted runs that continue one another) speculatively faults the
-//    next chunk addresses the same way, as many as the fill budget of
-//    half the pool has room for.
+//    next chunk addresses the same way. A window may take every frame
+//    except those pinned, loading, or holding chunks the same fill job
+//    was asked for (the window's own, or the hint it continues); it ends
+//    at the first chunk that would need one.
 #pragma once
 
 #include <algorithm>
@@ -435,29 +437,33 @@ class ChunkCache final : public io::PrefetchSink {
                                                        bool writable,
                                                        bool overwrite);
 
-  /// Frames one fill job may reserve: speculation never displaces more
-  /// than half the pool.
-  [[nodiscard]] std::size_t fill_budget() const noexcept {
-    return std::max<std::size_t>(1, capacity_ / 2);
-  }
   /// One fill job: the chunks reserve_fill reserved and the buffers of
   /// their loading frames, which the job owns until it settles them.
   struct FillJob {
     std::vector<std::uint64_t> addresses;
     std::vector<std::byte*> frames;
+    /// Every chunk the job's reservations were asked for, sorted: none
+    /// of them is evicted to make room for another.
+    std::vector<std::uint64_t> asked;
   };
   /// Reserves loading frames for the eligible chunks of `addresses`, in
   /// order (resident, in-flight and write-queued chunks are skipped),
-  /// appending each to `job` until the job holds fill_budget() frames.
-  /// Locks one shard at a time; called with no shard lock held.
-  void reserve_fill(std::span<const std::uint64_t> addresses, FillJob& job);
+  /// appending each to `job` and `addresses` to `job.asked`. Stops at the
+  /// first chunk whose frame would have to evict a pinned or loading
+  /// frame or one of `job.asked`, and returns how many addresses it
+  /// walked before stopping. Locks one shard at a time; called with no
+  /// shard lock held.
+  std::size_t reserve_fill(std::span<const std::uint64_t> addresses,
+                           FillJob& job);
   /// Feeds one demand run, the addresses front..back (a miss: front ==
-  /// back), to the sequential detector; true = follow it with read-ahead.
+  /// back; front == kNoAddress: no run, which restarts the detector), to
+  /// the sequential detector; true = follow it with read-ahead.
   bool note_sequential(std::uint64_t front, std::uint64_t back);
-  /// Reserves the read-ahead window after `after` into `job`: the next
-  /// chunks, as many as the job has frames left of fill_budget() (none
-  /// past the last chunk), so it never reaches past after +
-  /// fill_budget().
+  /// Reserves the read-ahead window after `after` into `job`: asks for
+  /// the next `capacity` chunks (none past the last chunk), and the
+  /// window ends where reserve_fill stops — so it never reaches past
+  /// after + capacity - 1 while the pin that faulted `after` holds a
+  /// frame.
   void read_ahead(std::uint64_t after, FillJob& job);
   /// Submits `job` to the pool as one background run_prefetch_job; an
   /// empty job is dropped.

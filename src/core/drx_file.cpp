@@ -570,10 +570,10 @@ Status DrxFile::decode_chunk(codec::CodecId chunk_codec,
 }
 
 Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
-                                   std::vector<std::byte>& scratch,
+                                   std::span<std::byte* const> into,
                                    std::vector<StoredRef>& refs) {
+  DRX_CHECK(into.size() == addresses.size());
   refs.clear();
-  scratch.clear();
   if (addresses.empty()) return Status::ok();
   const std::uint64_t total = meta_.mapping.total_chunks();
   for (const std::uint64_t q : addresses) {
@@ -595,23 +595,22 @@ Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
   obs::registry().counter(kBatches).add();
   obs::registry().counter(kBytes).add(checked_mul(n, cb));
 
-  // Each request copies only live bytes (Storage::read_gather), packed
-  // back to back into `scratch`.
-  scratch.resize(checked_size(live_bytes));
+  // Each request copies only live bytes (Storage::read_gather), each
+  // chunk's to the front of its own buffer.
   refs.resize(n);
   obs::ScopedSpan span("core.read_chunks_batch", "core",
                        checked_size(live_bytes));
   obs::StageTimer io(obs::Stage::kIoService);
   std::vector<pfs::GatherPiece> gather;
-  std::size_t pos = 0;
   for (const ReadPlan::Request& r : plan.requests) {
     gather.clear();
     for (std::size_t k = r.begin; k < r.end; ++k) {
-      const ReadPlan::Piece& p = plan.pieces[plan.order[k]];
-      gather.push_back(pfs::GatherPiece{
-          p.offset, std::span<std::byte>(scratch.data() + pos, p.stored)});
-      refs[plan.order[k]] = StoredRef{p.codec, pos, p.stored};
-      pos += p.stored;
+      const std::size_t i = plan.order[k];
+      const ReadPlan::Piece& p = plan.pieces[i];
+      DRX_CHECK(p.stored <= cb);  // Metadata::from_bytes checks it
+      gather.push_back(
+          pfs::GatherPiece{p.offset, std::span<std::byte>(into[i], p.stored)});
+      refs[i] = StoredRef{p.codec, p.stored};
     }
     DRX_RETURN_IF_ERROR(data_->read_gather(r.lo, r.hi, gather));
   }

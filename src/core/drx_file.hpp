@@ -139,11 +139,10 @@ class DrxFile {
     std::span<const std::byte> bytes;
   };
 
-  /// Location of one chunk inside the scratch buffer filled by
-  /// `read_chunks_stored`.
+  /// One chunk fetched by `read_chunks_stored`: how its stored bytes,
+  /// at the front of its buffer, are encoded.
   struct StoredRef {
     codec::CodecId codec = codec::CodecId::kNone;
-    std::size_t offset = 0;  ///< byte offset into the scratch buffer
     std::uint32_t size = 0;  ///< stored bytes
   };
 
@@ -172,16 +171,19 @@ class DrxFile {
                                     std::span<const std::byte> stored,
                                     std::span<std::byte> raw) const;
 
-  /// Fetches the stored bytes of the chunks at `addresses` (any order)
-  /// into `scratch` and records where each landed in `refs` (same order
-  /// as `addresses`). The one place a fill is split into storage
+  /// Fetches the stored bytes of the chunks at `addresses` (any order),
+  /// chunk i's to the front of `into[i]`, which is chunk_bytes() long (no
+  /// chunk stores more than its raw bytes), and records how each is
+  /// encoded in `refs` (same order as `addresses`). A raw chunk lands
+  /// decoded; an encoded one needs `decode_chunk` out of its buffer
+  /// into another. The one place a fill is split into storage
   /// requests: the list is sorted by storage position and a request
   /// grows across each next chunk that is contiguous on storage
   /// (Metadata::follows_on_storage) or whose hole is cheaper to read
   /// than the request and seek it saves (Storage::sieve_gap_bytes, from
   /// the device's cost model; raw and compressed arrays alike). Each
-  /// request copies only live bytes (Storage::read_gather): `scratch`
-  /// holds the chunks' stored bytes packed back to back.
+  /// request copies only live bytes (Storage::read_gather), straight
+  /// into the chunks' buffers.
   ///
   /// Reads the slot table, so callers that share the file with
   /// write-behind hold the same lock.
@@ -189,7 +191,7 @@ class DrxFile {
   /// primitive behind ChunkCache's box hints and sequential read-ahead.
   [[nodiscard]] Status read_chunks_stored(
       std::span<const std::uint64_t> addresses,
-      std::vector<std::byte>& scratch, std::vector<StoredRef>& refs);
+      std::span<std::byte* const> into, std::vector<StoredRef>& refs);
 
   /// Run-coalesced scatter/gather between a chunk buffer and a
   /// box-linearized user buffer for the element range `clip` (which lies

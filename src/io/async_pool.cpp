@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <string_view>
@@ -10,6 +9,7 @@
 #include "io/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/knob.hpp"
 #include "util/logging.hpp"
 
 namespace drx::io {
@@ -32,7 +32,7 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback,
                       std::uint64_t min, std::uint64_t max) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  if (const auto v = parse_knob(raw, min, max)) return *v;
+  if (const auto v = util::parse_knob(raw, min, max)) return *v;
   DRX_LOG(kWarn) << name << "='" << raw << "' is not a whole number in ["
                  << min << ", " << max << "]; using the default "
                  << fallback;
@@ -53,19 +53,6 @@ std::atomic<int> g_cache_fast_reads_override{-1};
 std::atomic<std::uint64_t> g_serve_queue_depth_override{0};
 
 }  // namespace
-
-std::optional<std::uint64_t> parse_knob(std::string_view text,
-                                        std::uint64_t min,
-                                        std::uint64_t max) noexcept {
-  // from_chars takes no sign or blank; `ptr != end` rejects a suffix.
-  std::uint64_t v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc{} || ptr != end || v < min || v > max) {
-    return std::nullopt;
-  }
-  return v;
-}
 
 int io_threads() noexcept {
   const int o = g_io_threads_override.load(std::memory_order_relaxed);

@@ -5,7 +5,7 @@
 // re-exec'ing). Worker threads are opt-in: at the zero defaults every
 // pool runs its jobs inline on the submitting thread, through the same
 // code paths the workers would take. A numeric knob must be a whole
-// decimal in its range (parse_knob); anything else keeps the default
+// decimal in its range (util::parse_knob); anything else keeps the default
 // and logs one warning.
 //
 //   DRX_IO_THREADS     worker threads per AsyncIoPool consumer, capped
@@ -14,8 +14,8 @@
 //   DRX_PREFETCH_DEPTH read-ahead switch: non-zero turns on speculative
 //                      read-ahead when a cache detects a sequential miss
 //                      run (0 = off; only active when DRX_IO_THREADS >
-//                      0). The value is not a size: each window fills
-//                      the cache's fill budget (ChunkCache::read_ahead)
+//                      0). The value is not a size: a window takes
+//                      every frame it may (ChunkCache::reserve_fill)
 //   DRX_CACHE_ADMIT    ChunkCache admission policy for element-granular
 //                      misses (docs/PERFORMANCE.md): `auto` (default) uses
 //                      the ghost/probation filter so scan/random patterns
@@ -37,8 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace drx::io {
 
@@ -70,12 +68,6 @@ enum class CacheAdmit {
 /// drx::serve submission-queue bound from DRX_SERVE_QUEUE_DEPTH
 /// (default 128, never 0).
 [[nodiscard]] std::size_t serve_queue_depth() noexcept;
-
-/// One knob value: all of `text` as a decimal integer in [min, max].
-/// nullopt for anything else (empty, a sign, blanks, a suffix, overflow,
-/// out of range).
-[[nodiscard]] std::optional<std::uint64_t> parse_knob(
-    std::string_view text, std::uint64_t min, std::uint64_t max) noexcept;
 
 /// Programmatic overrides (tests/benches). Negative `threads` restores
 /// the environment-derived value; so do `kPrefetchFromEnv` for depth,

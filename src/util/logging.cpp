@@ -1,9 +1,13 @@
 #include "util/logging.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
+#include "util/knob.hpp"
 #include "util/sync.hpp"
 
 namespace drx {
@@ -17,16 +21,30 @@ std::atomic<int>& level_slot() noexcept {
   return level;
 }
 
+/// DRX_LOG_LEVEL, read once per process: a malformed value warns once.
 int level_from_env() noexcept {
-  const char* env = std::getenv("DRX_LOG_LEVEL");
-  if (env == nullptr) return 0;
-  int v = std::atoi(env);
-  if (v < 0) v = 0;
-  if (v > 4) v = 4;
-  return v;
+  static const int level =
+      detail::parse_log_level(std::getenv("DRX_LOG_LEVEL"));
+  return level;
 }
 
 }  // namespace
+
+int detail::parse_log_level(const char* text) noexcept {
+  if (text == nullptr || *text == '\0') return 0;
+  // Levels above debug mean "everything", as they always have.
+  if (const auto v = util::parse_knob(
+          text, 0, std::numeric_limits<std::uint64_t>::max())) {
+    return static_cast<int>(std::min<std::uint64_t>(*v, 4));
+  }
+  // Straight to stderr: DRX_LOG would ask log_level(), which is still
+  // being decided.
+  std::fprintf(stderr,
+               "[drx W] DRX_LOG_LEVEL='%s' is not a whole number; "
+               "logging stays off\n",
+               text);
+  return 0;
+}
 
 LogLevel log_level() noexcept {
   std::atomic<int>& slot = level_slot();

@@ -22,6 +22,11 @@ void set_log_level(LogLevel level) noexcept;
 void log_message(LogLevel level, const std::string& msg);
 
 namespace detail {
+/// The level a DRX_LOG_LEVEL value names: a whole decimal, where values
+/// above 4 mean 4. An unset or empty value is 0; anything else is 0 too,
+/// with one warning line on stderr.
+int parse_log_level(const char* text) noexcept;
+
 class LogLine {
  public:
   explicit LogLine(LogLevel level) : level_(level) {}

@@ -680,14 +680,15 @@ void expect_chunk_values(const DrxFile& file, std::uint64_t q,
 
 /// Pins every chunk of `file` in address order through a cache of
 /// `capacity` frames with read-ahead on, one fill job at a time (flush()
-/// waits for it), and returns how many chunks each pin reserved. No job
-/// may reserve more than half the pool and, when `controls` records the
-/// reads, a job read only chunks in (q, q + capacity / 2] for the pin at
-/// q. `stats` receives the cache's totals.
-std::vector<std::uint64_t> scan_reservations(
-    DrxFile& file, std::size_t capacity, FaultyStorage::Controls* controls,
-    ChunkCache::Stats& stats) {
-  const std::uint64_t budget = capacity / 2;
+/// waits for it), and returns how many chunks each pin reserved. Each
+/// pin holds its frame until its job has landed and checks the bytes
+/// are still its own chunk's, so no job took the pinned frame. When
+/// `controls` records the reads, a job read only chunks in
+/// (q, q + capacity) for the pin at q. `stats` receives the cache's
+/// totals.
+std::vector<std::uint64_t> scan_windows(DrxFile& file, std::size_t capacity,
+                                        FaultyStorage::Controls* controls,
+                                        ChunkCache::Stats& stats) {
   const std::uint64_t total = file.metadata().mapping.total_chunks();
   std::map<std::uint64_t, std::uint64_t> address_at;  // by storage offset
   for (std::uint64_t q = 0; q < total; ++q) {
@@ -701,30 +702,44 @@ std::vector<std::uint64_t> scan_reservations(
     const std::size_t read = controls ? controls->gathered().size() : 0;
     auto p = cache.pin(q, /*writable=*/false);
     EXPECT_TRUE(p.is_ok());
-    cache.unpin(q, false, false);
     EXPECT_TRUE(cache.flush().is_ok());
+    expect_chunk_values(file, q, p.value());
+    cache.unpin(q, false, false);
     reserved.push_back(cache.stats().prefetch_issued - issued);
-    EXPECT_LE(reserved.back(), budget) << "pin " << q;
+    EXPECT_LT(reserved.back(), capacity) << "pin " << q;
     if (controls == nullptr) continue;
     const std::vector<std::uint64_t> offsets = controls->gathered();
     EXPECT_EQ(offsets.size() - read, reserved.back()) << "pin " << q;
     for (std::size_t k = read; k < offsets.size(); ++k) {
       const std::uint64_t c = address_at.at(offsets[k]);
       EXPECT_GT(c, q);
-      EXPECT_LE(c, q + budget) << "pin " << q;
+      EXPECT_LT(c, q + capacity) << "pin " << q;
     }
   }
   stats = cache.stats();
   return reserved;
 }
 
-// A read-ahead window fills the room its job has left of the fill budget,
-// whatever the storage's cost model says a seek is worth, and stops at the
-// last chunk. Here the model prices a seek at four chunks of transfer; the
-// windows still take half the pool.
-TEST(ChunkCacheAsync, ReadAheadWindowsFillTheBudget) {
+/// Reservations a scan_windows of `total` chunks through `capacity`
+/// frames makes: the misses at 0 and 1 start the run, the window after
+/// 1 takes every frame but the pinned one, and each later miss lands
+/// just past the previous window and reads ahead again. The last window
+/// stops at the last chunk.
+std::vector<std::uint64_t> pool_windows(std::uint64_t total,
+                                        std::uint64_t capacity) {
+  std::vector<std::uint64_t> expected(checked_size(total), 0);
+  for (std::uint64_t q = 1; q + 1 < total; q += capacity) {
+    expected[q] = std::min(capacity - 1, total - q - 1);
+  }
+  return expected;
+}
+
+// A read-ahead window takes every frame but the one its miss pins,
+// whatever the storage's cost model says a seek is worth, and stops at
+// the last chunk. Here the model prices a seek at four chunks of
+// transfer; the windows still take the pool.
+TEST(ChunkCacheAsync, ReadAheadWindowsTakeThePool) {
   constexpr std::size_t kCapacity = 512;
-  constexpr std::uint64_t kBudget = kCapacity / 2;
   pfs::CostModel four_chunks;
   four_chunks.seek_us = 4 * 512;  // 8x8 doubles per chunk
   four_chunks.request_overhead_us = 0;
@@ -739,40 +754,35 @@ TEST(ChunkCacheAsync, ReadAheadWindowsFillTheBudget) {
                                  Shape{256, 256}, Shape{8, 8}, options);
   ASSERT_TRUE(created.is_ok()) << created.status();
   DrxFile file = std::move(created).value();
+  write_row_bands(file, 8, unique_value);
   const std::uint64_t total = file.metadata().mapping.total_chunks();
   ASSERT_EQ(total, 1024u);
   ChunkCache::Stats stats;
   const std::vector<std::uint64_t> reserved =
-      scan_reservations(file, kCapacity, nullptr, stats);
-  // The misses at 0 and 1 start the run; each later miss lands just past
-  // the previous window and reads ahead again. The last window is short.
-  std::vector<std::uint64_t> expected(checked_size(total), 0);
-  for (std::uint64_t q = 1; q + 1 < total; q += kBudget + 1) {
-    expected[q] = std::min(kBudget, total - q - 1);
-  }
-  ASSERT_EQ(expected[772], total - 773);
+      scan_windows(file, kCapacity, nullptr, stats);
+  const std::vector<std::uint64_t> expected = pool_windows(total, kCapacity);
+  ASSERT_EQ(expected[1], kCapacity - 1);
+  ASSERT_EQ(expected[513], total - 514);
   EXPECT_EQ(reserved, expected);
   EXPECT_EQ(stats.prefetch_wasted, 0u);
 }
 
-// Read-ahead never stretches speculation: no fill job holds more than
-// half the pool, or reads a chunk behind the stream or past
-// after + capacity / 2, on raw, compressed and striped storage alike.
-TEST(ChunkCacheAsync, ReadAheadStaysInsideTheSpeculationBudget) {
+// A window evicts nothing the scan still needs: no job takes a pinned or
+// loading frame, reads a chunk behind the stream or one capacity or more
+// ahead of it, or wastes a prefetch, on raw, compressed and striped
+// storage alike.
+TEST(ChunkCacheAsync, ReadAheadEvictsNothingTheScanNeeds) {
   constexpr std::size_t kCapacity = 48;
-  constexpr std::uint64_t kBudget = kCapacity / 2;
+  const std::vector<std::uint64_t> expected = pool_windows(256, kCapacity);
   for (const codec::CodecId c : {codec::CodecId::kRle, codec::CodecId::kNone}) {
     SCOPED_TRACE(codec::codec_name(c));
     FaultyStorage::Controls controls;
     DrxFile file = make_banded_file(
         c, std::make_unique<FaultyStorage>(controls), kBandedArray);
     ChunkCache::Stats stats;
-    const std::vector<std::uint64_t> reserved =
-        scan_reservations(file, kCapacity, &controls, stats);
-    EXPECT_EQ(reserved[1], kBudget);
-    EXPECT_EQ(reserved[kBudget + 2], kBudget);
-    EXPECT_GE(static_cast<double>(stats.prefetch_useful),
-              0.95 * static_cast<double>(stats.prefetch_issued));
+    EXPECT_EQ(scan_windows(file, kCapacity, &controls, stats), expected);
+    EXPECT_EQ(stats.prefetch_wasted, 0u);
+    EXPECT_EQ(stats.prefetch_useful, stats.prefetch_issued);
   }
   {
     SCOPED_TRACE("rle, band-written, striped storage");
@@ -784,42 +794,169 @@ TEST(ChunkCacheAsync, ReadAheadStaysInsideTheSpeculationBudget) {
         std::make_unique<pfs::PfsStorage>(std::move(handle).value()),
         kBandedArray);
     ChunkCache::Stats stats;
-    const std::vector<std::uint64_t> reserved =
-        scan_reservations(file, kCapacity, nullptr, stats);
-    EXPECT_EQ(reserved[1], kBudget);
+    EXPECT_EQ(scan_windows(file, kCapacity, nullptr, stats), expected);
+    EXPECT_EQ(stats.prefetch_wasted, 0u);
   }
 }
 
-// A scan down the band-written array's columns: every window is one
-// sieved request across the rows it spans. Budget-sized windows cross
-// each row band a few times instead of once per eight chunks.
-TEST(CachedDrxFileAsync, BandWrittenScanReadsAheadInBudgetWindows) {
+// A window never evicts a chunk it covers: the stream is about to pin
+// it, and evicting it would leave a hole the stream faults alone. The
+// covered resident frames move to the LRU's front first, so the window
+// takes every other frame before it runs into one of them. Here two
+// covered chunks are the least recent frames of a full pool.
+TEST(ChunkCacheAsync, WindowKeepsTheResidentChunksItCovers) {
+  DrxFile file = make_file(Shape{64, 64}, Shape{8, 8});  // 64 chunks
+  constexpr std::size_t kCapacity = 17;
+  ChunkCache cache(file, kCapacity, ChunkCache::AsyncOptions{2, 1, 1});
+  std::vector<std::uint64_t> order{5, 9};
+  for (std::uint64_t f = 0; f < 13; ++f) order.push_back(63 - 2 * f);
+  order.push_back(0);
+  order.push_back(1);  // the run: reads ahead after 1
+  for (const std::uint64_t q : order) {
+    ASSERT_TRUE(cache.pin(q).is_ok());
+    cache.unpin(q, false);
+  }
+  ASSERT_TRUE(cache.flush().is_ok());
+  // The window takes the 13 far frames and 0, so it reads 2..17 but the
+  // two it keeps, and stops at 18, whose room would cost one of them.
+  EXPECT_EQ(cache.stats().prefetch_issued, 14u);
+  const std::uint64_t misses = cache.stats().misses;
+  for (std::uint64_t q = 2; q < 18; ++q) {
+    ASSERT_TRUE(cache.pin(q).is_ok());
+    cache.unpin(q, false);
+  }
+  EXPECT_EQ(cache.stats().misses, misses);
+  EXPECT_EQ(cache.stats().prefetch_wasted, 0u);
+}
+
+// A box hint and the read-ahead window it starts are one fill job, and
+// the window never evicts a chunk the hint asked for either. Here the
+// hint {10, 11} continues a run with 10 resident, the least recent
+// frame but one once the far chunks go: the window after 11 takes the
+// far frames and 9's, then stops at the chunk whose room would cost 10.
+TEST(ChunkCacheAsync, WindowKeepsTheResidentChunksOfItsHint) {
+  DrxFile file = make_file(Shape{64, 64}, Shape{8, 8});  // 64 chunks
+  constexpr std::size_t kCapacity = 16;
+  ChunkCache cache(file, kCapacity, ChunkCache::AsyncOptions{2, 1, 1});
+  // Misses that never run in sequence: 14 far chunks, then 10, then 9,
+  // which leaves the detector's last miss at 9.
+  std::vector<std::uint64_t> order;
+  for (std::uint64_t f = 0; f < kCapacity - 2; ++f) order.push_back(63 - 2 * f);
+  order.push_back(10);
+  order.push_back(9);
+  for (const std::uint64_t q : order) {
+    ASSERT_TRUE(cache.pin(q).is_ok());
+    cache.unpin(q, false);
+  }
+  ASSERT_EQ(cache.resident(), kCapacity);
+  const std::uint64_t hint[] = {10, 11};
+  cache.prefetch_chunks(hint);
+  ASSERT_TRUE(cache.flush().is_ok());
+  // 11, then the window 12..25: 13 far frames and 9's, not 10's.
+  EXPECT_EQ(cache.stats().prefetch_issued, 15u);
+  const std::uint64_t misses = cache.stats().misses;
+  for (std::uint64_t q = 10; q < 26; ++q) {
+    ASSERT_TRUE(cache.pin(q).is_ok());
+    cache.unpin(q, false);
+  }
+  EXPECT_EQ(cache.stats().misses, misses);
+  EXPECT_EQ(cache.stats().prefetch_wasted, 0u);
+}
+
+// Only a hint over consecutive addresses is a run. F* addresses run down
+// the chunk columns, so a 2x2-chunk box covers two address pairs, and
+// the next box down and to the right starts just past the first one's
+// last address without being a scan: it reads ahead nothing.
+TEST(CachedDrxFileAsync, BoxesThatAbutInAddressOrderDoNotReadAhead) {
+  DrxFile file = make_file(Shape{64, 64}, Shape{8, 8});  // 64 chunks
+  CachedDrxFile cached(file, 32, ChunkCache::AsyncOptions{2, 1, 1});
+  std::vector<double> out(16 * 16);
+  // Chunks (0..1, 0..1) are addresses 0, 1, 8, 9; chunks (2..3, 1..2)
+  // are 10, 11, 18, 19.
+  for (const Box& box : {Box{{0, 0}, {16, 16}}, Box{{16, 8}, {32, 24}}}) {
+    ASSERT_TRUE(cached
+                    .read_box(box, MemoryOrder::kRowMajor,
+                              std::as_writable_bytes(std::span(out)))
+                    .is_ok());
+  }
+  ASSERT_TRUE(cached.flush().is_ok());
+  EXPECT_EQ(cached.stats().prefetch_issued, 8u);
+}
+
+// A scan of one-chunk boxes down the band-written array's columns. F*
+// addresses run down the 16-chunk columns while the slots sit in row
+// bands, so a window is one sieved request across the rows it spans.
+// The hint reserves the scanned chunk and its window in one job, so
+// each job is the chunk and the capacity - 1 after it: five requests
+// for 256 chunks through 64 frames (the first is the run's start).
+TEST(CachedDrxFileAsync, BandWrittenScanReadsOneRequestPerWindow) {
+  constexpr std::size_t kCapacity = 64;
   DrxFile file = make_banded_file(codec::CodecId::kRle,
                                   std::make_unique<pfs::MemStorage>(),
                                   kBandedArray);
   auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
   const std::uint64_t total = file.metadata().mapping.total_chunks();
   ASSERT_EQ(total, 256u);
-  CachedDrxFile cached(file, 64, ChunkCache::AsyncOptions{2, 1, 1});
-  const pfs::IoStats before = io;
+  CachedDrxFile cached(file, kCapacity, ChunkCache::AsyncOptions{2, 1, 1});
+  std::map<std::uint64_t, std::uint64_t> jobs;  // scanned chunk -> chunks
   std::vector<double> out(8 * 8);
   for (std::uint64_t q = 0; q < total; ++q) {
     const Index c = file.metadata().mapping.index_of(q);
     const Box box{{c[0] * 8, c[1] * 8}, {c[0] * 8 + 8, c[1] * 8 + 8}};
+    const std::uint64_t issued = cached.stats().prefetch_issued;
+    const std::uint64_t requests = io.read_requests;
     ASSERT_TRUE(cached
                     .read_box(box, MemoryOrder::kRowMajor,
                               std::as_writable_bytes(std::span(out)))
                     .is_ok());
+    ASSERT_TRUE(cached.flush().is_ok());  // the job has landed
     expect_chunk_values(file, q, std::as_bytes(std::span(out)));
+    if (cached.stats().prefetch_issued != issued) {
+      jobs[q] = cached.stats().prefetch_issued - issued;
+      EXPECT_EQ(io.read_requests - requests, 1u) << "box " << q;
+    } else {
+      EXPECT_EQ(io.read_requests, requests) << "box " << q;
+    }
   }
+  const std::map<std::uint64_t, std::uint64_t> expected{
+      {0, 1}, {1, kCapacity}, {65, kCapacity}, {129, kCapacity}, {193, 63}};
+  EXPECT_EQ(jobs, expected);
+  EXPECT_EQ(cached.stats().prefetch_wasted, 0u);
+}
+
+// A box hint larger than the pool reserves what fits and stops at the
+// first chunk that would need a frame another hinted chunk holds; the
+// pins fault the rest on demand, each evicting a chunk already copied
+// out. No hinted chunk is evicted before its pin.
+TEST(CachedDrxFileAsync, BoxHintLargerThanThePoolWastesNothing) {
+  constexpr std::size_t kCapacity = 16;
+  DrxFile file = make_file(Shape{64, 64}, Shape{8, 8});  // 64 chunks
+  write_row_bands(file, 8, unique_value);
+  CachedDrxFile cached(file, kCapacity, ChunkCache::AsyncOptions{2, 1, 1});
+  // Warm the pool with a row of chunks the box covers, so the hint has
+  // resident frames to keep as well as stale ones to take.
+  std::vector<double> row(8 * 64);
+  const Box first_row{{0, 0}, {8, 64}};
+  ASSERT_TRUE(cached
+                  .read_box(first_row, MemoryOrder::kRowMajor,
+                            std::as_writable_bytes(std::span(row)))
+                  .is_ok());
   ASSERT_TRUE(cached.flush().is_ok());
-  const pfs::IoStats scan = io - before;
+  const Box whole{{0, 0}, {64, 64}};
+  std::vector<double> out(checked_size(whole.volume()));
+  ASSERT_TRUE(cached
+                  .read_box(whole, MemoryOrder::kRowMajor,
+                            std::as_writable_bytes(std::span(out)))
+                  .is_ok());
+  ASSERT_TRUE(cached.flush().is_ok());
+  std::size_t k = 0;
+  for_each_index(whole, [&](const Index& idx) {
+    ASSERT_EQ(out[k++], unique_value(idx[0], idx[1]));
+  });
   const ChunkCache::Stats stats = cached.stats();
-  EXPECT_GE(static_cast<double>(stats.prefetch_useful),
-            0.95 * static_cast<double>(stats.prefetch_issued));
-  // 32-chunk windows: 9 requests and 987648 bytes.
-  EXPECT_LE(scan.read_requests, 9u);
-  EXPECT_LE(scan.bytes_read, 987648u);
+  EXPECT_GE(stats.prefetch_issued, kCapacity);
+  EXPECT_EQ(stats.prefetch_wasted, 0u);
+  EXPECT_EQ(stats.prefetch_useful, stats.prefetch_issued);
 }
 
 // A window is reserved before its job reads, by the same check every fill
@@ -829,6 +966,10 @@ TEST(CachedDrxFileAsync, BandWrittenScanReadsAheadInBudgetWindows) {
 TEST(CachedDrxFileAsync, ReadAheadNeverOverridesQueuedWriteBehind) {
   constexpr std::size_t kCapacity = 64;
   constexpr std::uint64_t kHeld = 10;
+  // Resident inside the window, which never evicts a chunk it covers:
+  // the one frame the pin of the held chunk can take while the held
+  // write-back keeps the window's job from reading.
+  constexpr std::uint64_t kKept = 40;
   for (const bool queued : {true, false}) {
     SCOPED_TRACE(queued ? "queued write-back" : "dirty resident frame");
     FaultyStorage::Controls controls;
@@ -839,17 +980,7 @@ TEST(CachedDrxFileAsync, ReadAheadNeverOverridesQueuedWriteBehind) {
 
     ChunkCache cache(file, kCapacity, ChunkCache::AsyncOptions{2, 1, 1});
     OpenGateAtExit gate{controls};
-    // Fill the pool with misses that never run in sequence, far from the
-    // stream. The hints at 0 and 1 and the window's reservations of
-    // 2, 3, ... evict the least recent frames in turn, so a held chunk
-    // sixth in line is evicted (its write-back queued) before the window
-    // reaches it; one most recent is never evicted.
-    std::vector<std::uint64_t> order;
-    for (std::uint64_t f = 0; order.size() + 1 < kCapacity; ++f) {
-      order.push_back(254 - 2 * f);
-    }
-    order.insert(queued ? order.begin() + 5 : order.end(), kHeld);
-    for (const std::uint64_t q : order) {
+    const auto touch = [&](std::uint64_t q) {
       auto p = cache.pin(q);
       ASSERT_TRUE(p.is_ok());
       if (q == kHeld) {
@@ -857,16 +988,39 @@ TEST(CachedDrxFileAsync, ReadAheadNeverOverridesQueuedWriteBehind) {
         std::fill(v, v + n, 7.5);  // compresses: rewritten in place
       }
       cache.unpin(q, /*dirty=*/q == kHeld);
-    }
+    };
+    // Misses that never run in sequence, far from the stream, then the
+    // kept chunk fill the pool with the held one and chunk 0, the last
+    // miss, which the hint for 1 continues. For the queued case the held
+    // chunk goes first and one more chunk evicts it, with its write-back
+    // held at the gate. That chunk takes an overwrite pin, which the
+    // detector ignores: a read would wait on the io lock the held
+    // write-back keeps.
+    constexpr std::uint64_t kFar = kCapacity - 3;
+    std::vector<std::uint64_t> order;
+    for (std::uint64_t f = 0; f < kFar; ++f) order.push_back(254 - 2 * f);
+    order.push_back(kKept);
+    order.insert(queued ? order.begin() : order.end(), kHeld);
+    order.push_back(0);
+    for (const std::uint64_t q : order) touch(q);
     ASSERT_EQ(cache.resident(), kCapacity);
-
     controls.writes_open = false;
-    const std::uint64_t first[] = {0};
+    if (queued) {
+      constexpr std::uint64_t kZeroed = 254 - 2 * kFar;
+      auto p = cache.pin_overwrite(kZeroed);
+      ASSERT_TRUE(p.is_ok());
+      std::fill(p.value().begin(), p.value().end(), std::byte{0});
+      cache.unpin(kZeroed, /*dirty=*/true, /*writable=*/true);
+    }
+
     const std::uint64_t second[] = {1};
-    cache.prefetch_chunks(first);
     cache.prefetch_chunks(second);  // continues the run: reads ahead
-    // 0, 1 and the window 2..kCapacity / 2, which skips the held chunk.
-    ASSERT_EQ(cache.stats().prefetch_issued, kCapacity / 2);
+    // 1 and a window of the frames the far misses, chunk 0 and (queued)
+    // the zeroed chunk hold, which skips the held and the kept chunk:
+    // 2..65 while the held chunk waits in the queue, 2..64 while it
+    // keeps a frame.
+    const std::uint64_t last = queued ? kCapacity + 1 : kCapacity;
+    ASSERT_EQ(cache.stats().prefetch_issued, last - 2);
 
     // The newest bytes come back while the write-back is still held.
     auto p = cache.pin(kHeld, /*writable=*/false);
@@ -884,13 +1038,14 @@ TEST(CachedDrxFileAsync, ReadAheadNeverOverridesQueuedWriteBehind) {
     double seen = 0;
     std::memcpy(&seen, raw.data() + raw.size() - sizeof(seen), sizeof(seen));
     EXPECT_EQ(seen, 7.5);
-    for (std::uint64_t q = 2; q <= kCapacity / 2; ++q) {
-      if (q == kHeld) continue;
+    for (std::uint64_t q = 2; q <= last; ++q) {
+      if (q == kHeld || q == kKept) continue;
       auto r = cache.pin(q, /*writable=*/false);
       ASSERT_TRUE(r.is_ok());
       expect_chunk_values(file, q, r.value());
       cache.unpin(q, false, false);
     }
+    EXPECT_EQ(cache.stats().prefetch_wasted, 0u);
   }
 }
 
@@ -902,8 +1057,8 @@ TEST(CachedDrxFileAsync, ScanOfOneChunkBoxesReadsAhead) {
   DrxFile file = make_file(Shape{512, 512}, Shape{16, 16});  // 1024 chunks
   write_row_bands(file, 16, unique_value);
   auto& io = static_cast<pfs::MemStorage&>(file.data_storage()).stats();
-  constexpr std::uint64_t kBudget = 32;  // half the pool
-  CachedDrxFile cached(file, 2 * kBudget, ChunkCache::AsyncOptions{2, 1});
+  constexpr std::uint64_t kCapacity = 64;
+  CachedDrxFile cached(file, kCapacity, ChunkCache::AsyncOptions{2, 1});
   const std::uint64_t total = file.metadata().mapping.total_chunks();
   ASSERT_EQ(total, 1024u);
 
@@ -922,10 +1077,11 @@ TEST(CachedDrxFileAsync, ScanOfOneChunkBoxesReadsAhead) {
     });
   }
   ASSERT_TRUE(cached.flush().is_ok());
-  // One request per fill job, a hinted chunk and the budget-sized window
-  // after it (plus the two that start the run), not one per chunk.
+  // One request per fill job, a hinted chunk and the window of the
+  // capacity - 1 after it (plus the two that start the run), not one per
+  // chunk.
   EXPECT_LE(io.read_requests - reads_before,
-            (total + kBudget - 1) / kBudget + 2);
+            (total + kCapacity - 1) / kCapacity + 2);
   EXPECT_GT(cached.stats().prefetch_useful, 0u);
 }
 

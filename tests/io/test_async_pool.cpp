@@ -4,11 +4,13 @@
 
 #include <atomic>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "io/config.hpp"
 #include "obs/opctx.hpp"
+#include "util/knob.hpp"
 
 namespace drx::io {
 namespace {
@@ -189,21 +191,21 @@ TEST(IoConfig, OverridesBeatEnvironmentAndRestore) {
 // parser is tested directly: reading a bad DRX_IO_THREADS through the
 // environment would size real pools from it.
 TEST(IoConfig, KnobParserTakesOnlyWholeDecimalsInRange) {
-  EXPECT_EQ(parse_knob("0", 0, 64), 0u);
-  EXPECT_EQ(parse_knob("4", 0, 64), 4u);
-  EXPECT_EQ(parse_knob("64", 0, 64), 64u);
-  EXPECT_EQ(parse_knob("007", 0, 64), 7u);
-  EXPECT_EQ(parse_knob("18446744073709551615", 0, ~std::uint64_t{0}),
+  EXPECT_EQ(util::parse_knob("0", 0, 64), 0u);
+  EXPECT_EQ(util::parse_knob("4", 0, 64), 4u);
+  EXPECT_EQ(util::parse_knob("64", 0, 64), 64u);
+  EXPECT_EQ(util::parse_knob("007", 0, 64), 7u);
+  EXPECT_EQ(util::parse_knob("18446744073709551615", 0, ~std::uint64_t{0}),
             ~std::uint64_t{0});
   for (const char* bad : {"", "-1", "+4", " 4", "4 ", "4x", "0x10", "off",
                           "1.5", "65", "18446744073709551616"}) {
-    EXPECT_EQ(parse_knob(bad, 0, 64), std::nullopt) << '"' << bad << '"';
+    EXPECT_EQ(util::parse_knob(bad, 0, 64), std::nullopt) << '"' << bad << '"';
   }
   // The lower bound holds too: a serve queue of depth 0 is no queue.
-  EXPECT_EQ(parse_knob("0", 1, 1u << 20), std::nullopt);
-  EXPECT_EQ(parse_knob("1048577", 1, 1u << 20), std::nullopt);
-  EXPECT_EQ(parse_knob("1", 0, 1), 1u);
-  EXPECT_EQ(parse_knob("2", 0, 1), std::nullopt);
+  EXPECT_EQ(util::parse_knob("0", 1, 1u << 20), std::nullopt);
+  EXPECT_EQ(util::parse_knob("1048577", 1, 1u << 20), std::nullopt);
+  EXPECT_EQ(util::parse_knob("1", 0, 1), 1u);
+  EXPECT_EQ(util::parse_knob("2", 0, 1), std::nullopt);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 namespace drx {
@@ -58,6 +59,37 @@ TEST_F(LoggingTest, MessagesCarryLevelTag) {
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("tagged"), std::string::npos);
   EXPECT_NE(err.find("[drx I]"), std::string::npos);
+}
+
+// DRX_LOG_LEVEL takes a whole decimal; one above 4 means 4 (debug), as
+// it always has. Anything else keeps logging off and says so once on
+// stderr, instead of reading a prefix ("2x" as 2) or a word ("warn" as
+// 0) in silence.
+TEST(LogLevelEnv, TakesOnlyWholeDecimals) {
+  for (const char* good : {"0", "1", "2", "3", "4"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(detail::parse_log_level(good), good[0] - '0');
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "") << good;
+  }
+  for (const char* high : {"5", "9", "99", "18446744073709551615"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(detail::parse_log_level(high), 4) << high;
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "") << high;
+  }
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(detail::parse_log_level(nullptr), 0);
+  EXPECT_EQ(detail::parse_log_level(""), 0);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  for (const char* bad :
+       {"warn", "2x", "-1", " 2", "1.5", "18446744073709551616"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(detail::parse_log_level(bad), 0) << bad;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("DRX_LOG_LEVEL='" + std::string(bad) + "'"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
 }
 
 }  // namespace
