@@ -19,7 +19,7 @@
 //  at a fixed arrival rate through a Server; per-request latency is
 //  recorded exactly (submit-to-completion) and reported as p50/p95/p99,
 //  plus the achieved rate and the cache shard-imbalance ratio that the
-//  drx_doctor cache-shard-imbalance detector gates on. Open-loop
+//  drx doctor cache-shard-imbalance detector gates on. Open-loop
 //  arrivals, unlike closed-loop, expose queueing delay: a saturated
 //  server shows it as a p99 cliff, not a throughput plateau.
 //
@@ -347,6 +347,6 @@ int main() {
               "mix with a collapsed lock_wait tail; open-loop p99 stays "
               "bounded while the arrival rate is below saturation, and the "
               "shard-imbalance ratio stays near 1 on this uniform hot set "
-              "(drx_doctor flags it at >= 1.5).\n");
+              "(drx doctor flags it at >= 1.5).\n");
   return 0;
 }

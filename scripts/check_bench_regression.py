@@ -251,7 +251,7 @@ def serving_warnings(baseline, current, p99_factor, imbalance_max,
       p99_factor (tails are noisy; anything past that is a regression,
       not jitter);
     - the cache shard-imbalance ratio must stay below imbalance_max,
-      the same threshold the drx_doctor cache-shard-imbalance detector
+      the same threshold the drx doctor cache-shard-imbalance detector
       warns at — a hot shard collapses per-shard locking back toward a
       single lock;
     - the closed-loop "8 shards, fast on" speedup over the pre-shard

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Exit-code regression test for the drx_doctor CLI, run from ctest.
+"""Exit-code regression test for the `drx doctor` CLI, run from ctest.
 
-Usage: test_doctor_cli.py <path-to-drx_doctor>
+Usage: test_doctor_cli.py <path-to-drx>
 
-Locks in the documented contract (tools/drx_doctor.cpp header):
+Locks in the documented contract (tools/drx.cpp header):
   0  inputs parsed, nothing gates
   1  --strict and the trace reports dropped events
   2  usage error
@@ -19,12 +19,12 @@ import tempfile
 import unittest
 from pathlib import Path
 
-DOCTOR = None
+DRX = None
 
 
 def run_doctor(*args):
-    proc = subprocess.run([DOCTOR, *args], capture_output=True, text=True,
-                          timeout=60)
+    proc = subprocess.run([DRX, "doctor", *args], capture_output=True,
+                          text=True, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -111,5 +111,5 @@ class TestDoctorCli(unittest.TestCase):
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         raise SystemExit(__doc__)
-    DOCTOR = sys.argv.pop(1)
+    DRX = sys.argv.pop(1)
     unittest.main()

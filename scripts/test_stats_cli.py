@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Exit-code regression test for the drx_stats CLI, run from ctest.
+"""Exit-code regression test for the `drx stats` CLI, run from ctest.
 
-Usage: test_stats_cli.py <path-to-drx_stats>
+Usage: test_stats_cli.py <path-to-drx>
 
-Locks in the documented contract (tools/drx_stats.cpp header):
+Locks in the documented contract (tools/drx.cpp header):
   0  success
   1  an input file was unreadable or malformed
   2  usage error
@@ -21,7 +21,7 @@ import tempfile
 import unittest
 from pathlib import Path
 
-STATS = None
+DRX = None
 
 
 def snapshot_bytes(counters):
@@ -35,9 +35,9 @@ def snapshot_bytes(counters):
     return out
 
 
-def run_stats(*args):
-    proc = subprocess.run([STATS, *args], capture_output=True, text=True,
-                          timeout=60)
+def run_stats(*args, stdin=None):
+    proc = subprocess.run([DRX, "stats", *args], capture_output=True,
+                          text=True, timeout=60, input=stdin)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -142,6 +142,19 @@ class TestStatsCli(unittest.TestCase):
         code, _, _ = run_stats("--top", "-1", self._file("t.json", TRACE))
         self.assertEqual(code, 2)
 
+    def test_top_with_blank_or_signed_count_is_usage_error(self):
+        # strtol would skip the blank and take the sign: " +5" as 5.
+        code, _, _ = run_stats("--top", " +5", self._file("t.json", TRACE))
+        self.assertEqual(code, 2)
+
+    # ---- --check-json ----------------------------------------------------
+
+    def test_check_json_reads_a_pipe(self):
+        code, out, err = run_stats("--check-json", "/dev/stdin",
+                                   stdin='{"a":1}\n')
+        self.assertEqual(code, 0, f"stdout:\n{out}\nstderr:\n{err}")
+        self.assertIn("valid JSON", out)
+
     # ---- --diff ----------------------------------------------------------
 
     def _snapshot(self, name, counters):
@@ -182,5 +195,5 @@ class TestStatsCli(unittest.TestCase):
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         raise SystemExit(__doc__)
-    STATS = sys.argv.pop(1)
+    DRX = sys.argv.pop(1)
     unittest.main()

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Exit-code and rendering regression test for the drx_top CLI, run from
+"""Exit-code and rendering regression test for the `drx top` CLI, run from
 ctest.
 
-Usage: test_top_cli.py <path-to-drx_top>
+Usage: test_top_cli.py <path-to-drx>
 
-Locks in the documented contract (tools/drx_top.cpp header):
+Locks in the documented contract (tools/drx.cpp header):
   0  success
   1  scrape/parse failure
   2  usage error
@@ -22,12 +22,12 @@ import tempfile
 import unittest
 from pathlib import Path
 
-TOP = None
+DRX = None
 
 
 def run_top(*args, env=None):
-    proc = subprocess.run([TOP, *args], capture_output=True, text=True,
-                          timeout=60, env=env)
+    proc = subprocess.run([DRX, "top", *args], capture_output=True,
+                          text=True, timeout=60, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -125,9 +125,19 @@ class TestTopCli(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("DRX_METRICS_PORT", err)
 
-    def test_bad_interval_is_usage_error(self):
-        code, _, _ = run_top("--interval", "0", "--port", "1")
+    def test_blank_or_signed_port_env_is_usage_error(self):
+        # strtol would skip the blank and take the sign: " +9477" as 9477.
+        code, _, err = run_top("--count", "1",
+                               env={"PATH": "/usr/bin:/bin",
+                                    "DRX_METRICS_PORT": " +9477"})
         self.assertEqual(code, 2)
+        self.assertIn("DRX_METRICS_PORT", err)
+
+    def test_bad_interval_is_usage_error(self):
+        # NaN, infinity and huge values would overflow sleep_for's ticks.
+        for bad in ("0", "-1", " 1", "1x", "nan", "inf", "1e300"):
+            code, _, _ = run_top("--interval", bad, "--port", "1")
+            self.assertEqual(code, 2, bad)
 
     def test_render_missing_file_exits_one(self):
         code, _, err = run_top("--render", str(self.tmp / "absent.json"))
@@ -190,7 +200,7 @@ class TestTopCli(unittest.TestCase):
 
     def test_unreachable_port_exits_one(self):
         # Port 1 on loopback is essentially never listening; connect fails
-        # fast and drx_top must report a scrape error, not hang.
+        # fast and `drx top` must report a scrape error, not hang.
         code, _, err = run_top("--port", "1", "--count", "1",
                                "--interval", "0.1")
         self.assertEqual(code, 1)
@@ -200,5 +210,5 @@ class TestTopCli(unittest.TestCase):
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         raise SystemExit(__doc__)
-    TOP = sys.argv.pop(1)
+    DRX = sys.argv.pop(1)
     unittest.main()

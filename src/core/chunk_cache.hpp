@@ -270,7 +270,7 @@ class ChunkCache final : public io::PrefetchSink {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t resident() const;
 
-  // ---- shard introspection (benches, drx_doctor imbalance feed) ---------
+  // ---- shard introspection (benches, drx doctor imbalance feed) ---------
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shard_count_;

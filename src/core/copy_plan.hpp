@@ -17,7 +17,7 @@
 //
 // Observability: each execution bumps `core.copy.runs` (memcpy
 // invocations) and `core.copy.elements`, and feeds the per-run byte size
-// into the `core.copy.run_bytes` histogram — drx_doctor compares the two
+// into the `core.copy.run_bytes` histogram — drx doctor compares the two
 // counters to flag element-granularity regressions (docs/PERFORMANCE.md).
 #pragma once
 

@@ -504,7 +504,7 @@ Status DrxFile::write_chunk_encoded(std::uint64_t address,
     DRX_RETURN_IF_ERROR(data_->write_at(slot.offset, enc.bytes));
   } else {
     // Doesn't fit: relocate to the end of the file; the old slot leaks
-    // (append-only, like extension — drx_inspect reports the frag).
+    // (append-only, like extension — drx inspect reports the frag).
     const std::uint64_t offset = meta_.data_end;
     DRX_RETURN_IF_ERROR(data_->write_at(offset, enc.bytes));
     obs::registry().counter(kRelocs).add();
@@ -645,7 +645,7 @@ Status DrxFile::append_zero_chunks(std::uint64_t first) {
 
 void DrxFile::sample_write_entropy(std::span<const std::byte> in) {
   // Every ~64th raw chunk write: trial-encode a bounded prefix so
-  // drx_doctor can hint when DRX_COMPRESS would pay. Amortized cost is
+  // drx doctor can hint when DRX_COMPRESS would pay. Amortized cost is
   // a <=4KiB scan per 64 chunk writes.
   if ((write_sample_clock_++ & 63) != 0) return;
   static const obs::MetricId kSamples =

@@ -251,7 +251,7 @@ class DrxFile {
   /// array and stores an encoded all-zeroes payload in each (create and
   /// extend share this; appended chunks must read back as zeroes).
   [[nodiscard]] Status append_zero_chunks(std::uint64_t first);
-  /// Cheap write-path entropy sampling for the drx_doctor
+  /// Cheap write-path entropy sampling for the drx doctor
   /// compression-would-pay hint (docs/COMPRESSION.md): every ~64th raw
   /// chunk write trial-encodes a bounded prefix and records the ratio.
   void sample_write_entropy(std::span<const std::byte> in);

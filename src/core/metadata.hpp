@@ -89,7 +89,7 @@ struct Metadata {
   /// legitimately lie past EOF).
   [[nodiscard]] std::uint64_t stored_data_bytes() const;
   /// Live stored bytes across all chunk slots (excludes leaked holes
-  /// and capacity padding); the numerator of drx_inspect's ratio.
+  /// and capacity padding); the numerator of drx inspect's ratio.
   [[nodiscard]] std::uint64_t stored_live_bytes() const;
 
   /// Byte range chunk `address` reserves in the .xta: its slot (offset,

@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "obs/json.hpp"
-#include "obs/slo.hpp"
 
 namespace drx::obs::analysis {
 
@@ -54,11 +53,11 @@ bool has_errors(const Report& r) {
 
 std::string report_to_text(const Report& r) {
   std::string out = format(
-      "drx_doctor: %zu finding(s) (%zu error, %zu warn, %zu info)\n",
+      "drx doctor: %zu finding(s) (%zu error, %zu warn, %zu info)\n",
       r.findings.size(), count_severity(r, Severity::kError),
       count_severity(r, Severity::kWarn), count_severity(r, Severity::kInfo));
   if (r.findings.empty()) {
-    return "drx_doctor: no findings - all clear\n";
+    return "drx doctor: no findings - all clear\n";
   }
   for (const Finding& f : r.findings) {
     out += format("  [%-5s] %s: %s (score %.2f)\n",
@@ -526,6 +525,30 @@ void analyze_trace(const TraceSummary& t, std::vector<Finding>& out) {
   }
 }
 
+std::vector<FlightRecord> flight_records(const JsonValue& doc) {
+  std::vector<FlightRecord> recs;
+  const JsonValue* threads = doc.find("threads");
+  if (threads == nullptr || !threads->is_array()) return recs;
+  for (const JsonValue& t : threads->array) {
+    const JsonValue* records = t.find("records");
+    if (records == nullptr || !records->is_array()) continue;
+    for (const JsonValue& r : records->array) {
+      FlightRecord rec;
+      rec.seq = r.uint_at("seq");
+      rec.op = r.uint_at("op");
+      rec.arg = r.uint_at("arg");
+      rec.dur_us = r.number_at("dur_ns") / 1000.0;
+      const JsonValue* kind = r.find("kind");
+      rec.kind = kind != nullptr ? std::string(kind->as_string()) : "?";
+      const JsonValue* name = r.find("name");
+      rec.name = name != nullptr ? std::string(name->as_string()) : "?";
+      rec.rank = static_cast<int>(r.number_at("rank", -1.0));
+      recs.push_back(std::move(rec));
+    }
+  }
+  return recs;
+}
+
 void analyze_flight(const JsonValue& doc, std::vector<Finding>& out) {
   if (const JsonValue* fmt = doc.find("format");
       fmt == nullptr || fmt->as_string() != "drx-flight") {
@@ -537,40 +560,11 @@ void analyze_flight(const JsonValue& doc, std::vector<Finding>& out) {
   const JsonValue* reason_v = doc.find("reason");
   const std::string reason(reason_v != nullptr ? reason_v->as_string()
                                                : "unknown");
-
-  // Flatten the per-thread rings; track the most recent op on record.
-  struct Rec {
-    std::uint64_t seq = 0;
-    std::uint64_t op = 0;
-    std::uint64_t ts_ns = 0;
-    double dur_us = 0.0;
-    std::string kind;
-    std::string name;
-    int rank = -1;
-  };
-  std::vector<Rec> recs;
-  std::size_t threads = 0;
-  if (const JsonValue* tarr = doc.find("threads");
-      tarr != nullptr && tarr->is_array()) {
-    threads = tarr->array.size();
-    for (const JsonValue& t : tarr->array) {
-      const JsonValue* rarr = t.find("records");
-      if (rarr == nullptr || !rarr->is_array()) continue;
-      for (const JsonValue& r : rarr->array) {
-        Rec rec;
-        rec.seq = r.uint_at("seq");
-        rec.op = r.uint_at("op");
-        rec.ts_ns = r.uint_at("ts_ns");
-        rec.dur_us = r.number_at("dur_ns") / 1000.0;
-        const JsonValue* kind = r.find("kind");
-        rec.kind = kind != nullptr ? std::string(kind->as_string()) : "?";
-        const JsonValue* name = r.find("name");
-        rec.name = name != nullptr ? std::string(name->as_string()) : "?";
-        rec.rank = static_cast<int>(r.number_at("rank", -1.0));
-        recs.push_back(std::move(rec));
-      }
-    }
-  }
+  const JsonValue* threads_v = doc.find("threads");
+  const std::size_t threads =
+      threads_v != nullptr && threads_v->is_array() ? threads_v->array.size()
+                                                    : 0;
+  const std::vector<FlightRecord> recs = flight_records(doc);
 
   const Severity sev =
       reason == "on-demand" ? Severity::kInfo : Severity::kWarn;
@@ -586,19 +580,21 @@ void analyze_flight(const JsonValue& doc, std::vector<Finding>& out) {
   // threads, right up to the failure.
   std::uint64_t last_seq = 0;
   std::uint64_t last_op = 0;
-  for (const Rec& r : recs) {
+  for (const FlightRecord& r : recs) {
     if (r.op != 0 && r.seq >= last_seq) {
       last_seq = r.seq;
       last_op = r.op;
     }
   }
   if (last_op == 0) return;
-  std::vector<const Rec*> chain;
-  for (const Rec& r : recs) {
+  std::vector<const FlightRecord*> chain;
+  for (const FlightRecord& r : recs) {
     if (r.op == last_op) chain.push_back(&r);
   }
   std::sort(chain.begin(), chain.end(),
-            [](const Rec* a, const Rec* b) { return a->seq < b->seq; });
+            [](const FlightRecord* a, const FlightRecord* b) {
+              return a->seq < b->seq;
+            });
   std::string path;
   constexpr std::size_t kMaxChainNames = 8;
   for (std::size_t i = 0; i < chain.size() && i < kMaxChainNames; ++i) {
@@ -637,17 +633,17 @@ void analyze_window(const JsonValue& doc, std::vector<Finding>& out) {
     return;
   }
 
-  // Slow window: the merged full-horizon view. Fast window: the latest
-  // *completed* epoch delta. Trailing baseline: the epochs before it.
-  MetricsSnapshot slow;
-  std::uint64_t slow_span_us = 0;
+  // The merged full-horizon view, the latest *completed* epoch delta, and
+  // the trailing baseline: the epochs before it.
+  MetricsSnapshot merged;
+  std::uint64_t merged_span_us = 0;
   if (const JsonValue* w = doc.find("window"); w != nullptr) {
     if (const JsonValue* m = w->find("metrics"); m != nullptr) {
-      slow = metrics_from_json(*m);
+      merged = metrics_from_json(*m);
     }
-    slow_span_us = w->uint_at("span_us");
+    merged_span_us = w->uint_at("span_us");
   }
-  MetricsSnapshot fast;
+  MetricsSnapshot latest;
   MetricsSnapshot baseline;
   std::size_t trailing_epochs = 0;
   // Per epoch: did any counter whose name mentions "bytes"
@@ -672,61 +668,16 @@ void analyze_window(const JsonValue& doc, std::vector<Finding>& out) {
         baseline.merge(delta);
         ++trailing_epochs;
       } else {
-        fast = std::move(delta);
+        latest = std::move(delta);
       }
-    }
-  }
-  // With no completed epoch yet, the merged view is the only window —
-  // burn rates then use it for both sides (degenerates to single-window
-  // alerting, which beats silence on a process that just started).
-  const bool have_fast = !fast.histograms.empty() || !fast.counters.empty();
-
-  // ---- slo-burn-rate --------------------------------------------------
-  if (const JsonValue* slos = doc.find("slo");
-      slos != nullptr && slos->is_array()) {
-    for (const JsonValue& t : slos->array) {
-      const JsonValue* hist_name = t.find("histogram");
-      if (hist_name == nullptr) continue;
-      SloTarget target;
-      target.histogram = std::string(hist_name->as_string());
-      target.target_us = t.uint_at("target_us");
-      target.budget = t.number_at("budget", 0.01);
-      const HistogramSample* slow_h = find_histogram(slow, target.histogram);
-      if (slow_h == nullptr || slow_h->count == 0) continue;
-      const HistogramSample* fast_h =
-          have_fast ? find_histogram(fast, target.histogram) : slow_h;
-      if (fast_h == nullptr) fast_h = slow_h;
-      const SloEval slow_eval = evaluate_slo(target, *slow_h);
-      const SloEval fast_eval = evaluate_slo(target, *fast_h);
-      const double burn = std::min(slow_eval.burn_rate, fast_eval.burn_rate);
-      Severity sev = Severity::kInfo;
-      if (slow_h->count >= kWindowMinCount) {
-        if (burn >= kBurnError) {
-          sev = Severity::kError;
-        } else if (burn >= kBurnWarn) {
-          sev = Severity::kWarn;
-        }
-      }
-      out.push_back(Finding{
-          "slo-burn-rate", sev, burn,
-          format("%s: burning error budget at %.1fx fast / %.1fx slow "
-                 "(target <=%lluus, budget %.2f%%; %llu/%llu over target "
-                 "in the %.1fs window)",
-                 target.histogram.c_str(), fast_eval.burn_rate,
-                 slow_eval.burn_rate,
-                 static_cast<unsigned long long>(target.target_us),
-                 target.budget * 100.0,
-                 static_cast<unsigned long long>(slow_eval.bad),
-                 static_cast<unsigned long long>(slow_eval.total),
-                 static_cast<double>(slow_span_us) / 1e6)});
     }
   }
 
   // ---- window-regression ----------------------------------------------
   // Latency histograms only: a shifted byte-size distribution is a
   // workload change, not a regression.
-  if (have_fast && trailing_epochs > 0) {
-    for (const HistogramSample& cur : fast.histograms) {
+  if (trailing_epochs > 0) {
+    for (const HistogramSample& cur : latest.histograms) {
       if (cur.name.size() < 3 ||
           cur.name.compare(cur.name.size() - 3, 3, "_us") != 0) {
         continue;
@@ -786,11 +737,11 @@ void analyze_window(const JsonValue& doc, std::vector<Finding>& out) {
   }
 
   out.push_back(Finding{
-      "window", Severity::kInfo, static_cast<double>(slow_span_us) / 1e6,
+      "window", Severity::kInfo, static_cast<double>(merged_span_us) / 1e6,
       format("live window: %.1fs horizon, %zu trailing epoch(s), "
              "%zu histogram(s) in view",
-             static_cast<double>(slow_span_us) / 1e6, trailing_epochs,
-             slow.histograms.size())});
+             static_cast<double>(merged_span_us) / 1e6, trailing_epochs,
+             merged.histograms.size())});
 }
 
 }  // namespace drx::obs::analysis

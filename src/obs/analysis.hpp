@@ -1,6 +1,6 @@
 // Pure analysis functions over observability artifacts: metrics
 // snapshots, trace JSON, flight dumps and sampled time series. Each
-// detector appends Findings; drx_doctor is a thin CLI over this header,
+// detector appends Findings; `drx doctor` is a thin CLI over this header,
 // and tests drive the detectors directly on synthetic inputs.
 //
 // The detectors encode the paper's performance story: balanced zone
@@ -96,7 +96,7 @@ void analyze_metrics(const MetricsSnapshot& snap, std::vector<Finding>& out);
 
 /// Rebuilds a (counter + histogram count/sum) snapshot from the JSON
 /// rendering metrics_to_json produces — the form embedded in bench
-/// reports, which drx_doctor ingests.
+/// reports, which `drx doctor` ingests.
 [[nodiscard]] MetricsSnapshot metrics_from_json(const JsonValue& doc);
 
 // ---- trace analysis -------------------------------------------------------
@@ -138,6 +138,21 @@ void analyze_trace(const TraceSummary& t, std::vector<Finding>& out);
 
 // ---- flight-recorder analysis ---------------------------------------------
 
+/// One ring record of a "drx-flight" dump (obs/flight.hpp).
+struct FlightRecord {
+  std::uint64_t seq = 0;
+  std::uint64_t op = 0;
+  std::uint64_t arg = 0;  ///< an op record's dominant Stage
+  double dur_us = 0.0;
+  std::string kind;       ///< "span", "op", "flow_out", "flow_in", ...
+  std::string name;
+  int rank = -1;
+};
+
+/// Every record of every thread of a "drx-flight" dump, thread by thread
+/// in dump order; empty when the document holds none.
+[[nodiscard]] std::vector<FlightRecord> flight_records(const JsonValue& doc);
+
 /// Digests a "drx-flight" post-mortem dump (obs/flight.hpp): reports why
 /// and when the dump happened, and reconstructs the causal chain (spans,
 /// flow arrows, op summary) of the most recent op on record — the op
@@ -145,13 +160,6 @@ void analyze_trace(const TraceSummary& t, std::vector<Finding>& out);
 void analyze_flight(const JsonValue& doc, std::vector<Finding>& out);
 
 // ---- live-window analysis -------------------------------------------------
-
-/// Multi-window burn-rate thresholds (both the fast and slow window must
-/// clear the bar, which filters blips without missing sustained
-/// breaches). 14.4 is the classic "2% of a 30-day budget per hour" page
-/// threshold; 6 the ticket threshold.
-inline constexpr double kBurnWarn = 6.0;
-inline constexpr double kBurnError = 14.4;
 
 /// window-regression thresholds in log2-quantile space: one bucket is a
 /// 2x step, so 4x (two buckets) is the smallest movement that cannot be
@@ -167,13 +175,10 @@ inline constexpr std::uint64_t kWindowMinCount = 16;
 /// movement, followed by an epoch with some.
 inline constexpr std::size_t kStallEpochs = 3;
 
-/// Digests a "drx-window" document (obs/window.hpp): evaluates each
-/// embedded SLO target over the fast window (latest completed epoch) and
-/// the slow window (full ring horizon) — the slo-burn-rate detector —
-/// compares the latest epoch's latency p95 against the merged
-/// trailing-epoch baseline (window-regression, *_us histograms only),
-/// and scans the epoch deltas for I/O stalls (io-stall: flush stalls,
-/// lost overlap).
+/// Digests a "drx-window" document (obs/window.hpp): compares the latest
+/// completed epoch's latency p95 against the merged trailing-epoch
+/// baseline (window-regression, *_us histograms only), and scans the
+/// epoch deltas for I/O stalls (io-stall: flush stalls, lost overlap).
 void analyze_window(const JsonValue& doc, std::vector<Finding>& out);
 
 }  // namespace drx::obs::analysis

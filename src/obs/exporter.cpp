@@ -19,6 +19,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/window.hpp"
+#include "util/knob.hpp"
 #include "util/logging.hpp"
 #include "util/sync.hpp"
 
@@ -337,15 +338,14 @@ struct EnvInit {
   EnvInit() {
     const char* env = std::getenv("DRX_METRICS_PORT");
     if (env == nullptr || env[0] == '\0') return;
-    char* end = nullptr;
-    const long port = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || port < 0 || port > 65535) {
+    const auto port = util::parse_knob(env, 0, 65535);
+    if (!port) {
       DRX_LOG(kWarn) << "DRX_METRICS_PORT: bad port '" << env
                      << "', exporter disabled";
       return;
     }
     Result<std::uint16_t> bound =
-        start_exporter(static_cast<std::uint16_t>(port));
+        start_exporter(static_cast<std::uint16_t>(*port));
     if (!bound.is_ok()) {
       // Port in use (or any bind failure) leaves telemetry off but the
       // process alive — the satellite-mandated fallback.

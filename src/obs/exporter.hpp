@@ -8,8 +8,8 @@
 //                     side) plus *windowed* histograms (obs/window.hpp)
 //                     labeled window="<horizon>", plus provider gauges.
 //   GET /json         drx-live JSON: cumulative live_snapshot().
-//   GET /window.json  the drx-window document (drx_doctor --window,
-//                     drx_top).
+//   GET /window.json  the drx-window document (drx doctor --window,
+//                     drx top).
 //
 // Enabled by DRX_METRICS_PORT (port number; 0 picks an ephemeral port) or
 // programmatically via start_exporter(). A port already in use does NOT
@@ -84,7 +84,7 @@ void stop_exporter();
 /// live snapshot.
 [[nodiscard]] std::string render_live_json();
 
-/// Minimal HTTP GET against a drx exporter (drx_top, bench self-scrape,
+/// Minimal HTTP GET against a drx exporter (drx top, bench self-scrape,
 /// tests). Returns the response body on status 200;
 /// kIoError on connect/timeout errors or a non-200 response.
 [[nodiscard]] Result<std::string> http_get(const std::string& host, std::uint16_t port,

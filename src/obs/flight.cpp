@@ -130,7 +130,7 @@ void append_locked(TraceBuffer& b, const Event& e) DRX_REQUIRES(b.mu) {
   if (n >= kMaxTraceEvents) {
     ++b.dropped;
     // Surfaced as a counter so truncated traces are machine-detectable
-    // (drx_doctor flags any nonzero obs.trace.dropped as an error).
+    // (drx doctor flags any nonzero obs.trace.dropped as an error).
     static const MetricId kDropped = counter_id("obs.trace.dropped");
     registry().counter(kDropped).add();
     return;
@@ -600,7 +600,7 @@ Status write_trace(const std::string& path) {
     out << "}";
   }
 
-  // Top-level metadata record: lets tools (drx_doctor) detect a truncated
+  // Top-level metadata record: lets tools (drx doctor) detect a truncated
   // trace without scanning stderr. Extra top-level keys are legal in the
   // Trace Event Format's JSON Object form.
   out << "\n],\"metadata\":{\"events\":" << count[0]

@@ -1,5 +1,5 @@
 // Minimal JSON emission + validation shared by the observability layer
-// and the command-line tools (drx_stats, drx_inspect --json, the bench
+// and the command-line tools (drx stats, drx inspect --json, the bench
 // JSON reports). Emission is a streaming writer (no DOM); validation is a
 // strict RFC 8259 recursive-descent checker used by tests and CI to prove
 // emitted trace/metric files parse.

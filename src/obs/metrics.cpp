@@ -90,7 +90,7 @@ util::Mutex g_aggregated_mu;
 MetricsSnapshot g_aggregated DRX_GUARDED_BY(g_aggregated_mu);
 
 /// Writes the process registry to $DRX_METRICS (binary snapshot readable
-/// by drx_stats) when the process exits.
+/// by drx stats) when the process exits.
 void dump_metrics_at_exit() {
   const char* path = std::getenv("DRX_METRICS");
   if (path == nullptr || path[0] == '\0') return;

@@ -234,8 +234,7 @@ struct HistogramSummary {
 
 /// Largest value log2 bucket `i` can hold: 2^i - 1 (bucket 0 holds 0).
 /// Exposed for consumers that need real bucket edges — the Prometheus
-/// `le` labels in obs/exporter.cpp and the SLO good-bucket cutoff in
-/// obs/slo.cpp.
+/// `le` labels in obs/exporter.cpp and the benchmark's quantiles.
 [[nodiscard]] std::uint64_t histogram_bucket_upper_bound(
     std::size_t i) noexcept;
 
@@ -253,7 +252,7 @@ struct LabelledName {
   std::string_view metric;
 };
 
-/// The one parser of labelled names (the /metrics exposition, drx_top and
+/// The one parser of labelled names (the /metrics exposition, drx top and
 /// the skew detectors). The index must be a non-empty run of decimal
 /// digits that fits an int — no sign, no blanks — and the metric must be
 /// non-empty; anything else, and any other family, is nullopt.
@@ -262,7 +261,7 @@ struct LabelledName {
 
 // ---- rendering & cross-run plumbing ---------------------------------------
 
-/// Fixed-width text table of a snapshot (drx_stats).
+/// Fixed-width text table of a snapshot (drx stats).
 [[nodiscard]] std::string metrics_to_text(const MetricsSnapshot& snap);
 
 /// Emits the snapshot as one JSON object {"counters":{...},

@@ -1,5 +1,6 @@
 #include "obs/window.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -10,8 +11,8 @@
 #include <utility>
 
 #include "obs/json.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "util/knob.hpp"
 #include "util/logging.hpp"
 #include "util/sync.hpp"
 
@@ -50,41 +51,13 @@ WindowState& state() {
   return *s;
 }
 
-WindowConfig parse_env(const char* env) {
-  WindowConfig cfg;
-  char* end = nullptr;
-  const unsigned long long epoch = std::strtoull(env, &end, 10);
-  const bool millis = end[0] == 'm' && end[1] == 's';
-  // At most one day, in either unit.
-  if (end == env || epoch == 0 || epoch > (millis ? 86400000 : 86400)) {
-    DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch in '" << env
-                   << "', keeping default";
-    return cfg;
-  }
-  if (millis) end += 2;
-  cfg.epoch_ms = static_cast<std::uint64_t>(millis ? epoch : epoch * 1000);
-  if (*end == 'x') {
-    const char* epochs_str = end + 1;
-    const unsigned long long n = std::strtoull(epochs_str, &end, 10);
-    if (end == epochs_str || *end != '\0' || n == 0 || n > 4096) {
-      DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch count in '" << env
-                     << "', keeping default";
-    } else {
-      cfg.epochs = static_cast<std::size_t>(n);
-    }
-  } else if (*end != '\0') {
-    DRX_LOG(kWarn) << "DRX_STATS_WINDOW: trailing garbage in '" << env
-                   << "', keeping default epoch count";
-  }
-  return cfg;
-}
-
 WindowConfig config_locked(WindowState& s) DRX_REQUIRES(s.mu) {
   if (s.has_override) return s.override_cfg;
   if (!s.env_parsed) {
     const char* env = std::getenv("DRX_STATS_WINDOW");
-    s.env_cfg = (env != nullptr && env[0] != '\0') ? parse_env(env)
-                                                   : WindowConfig{};
+    s.env_cfg = (env != nullptr && env[0] != '\0')
+                    ? detail::parse_window_spec(env)
+                    : WindowConfig{};
     s.env_parsed = true;
   }
   return s.env_cfg;
@@ -162,6 +135,36 @@ struct EnvInit {
 EnvInit g_env_init;
 
 }  // namespace
+
+WindowConfig detail::parse_window_spec(std::string_view spec) {
+  WindowConfig cfg;
+  const std::size_t digits = std::min(spec.find_first_not_of("0123456789"),
+                                      spec.size());
+  std::string_view rest = spec.substr(digits);
+  const bool millis = rest.starts_with("ms");
+  if (millis) rest.remove_prefix(2);
+  // At most one day, in either unit.
+  const auto epoch =
+      util::parse_knob(spec.substr(0, digits), 1, millis ? 86400000 : 86400);
+  if (!epoch) {
+    DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch in '" << spec
+                   << "', keeping default";
+    return cfg;
+  }
+  cfg.epoch_ms = millis ? *epoch : *epoch * 1000;
+  if (rest.starts_with('x')) {
+    if (const auto n = util::parse_knob(rest.substr(1), 1, 4096)) {
+      cfg.epochs = static_cast<std::size_t>(*n);
+    } else {
+      DRX_LOG(kWarn) << "DRX_STATS_WINDOW: bad epoch count in '" << spec
+                     << "', keeping default";
+    }
+  } else if (!rest.empty()) {
+    DRX_LOG(kWarn) << "DRX_STATS_WINDOW: trailing garbage in '" << spec
+                   << "', keeping default epoch count";
+  }
+  return cfg;
+}
 
 WindowConfig window_config() noexcept {
   WindowState& s = state();
@@ -283,8 +286,6 @@ void window_to_json(JsonWriter& w) {
   w.key("epochs").value(static_cast<std::uint64_t>(cfg.epochs));
   w.key("horizon_ms").value(cfg.horizon_ms());
   w.end_object();
-  w.key("slo");
-  slo_to_json(w);
   w.key("now_us").value(view.now_us);
   w.key("window").begin_object();
   w.key("span_us").value(view.span_us);

@@ -13,8 +13,8 @@
 // cumulative obs::live_snapshot() into the ring. The live window view is
 // then live - oldest-in-ring (saturating, in case a Registry::reset()
 // slipped between captures), and per-epoch deltas between consecutive
-// ring entries feed the drx_doctor window-regression and slo-burn-rate
-// detectors (obs/slo.hpp, obs/analysis.hpp).
+// ring entries feed the `drx doctor` window-regression detector
+// (obs/analysis.hpp).
 //
 // Epoch capture is lazy: window_tick() captures only when the newest
 // epoch is stale, and every consumer (the exporter's scrape handler, the
@@ -24,7 +24,7 @@
 // Series mode: with DRX_STATS_SERIES=<path> set, a ticker thread records
 // an epoch every epoch_ms instead, and the ring is dumped to <path> as a
 // drx-window document at exit — a fine-grained time series (e.g.
-// DRX_STATS_WINDOW=20msx4096) whose epoch deltas feed drx_doctor's
+// DRX_STATS_WINDOW=20msx4096) whose epoch deltas feed `drx doctor`'s
 // io-stall detector.
 #pragma once
 
@@ -54,6 +54,13 @@ struct WindowConfig {
 /// defaults rather than erroring: telemetry must never take the process
 /// down.
 [[nodiscard]] WindowConfig window_config() noexcept;
+
+namespace detail {
+/// The config a DRX_STATS_WINDOW value names. Each number is a whole
+/// decimal (util::parse_knob); a bad epoch keeps both defaults, a bad
+/// count or a trailing suffix keeps the default count. Warns on stderr.
+[[nodiscard]] WindowConfig parse_window_spec(std::string_view spec);
+}  // namespace detail
 
 /// Programmatic override (tests/benches); clears the ring, since epochs
 /// captured under another cadence would mislabel the horizon. An
@@ -112,13 +119,13 @@ struct EpochDelta {
 };
 
 /// Completed epochs, oldest first (at most cfg.epochs of them). The last
-/// entry is the freshest *completed* epoch — the "fast" window the SLO
-/// burn-rate detector compares against the full-horizon "slow" window.
+/// entry is the freshest *completed* epoch — the one the window-regression
+/// detector compares against the epochs before it.
 [[nodiscard]] std::vector<EpochDelta> window_epochs();
 
-/// Emits the "drx-window" v1 document: config, SLO targets (obs/slo.hpp),
-/// completed per-epoch deltas, and the merged live window — the artifact
-/// drx_doctor --window ingests.
+/// Emits the "drx-window" v1 document: config, completed per-epoch
+/// deltas, and the merged live window — the artifact `drx doctor --window`
+/// ingests.
 void window_to_json(JsonWriter& w);
 
 /// Writes the drx-window document to `path` (DRX_STATS_SERIES at exit).

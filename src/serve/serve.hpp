@@ -23,7 +23,7 @@
 // Observability: each request runs under a fresh "serve.request" op (per
 // PR6 stage attribution), records its end-to-end latency in the
 // serve.request.latency_us histogram, and — when the flight recorder is
-// on — leaves an op event tagged with the session id, so drx_doctor can
+// on — leaves an op event tagged with the session id, so drx doctor can
 // attribute tail latency to a session after a crash or SLO breach.
 #pragma once
 
@@ -152,7 +152,7 @@ class Server {
 
   /// Mirrors the per-session completion spread into the obs counters
   /// serve.sessions / serve.session.completed_min / _max, feeding the
-  /// drx_doctor session-starvation detector. Called by the destructor;
+  /// drx doctor session-starvation detector. Called by the destructor;
   /// idempotent (publishes once).
   void publish_session_stats();
 

@@ -506,9 +506,16 @@ double unique_value(std::uint64_t i, std::uint64_t j) {
   return static_cast<double>(i * 1000 + j) + 0.25;  // incompressible
 }
 
+/// What a make_banded_file holds: each chunk row of 8 elements is one run
+/// of a value no other chunk row has, so RLE shrinks every 512 B chunk
+/// (into a 128 B slot) and a decode that drops or misplaces bytes shows.
+double banded_value(std::uint64_t i, std::uint64_t j) {
+  return static_cast<double>(i * 1000 + j / 8) + 0.25;
+}
+
 /// An array of doubles (64x64 unless `bounds` says otherwise) in 8x8
 /// chunks (512 B each) over `data`, written one chunk-row band at a time
-/// with unique_value.
+/// with banded_value. Every chunk of a compressed one is stored encoded.
 DrxFile make_banded_file(codec::CodecId c, std::unique_ptr<pfs::Storage> data,
                          Shape bounds = Shape{64, 64}) {
   DrxFile::Options options;
@@ -519,7 +526,11 @@ DrxFile make_banded_file(codec::CodecId c, std::unique_ptr<pfs::Storage> data,
                                  Shape{8, 8}, options);
   EXPECT_TRUE(created.is_ok()) << created.status();
   DrxFile file = std::move(created).value();
-  write_row_bands(file, 8, unique_value);
+  write_row_bands(file, 8, banded_value);
+  for (const core::ChunkSlot& slot : file.metadata().chunk_table) {
+    EXPECT_EQ(slot.codec, static_cast<std::uint8_t>(c));
+    EXPECT_LT(slot.stored, file.chunk_bytes());
+  }
   return file;
 }
 
@@ -535,7 +546,7 @@ void read_box_cold(DrxFile& file) {
                   .is_ok());
   std::size_t k = 0;
   for_each_index(box, [&](const Index& idx) {
-    EXPECT_EQ(out[k++], unique_value(idx[0], idx[1]));
+    EXPECT_EQ(out[k++], banded_value(idx[0], idx[1]));
   });
 }
 
@@ -578,7 +589,8 @@ TEST(CachedDrxFileAsync, BoxFillSplitsWhereHolesCostMoreThanSeeks) {
 
 // A striped file splits a read at stripe boundaries into one request
 // per server, so no single cost model prices a joined hole: PfsStorage
-// never sieves, and the box transfers its nine chunks and no hole.
+// never sieves, and the box transfers its nine chunks' slots and no
+// hole: 9 x 512 B raw, 9 x 128 B compressed.
 TEST(CachedDrxFileAsync, BoxFillOverStripedStorageReadsNoHoles) {
   pfs::Pfs fs(pfs::PfsConfig{});  // 4 servers x 64 KiB stripes
   for (const codec::CodecId c : {codec::CodecId::kRle, codec::CodecId::kNone}) {
@@ -587,9 +599,15 @@ TEST(CachedDrxFileAsync, BoxFillOverStripedStorageReadsNoHoles) {
     DrxFile file = make_banded_file(
         c, std::make_unique<pfs::PfsStorage>(std::move(handle).value()));
     EXPECT_EQ(file.data_storage().sieve_gap_bytes(), 0u);
+    std::uint64_t slots = 0;
+    for_each_index(Box{{1, 1}, {4, 4}}, [&](const Index& chunk) {
+      const Metadata& m = file.metadata();
+      slots += m.storage_extent(m.mapping.address_of(chunk)).capacity;
+    });
+    EXPECT_EQ(slots, (c == codec::CodecId::kRle ? 128u : 512u) * 9);
     const pfs::IoStats before = fs.total_stats();
     read_box_cold(file);
-    EXPECT_EQ((fs.total_stats() - before).bytes_read, 9 * file.chunk_bytes())
+    EXPECT_EQ((fs.total_stats() - before).bytes_read, slots)
         << codec::codec_name(c);
   }
 }
@@ -645,10 +663,10 @@ TEST(CachedDrxFileAsync, SievedHoleNeverOverridesQueuedWriteBehind) {
       const Index chunk = file.metadata().mapping.index_of(q);
       // Element 0 of a chunk is its origin; the last is 7 rows and 7
       // columns further.
-      EXPECT_EQ(v[0], q == hole ? 7.5 : unique_value(chunk[0] * 8, chunk[1] * 8))
+      EXPECT_EQ(v[0], q == hole ? 7.5 : banded_value(chunk[0] * 8, chunk[1] * 8))
           << codec::codec_name(c) << " chunk " << q;
       EXPECT_EQ(v[n - 1],
-                q == hole ? 7.5 : unique_value(chunk[0] * 8 + 7, chunk[1] * 8 + 7))
+                q == hole ? 7.5 : banded_value(chunk[0] * 8 + 7, chunk[1] * 8 + 7))
           << codec::codec_name(c) << " chunk " << q;
       cache.unpin(q, false);
     }
@@ -666,7 +684,7 @@ TEST(CachedDrxFileAsync, SievedHoleNeverOverridesQueuedWriteBehind) {
 // request across the rows it spans.
 const Shape kBandedArray{128, 128};
 
-/// Checks chunk `q` of a make_banded_file against unique_value.
+/// Checks chunk `q` of a make_banded_file against banded_value.
 void expect_chunk_values(const DrxFile& file, std::uint64_t q,
                          std::span<const std::byte> bytes) {
   const Index c = file.metadata().mapping.index_of(q);
@@ -674,7 +692,7 @@ void expect_chunk_values(const DrxFile& file, std::uint64_t q,
   std::size_t k = 0;
   for_each_index(Box{{c[0] * 8, c[1] * 8}, {c[0] * 8 + 8, c[1] * 8 + 8}},
                  [&](const Index& idx) {
-                   ASSERT_EQ(v[k++], unique_value(idx[0], idx[1])) << q;
+                   ASSERT_EQ(v[k++], banded_value(idx[0], idx[1])) << q;
                  });
 }
 
@@ -754,7 +772,7 @@ TEST(ChunkCacheAsync, ReadAheadWindowsTakeThePool) {
                                  Shape{256, 256}, Shape{8, 8}, options);
   ASSERT_TRUE(created.is_ok()) << created.status();
   DrxFile file = std::move(created).value();
-  write_row_bands(file, 8, unique_value);
+  write_row_bands(file, 8, banded_value);
   const std::uint64_t total = file.metadata().mapping.total_chunks();
   ASSERT_EQ(total, 1024u);
   ChunkCache::Stats stats;

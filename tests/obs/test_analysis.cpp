@@ -384,7 +384,7 @@ TEST(Report, TextAndJsonRenderings) {
   EXPECT_EQ(doc.value().find("findings")->array.size(), 2u);
 
   EXPECT_EQ(report_to_text(Report{}),
-            "drx_doctor: no findings - all clear\n");
+            "drx doctor: no findings - all clear\n");
   JsonWriter we;
   report_to_json(Report{}, we);
   EXPECT_TRUE(json_validate(we.str()));

@@ -136,7 +136,7 @@ TEST(DoctorFixture, BlockSplitOfHotRegionIsFlaggedCyclicIsNot) {
 
 TEST(DoctorFixture, ProfileRoundTripPreservesDetectorVerdict) {
   // The snapshot written by DRX_METRICS and re-read by
-  // drx_doctor --metrics must produce the same imbalance verdict as the
+  // drx doctor --metrics must produce the same imbalance verdict as the
   // in-memory one.
   const core::Shape grid{8, 2};
   const core::Distribution block = core::Distribution::block(grid, kRanks);

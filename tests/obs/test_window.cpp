@@ -1,7 +1,7 @@
 // Sliding-window metric views (obs/window.hpp): snapshot-delta math,
 // epoch ring behavior, DRX_STATS_WINDOW parsing, the series ticker, the
-// Registry::reset() ring-clear contract, SLO evaluation, and the
-// drx-window document + analyze_window detectors.
+// Registry::reset() ring-clear contract, and the drx-window document +
+// analyze_window detectors.
 #include "obs/window.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "obs/analysis.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 
 namespace drx::obs {
 namespace {
@@ -29,7 +28,6 @@ class WindowTest : public ::testing::Test {
   void TearDown() override {
     stop_window_ticker();
     set_window_config(WindowConfig{0, 0});  // back to env/default
-    set_slo_targets({});
     set_window_enabled(true);
     window_clear();
   }
@@ -122,6 +120,21 @@ TEST_F(WindowTest, BadSpecFallsBackToDefaults) {
   expect_config("20x4097", 20000, 6);
   expect_config("20x4q", 20000, 6);
   expect_config("20q", 20000, 6);
+}
+
+// Every number in the spec is a whole decimal: a leading blank or sign
+// is a bad epoch, not one strtoull would skip past.
+TEST(WindowSpec, NumbersAreWholeDecimals) {
+  for (const char* bad : {" 10", "+10x6", " 20", "+20x4", "-20"}) {
+    const WindowConfig cfg = detail::parse_window_spec(bad);
+    EXPECT_EQ(cfg.epoch_ms, 10000u) << '"' << bad << '"';
+    EXPECT_EQ(cfg.epochs, 6u) << '"' << bad << '"';
+  }
+  const WindowConfig cfg = detail::parse_window_spec("20msx4096");
+  EXPECT_EQ(cfg.epoch_ms, 20u);
+  EXPECT_EQ(cfg.epochs, 4096u);
+  EXPECT_EQ(detail::parse_window_spec("20x +4").epochs, 6u);
+  EXPECT_EQ(detail::parse_window_spec("20x +4").epoch_ms, 20000u);
 }
 
 TEST_F(WindowTest, TickerRecordsEpochsUntilStopped) {
@@ -266,12 +279,12 @@ TEST_F(WindowTest, WindowJsonIsValidAndTagged) {
   ASSERT_NE(fmt, nullptr);
   EXPECT_EQ(fmt->as_string(), "drx-window");
   EXPECT_NE(doc.value().find("config"), nullptr);
-  EXPECT_NE(doc.value().find("slo"), nullptr);
+  EXPECT_EQ(doc.value().find("slo"), nullptr);
   EXPECT_NE(doc.value().find("window"), nullptr);
   EXPECT_NE(doc.value().find("epoch_deltas"), nullptr);
 }
 
-// ---- SLO math -------------------------------------------------------------
+// ---- analyze_window -------------------------------------------------------
 
 HistogramSample latency_histogram(std::uint64_t fast, std::uint64_t slow) {
   // `fast` observations land at ~512us (bucket 10, upper bound 1023),
@@ -285,38 +298,9 @@ HistogramSample latency_histogram(std::uint64_t fast, std::uint64_t slow) {
   return h;
 }
 
-TEST(Slo, EvaluateCountsBucketsAboveTarget) {
-  SloTarget t{"serve.request.latency_us", 1023, 0.01};
-  const SloEval e = evaluate_slo(t, latency_histogram(98, 2));
-  EXPECT_EQ(e.total, 100u);
-  EXPECT_EQ(e.bad, 2u);
-  EXPECT_DOUBLE_EQ(e.bad_fraction, 0.02);
-  EXPECT_DOUBLE_EQ(e.burn_rate, 2.0);
-}
-
-TEST(Slo, EvaluateIsConservativeInsideABucket) {
-  // Target mid-bucket: the whole bucket counts as bad (over-counting is
-  // the safe direction for an SLO check).
-  SloTarget t{"serve.request.latency_us", 600, 0.01};
-  const SloEval e = evaluate_slo(t, latency_histogram(10, 0));
-  EXPECT_EQ(e.bad, 10u);
-}
-
-TEST(Slo, TargetsOverrideAndRestore) {
-  set_slo_targets({SloTarget{"x_us", 100, 0.5}});
-  auto targets = slo_targets();
-  ASSERT_EQ(targets.size(), 1u);
-  EXPECT_EQ(targets[0].histogram, "x_us");
-  set_slo_targets({});
-  EXPECT_FALSE(slo_targets().empty());  // back to DRX_SLO/default set
-}
-
-// ---- analyze_window -------------------------------------------------------
-
-std::string window_doc(const HistogramSample& slow_h,
-                       const HistogramSample& fast_h,
-                       const HistogramSample& trail_h,
-                       std::uint64_t target_us, double budget) {
+std::string window_doc(const HistogramSample& window_h,
+                       const HistogramSample& latest_h,
+                       const HistogramSample& trail_h) {
   const auto metrics = [](JsonWriter& w, const HistogramSample& h) {
     MetricsSnapshot snap;
     snap.histograms.push_back(h);
@@ -326,15 +310,10 @@ std::string window_doc(const HistogramSample& slow_h,
   w.begin_object();
   w.key("format").value("drx-window");
   w.key("version").value(std::uint64_t{1});
-  w.key("slo").begin_array().begin_object();
-  w.key("histogram").value(slow_h.name);
-  w.key("target_us").value(target_us);
-  w.key("budget").value(budget);
-  w.end_object().end_array();
   w.key("window").begin_object();
   w.key("span_us").value(std::uint64_t{60000000});
   w.key("metrics");
-  metrics(w, slow_h);
+  metrics(w, window_h);
   w.end_object();
   w.key("epoch_deltas").begin_array();
   w.begin_object();
@@ -347,46 +326,11 @@ std::string window_doc(const HistogramSample& slow_h,
   w.key("t_us").value(std::uint64_t{20000000});
   w.key("span_us").value(std::uint64_t{10000000});
   w.key("metrics");
-  metrics(w, fast_h);
+  metrics(w, latest_h);
   w.end_object();
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-TEST(AnalyzeWindow, SloBreachFiresBurnRateError) {
-  // 30% of requests over a 1% budget in BOTH windows: burn 30x >= 14.4.
-  const HistogramSample breach = latency_histogram(70, 30);
-  auto doc = json_parse(
-      window_doc(breach, breach, latency_histogram(70, 30), 1023, 0.01));
-  ASSERT_TRUE(doc.is_ok());
-  std::vector<analysis::Finding> findings;
-  analysis::analyze_window(doc.value(), findings);
-  bool fired = false;
-  for (const auto& f : findings) {
-    if (f.id == "slo-burn-rate") {
-      fired = true;
-      EXPECT_EQ(f.severity, analysis::Severity::kError);
-      EXPECT_GE(f.score, analysis::kBurnError);
-    }
-  }
-  EXPECT_TRUE(fired);
-}
-
-TEST(AnalyzeWindow, FastWindowBlipAloneDoesNotPage) {
-  // Slow window healthy, fast window breaching: multi-window alerting
-  // stays quiet (info finding only).
-  auto doc = json_parse(window_doc(latency_histogram(998, 2),
-                                   latency_histogram(10, 30),
-                                   latency_histogram(500, 1), 1023, 0.01));
-  ASSERT_TRUE(doc.is_ok());
-  std::vector<analysis::Finding> findings;
-  analysis::analyze_window(doc.value(), findings);
-  for (const auto& f : findings) {
-    if (f.id == "slo-burn-rate") {
-      EXPECT_EQ(f.severity, analysis::Severity::kInfo);
-    }
-  }
 }
 
 TEST(AnalyzeWindow, RegressionAgainstTrailingBaseline) {
@@ -394,7 +338,7 @@ TEST(AnalyzeWindow, RegressionAgainstTrailingBaseline) {
   // latency regression (ratio ~64x >= 8x error bar).
   auto doc = json_parse(window_doc(latency_histogram(100, 100),
                                    latency_histogram(0, 100),
-                                   latency_histogram(100, 0), 1023, 1.0));
+                                   latency_histogram(100, 0)));
   ASSERT_TRUE(doc.is_ok());
   std::vector<analysis::Finding> findings;
   analysis::analyze_window(doc.value(), findings);
@@ -406,6 +350,21 @@ TEST(AnalyzeWindow, RegressionAgainstTrailingBaseline) {
     }
   }
   EXPECT_TRUE(fired);
+}
+
+// Documents written before the SLO targets were dropped still carry an
+// "slo" key; analysis ignores it.
+TEST(AnalyzeWindow, IgnoresTheSloKeyOfOlderDocuments) {
+  auto doc = json_parse(R"({"format":"drx-window","version":1,
+      "slo":[{"histogram":"serve.request.latency_us","target_us":1,
+              "budget":0.01}],
+      "window":{"span_us":1000,"metrics":{"counters":{},"histograms":{}}},
+      "epoch_deltas":[]})");
+  ASSERT_TRUE(doc.is_ok());
+  std::vector<analysis::Finding> findings;
+  analysis::analyze_window(doc.value(), findings);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].id, "window");
 }
 
 TEST(AnalyzeWindow, BadFormatIsAnError) {

@@ -2,7 +2,7 @@
 // through futures and completions, many sessions over few workers,
 // extend serialized against in-flight traffic by the structure lock,
 // error propagation, and the per-session counters that feed the
-// drx_doctor session-starvation detector.
+// drx doctor session-starvation detector.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -81,7 +81,7 @@ TEST(Serve, WriteThenReadRoundTripsThroughOneSession) {
 }
 
 // A request leaves exactly its own op summary in the flight rings, not a
-// session-tagged pseudo-op that drx_stats --top would list as a 0 us op.
+// session-tagged pseudo-op that drx stats --top would list as a 0 us op.
 TEST(Serve, FlightDumpHoldsNoSessionPseudoOp) {
   DrxFile file = make_file(Shape{8, 8}, Shape{2, 2});
   Server server(file, Server::Options{});
