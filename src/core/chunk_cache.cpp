@@ -634,31 +634,9 @@ restart:
   }
 
   fault_timer.stop();
-  Status st;
-  if (file_->compressed()) {
-    // Split fault: fetch the stored bytes under the io mutex, decode
-    // outside it — codec work must never serialize concurrent I/O. The
-    // reserved frame (loading=true) gives this thread exclusive
-    // ownership of `buffer`, so decoding into it lock-free is safe.
-    std::vector<std::byte> stored;
-    DrxFile::EncodedChunk enc;
-    {
-      util::MutexLock io(io_mu_);
-      auto r = file_->read_chunk_stored(address, stored);
-      if (r.is_ok()) {
-        enc = r.value();
-      } else {
-        st = r.status();
-      }
-    }
-    if (st.is_ok()) {
-      st = file_->decode_chunk(enc.codec, enc.bytes,
-                               std::span<std::byte>(buffer, cb));
-    }
-  } else {
-    util::MutexLock io(io_mu_);
-    st = file_->read_chunk(address, std::span<std::byte>(buffer, cb));
-  }
+  // The reserved frame (loading=true) gives this thread exclusive
+  // ownership of `buffer` until it settles.
+  const Status st = fill({&address, 1}, {&buffer, 1});
 
   lock.lock();
   auto pos = s.frames.find(address);
@@ -847,7 +825,6 @@ void ChunkCache::prefetch_chunks(std::span<const std::uint64_t> addresses) {
 
 Status ChunkCache::run_write_job(std::uint64_t address) {
   Shard& s = shard_of(address);
-  const std::size_t cb = chunk_size();
   for (;;) {
     std::shared_ptr<std::byte[]> data;
     std::uint64_t seq = 0;
@@ -858,19 +835,10 @@ Status ChunkCache::run_write_job(std::uint64_t address) {
       data = it->second.data;
       seq = it->second.seq;
     }
-    // Encode with NO lock held: the pending-write entry's shared_ptr
-    // keeps the buffer alive, a replacement bumps seq (observed below)
-    // rather than mutating bytes in place, and concurrent writers on
-    // other chunks keep streaming through io_mu_ while this worker
-    // compresses — codec cost overlaps I/O instead of serializing it.
-    std::vector<std::byte> scratch;
-    const DrxFile::EncodedChunk enc = file_->encode_chunk(
-        std::span<const std::byte>(data.get(), cb), scratch);
-    Status st;
-    {
-      util::MutexLock io(io_mu_);
-      st = file_->write_chunk_encoded(address, enc);
-    }
+    // No shard lock held: the pending-write entry's shared_ptr keeps
+    // the buffer alive, and a replacement bumps seq (observed below)
+    // rather than mutating bytes in place.
+    const Status st = write_back(address, data.get());
     if (!st.is_ok()) {
       DRX_LOG(kError) << "deferred chunk write-back failed (address " << address
                       << "): " << st.to_string();
@@ -906,30 +874,32 @@ Status ChunkCache::run_write_job(std::uint64_t address) {
   }
 }
 
-Status ChunkCache::run_prefetch_job(const FillJob& job) {
-  const std::size_t cb = chunk_size();
-  // Fetch stored bytes under the io mutex straight into the reserved
-  // frames, decode outside it: a loading frame's buffer belongs to this
-  // job (pins wait, eviction and invalidate skip it), so frames are
-  // published already-decoded, readers never pay codec latency, and
-  // decode overlaps concurrent I/O. An encoded chunk decodes through one
-  // chunk of scratch back into its frame, so a job holds no buffer the
-  // size of its stored bytes.
-  std::vector<DrxFile::StoredRef> refs;
-  Status st;
+Status ChunkCache::fill(std::span<const std::uint64_t> addresses,
+                        std::span<std::byte* const> frames) {
+  std::vector<Metadata::StorageExtent> extents;
   {
     util::MutexLock io(io_mu_);
-    st = file_->read_chunks_stored(job.addresses, job.frames, refs);
+    DRX_RETURN_IF_ERROR(file_->read_chunks_stored(addresses, frames, extents));
   }
-  std::vector<std::byte> raw;
-  for (std::size_t i = 0; st.is_ok() && i < refs.size(); ++i) {
-    if (refs[i].codec == codec::CodecId::kNone) continue;  // landed raw
-    raw.resize(cb);
-    st = file_->decode_chunk(
-        refs[i].codec, std::span<const std::byte>(job.frames[i], refs[i].size),
-        raw);
-    if (st.is_ok()) std::memcpy(job.frames[i], raw.data(), cb);
+  std::vector<std::byte> scratch;
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    DRX_RETURN_IF_ERROR(decode_in_place(
+        extents[i], checked_size(file_->element_bytes()),
+        std::span<std::byte>(frames[i], chunk_size()), scratch));
   }
+  return Status::ok();
+}
+
+Status ChunkCache::write_back(std::uint64_t address, const std::byte* data) {
+  std::vector<std::byte> scratch;
+  const DrxFile::EncodedChunk enc = file_->encode_chunk(
+      std::span<const std::byte>(data, chunk_size()), scratch);
+  util::MutexLock io(io_mu_);
+  return file_->write_chunk_encoded(address, enc);
+}
+
+Status ChunkCache::run_prefetch_job(const FillJob& job) {
+  const Status st = fill(job.addresses, job.frames);
   std::uint64_t participating = 0;
   for (const std::uint64_t address : job.addresses) {
     const std::size_t si = shard_index(address);
@@ -974,7 +944,6 @@ Status ChunkCache::run_prefetch_job(const FillJob& job) {
 // site; s.mu is held on entry and on exit.
 Status ChunkCache::flush_shard_locked(Shard& s, util::MutexLock& lock)
     DRX_NO_THREAD_SAFETY_ANALYSIS {
-  const std::size_t cb = chunk_size();
   for (;;) {
     auto it =
         std::find_if(s.frames.begin(), s.frames.end(), [](const auto& kv) {
@@ -1011,16 +980,7 @@ Status ChunkCache::flush_shard_locked(Shard& s, util::MutexLock& lock)
     // published — concurrent fast pins read bytes the write-back is
     // persisting, which is exactly the newest data.
     lock.unlock();
-    // Shard lock dropped, io mutex not yet taken: encode overlaps other
-    // workers' storage traffic (and never blocks readers of this shard).
-    std::vector<std::byte> scratch;
-    const DrxFile::EncodedChunk enc = file_->encode_chunk(
-        std::span<const std::byte>(frame.data.get(), cb), scratch);
-    Status st;
-    {
-      util::MutexLock io(io_mu_);
-      st = file_->write_chunk_encoded(address, enc);
-    }
+    const Status st = write_back(address, frame.data.get());
     lock.lock();
     ++s.stats.writebacks;
     obs::registry().counter(kWritebacks).add();

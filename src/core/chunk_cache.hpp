@@ -40,7 +40,9 @@
 //    explicit prefetch faults its chunks into frames before they are
 //    pinned, with ONE storage read per group of chunks that sit close
 //    enough on storage that reading the holes between them beats a seek
-//    (DrxFile::read_chunks_stored groups the list by storage position);
+//    (DrxFile::read_chunks_stored groups the list by storage position).
+//    A demand miss at any pool size is a fill of one chunk through the
+//    same body (fill): read under the io mutex, decode in the frame;
 //  - read-ahead (io_threads > 0 and DRX_PREFETCH_DEPTH non-zero): a
 //    detectably sequential demand run (consecutive miss addresses, or
 //    hinted runs that continue one another) speculatively faults the
@@ -477,11 +479,25 @@ class ChunkCache final : public io::PrefetchSink {
   void recycle_buffer_locked(Shard& s, std::unique_ptr<std::byte[]> buffer)
       DRX_REQUIRES(s.mu);
 
+  /// The one fill body, for demand faults and fill jobs alike: reads the
+  /// chunks at `addresses` into `frames` (loading frames the caller
+  /// owns) with DrxFile::read_chunks_stored under io_mu_, then decodes
+  /// each in place with no lock held, so codec work overlaps other
+  /// threads' I/O and frames settle already decoded. Called with no
+  /// shard lock held.
+  [[nodiscard]] Status fill(std::span<const std::uint64_t> addresses,
+                            std::span<std::byte* const> frames);
+  /// The one write-back body, for write-behind jobs and flush: encodes
+  /// the chunk at `data` with no lock held, then stores it under io_mu_.
+  /// Called with no shard lock held; `data` must stay unchanged.
+  [[nodiscard]] Status write_back(std::uint64_t address,
+                                  const std::byte* data);
+
   // Pool jobs (run on workers, or inline on the submitter at 0 threads).
   // Submitted with no shard lock held: inline jobs take shard locks.
   [[nodiscard]] Status run_write_job(std::uint64_t address);
-  /// Reads a fill job, decodes each chunk straight into its reserved
-  /// frame, and settles the frames (a failed fill drops them all).
+  /// Fills a fill job's reserved frames and settles them (a failed fill
+  /// drops them all).
   [[nodiscard]] Status run_prefetch_job(const FillJob& job);
 
   [[nodiscard]] Status flush_shard_locked(Shard& s, util::MutexLock& lock)

@@ -1,7 +1,6 @@
 #include "core/drx_file.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -27,32 +26,9 @@ std::uint64_t slot_capacity(std::uint64_t stored, std::uint64_t chunk_sz) {
   return std::min(chunk_sz, std::max<std::uint64_t>(padded, 64));
 }
 
-/// raw bytes / elapsed microseconds ~= MB/s: the effective-bandwidth
-/// histogram of docs/COMPRESSION.md (what the consumer *observed*,
-/// decode included, vs bytes that actually crossed the storage).
-void record_effective_read_bw(std::size_t raw_bytes,
-                              std::chrono::steady_clock::time_point start) {
-  static const obs::MetricId kBw =
-      obs::histogram_id("core.codec.effective_read_mbps");
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  const auto us = std::max<std::int64_t>(1, ns / 1000);
-  obs::registry()
-      .histogram(kBw)
-      .observe(static_cast<std::uint64_t>(raw_bytes) /
-               static_cast<std::uint64_t>(us));
-}
-
-/// How DrxFile::read_chunks_stored splits a fill of a list of chunks
+/// How DrxFile::read_chunks_stored splits a read of a list of chunks
 /// into storage requests.
 struct ReadPlan {
-  struct Piece {
-    std::uint64_t offset;
-    std::uint64_t capacity;
-    std::uint32_t stored;
-    codec::CodecId codec;
-  };
   struct Request {
     std::size_t begin;  ///< [begin, end) into `order`
     std::size_t end;
@@ -60,24 +36,12 @@ struct ReadPlan {
     std::uint64_t hi;
     std::uint64_t hi_cap;  ///< end of the last reservation
   };
-  std::vector<Piece> pieces;       ///< one per listed chunk, in list order
-  std::vector<std::size_t> order;  ///< `pieces` indices by storage offset
+  std::vector<std::size_t> order;  ///< `extents` indices by storage offset
   std::vector<Request> requests;   ///< ascending, disjoint ranges
 };
 
-ReadPlan::Piece piece_of(const Metadata& meta, std::uint64_t q) {
-  const Metadata::StorageExtent e = meta.storage_extent(q);
-  if (!meta.compressed()) {
-    return ReadPlan::Piece{e.offset, e.capacity,
-                           static_cast<std::uint32_t>(meta.chunk_bytes()),
-                           codec::CodecId::kNone};
-  }
-  const ChunkSlot& s = meta.chunk_table[checked_size(q)];
-  return ReadPlan::Piece{e.offset, e.capacity, s.stored,
-                         static_cast<codec::CodecId>(s.codec)};
-}
-
-/// Groups `addresses` (all in range) by where the chunks sit in the .xta,
+/// Groups `addresses` (all in range; `extents` their storage extents, in
+/// the same order) by where the chunks sit in the .xta,
 /// not by address: compressed slots sit wherever they were last written,
 /// so address neighbours may be far apart while storage neighbours are
 /// not. Walking the list in storage order, a request grows while the
@@ -86,20 +50,19 @@ ReadPlan::Piece piece_of(const Metadata& meta, std::uint64_t q) {
 /// read across than the request and seek a new one would (data sieving:
 /// Storage::sieve_gap_bytes, from the device's own cost model).
 ReadPlan plan_reads(const Metadata& meta, const pfs::Storage& data,
-                    std::span<const std::uint64_t> addresses) {
+                    std::span<const std::uint64_t> addresses,
+                    std::span<const Metadata::StorageExtent> extents) {
   ReadPlan plan;
   const std::size_t n = addresses.size();
-  plan.pieces.reserve(n);
-  for (const std::uint64_t q : addresses) plan.pieces.push_back(piece_of(meta, q));
   plan.order.resize(n);
   std::iota(plan.order.begin(), plan.order.end(), std::size_t{0});
   std::sort(plan.order.begin(), plan.order.end(),
             [&](std::size_t a, std::size_t b) {
-              return plan.pieces[a].offset < plan.pieces[b].offset;
+              return extents[a].offset < extents[b].offset;
             });
   const std::uint64_t sieve_gap = data.sieve_gap_bytes();
   for (std::size_t k = 0; k < n; ++k) {
-    const ReadPlan::Piece& p = plan.pieces[plan.order[k]];
+    const Metadata::StorageExtent& p = extents[plan.order[k]];
     const std::uint64_t end = p.offset + p.stored;
     if (!plan.requests.empty()) {
       ReadPlan::Request& r = plan.requests.back();
@@ -156,19 +119,9 @@ Result<DrxFile> DrxFile::create(std::unique_ptr<pfs::Storage> meta_storage,
   }
   DrxFile file(std::move(meta_storage), std::move(data_storage),
                std::move(meta));
-  // Zero-initialize the initial allocation so every allocated chunk is
-  // readable immediately.
+  // Every allocated chunk is readable immediately, as zeros.
   DRX_RETURN_IF_ERROR(file.data_->truncate(0));
-  if (file.compressed()) {
-    DRX_RETURN_IF_ERROR(file.append_zero_chunks(0));
-  } else if (file.meta_.data_file_bytes() > 0) {
-    std::vector<std::byte> zeros(checked_size(file.meta_.chunk_bytes()),
-                                 std::byte{0});
-    for (std::uint64_t q = 0; q < file.meta_.mapping.total_chunks(); ++q) {
-      DRX_RETURN_IF_ERROR(
-          file.data_->write_at(q * file.meta_.chunk_bytes(), zeros));
-    }
-  }
+  DRX_RETURN_IF_ERROR(file.append_zero_chunks(0));
   DRX_RETURN_IF_ERROR(file.flush());
   return file;
 }
@@ -206,10 +159,15 @@ Result<DrxFile> DrxFile::open_posix(const std::string& name) {
   return open(std::move(meta_storage), std::move(data_storage));
 }
 
+Status write_metadata(pfs::Storage& storage, const Metadata& meta) {
+  // No truncate first: a crash between it and the write would leave an
+  // empty .xmd.
+  DRX_RETURN_IF_ERROR(storage.write_at(0, meta.to_bytes()));
+  return storage.flush();
+}
+
 Status DrxFile::flush() {
-  const std::vector<std::byte> image = meta_.to_bytes();
-  DRX_RETURN_IF_ERROR(meta_store_->write_at(0, image));
-  DRX_RETURN_IF_ERROR(meta_store_->flush());
+  DRX_RETURN_IF_ERROR(write_metadata(*meta_store_, meta_));
   return data_->flush();
 }
 
@@ -221,17 +179,7 @@ Status DrxFile::extend(std::size_t dim, std::uint64_t delta) {
   if (delta == 0) return Status::ok();
 
   if (const auto first = meta_.extend_elements(dim, delta)) {
-    if (compressed()) {
-      DRX_RETURN_IF_ERROR(append_zero_chunks(*first));
-    } else {
-      // Zero-fill the appended segment (it is physically contiguous:
-      // new chunks always append to the file).
-      const std::uint64_t chunk_sz = meta_.chunk_bytes();
-      std::vector<std::byte> zeros(checked_size(chunk_sz), std::byte{0});
-      for (std::uint64_t q = *first; q < meta_.mapping.total_chunks(); ++q) {
-        DRX_RETURN_IF_ERROR(data_->write_at(q * chunk_sz, zeros));
-      }
-    }
+    DRX_RETURN_IF_ERROR(append_zero_chunks(*first));
   }
   return flush();
 }
@@ -402,21 +350,12 @@ Status DrxFile::scan_read_all(MemoryOrder order, std::span<std::byte> out) {
 
 Status DrxFile::read_chunk(std::uint64_t address, std::span<std::byte> out) {
   DRX_CHECK(out.size() == meta_.chunk_bytes());
-  if (compressed()) {
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::byte> scratch;
-    DRX_ASSIGN_OR_RETURN(EncodedChunk enc, read_chunk_stored(address, scratch));
-    DRX_RETURN_IF_ERROR(decode_chunk(enc.codec, enc.bytes, out));
-    record_effective_read_bw(out.size(), start);
-    return Status::ok();
-  }
-  static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
-  static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
-  obs::registry().counter(kReads).add();
-  obs::registry().counter(kBytes).add(out.size());
-  obs::ScopedSpan span("core.read_chunk", "core", out.size());
-  obs::StageTimer io(obs::Stage::kIoService);
-  return data_->read_at(checked_mul(address, meta_.chunk_bytes()), out);
+  std::byte* const into[] = {out.data()};
+  std::vector<Metadata::StorageExtent> extents;
+  DRX_RETURN_IF_ERROR(read_chunks_stored({&address, 1}, into, extents));
+  std::vector<std::byte> scratch;
+  return decode_in_place(extents[0], checked_size(element_bytes()), out,
+                         scratch);
 }
 
 void DrxFile::prefetch_box(const Box& box) {
@@ -435,20 +374,8 @@ void DrxFile::prefetch_box(const Box& box) {
 
 Status DrxFile::write_chunk(std::uint64_t address,
                             std::span<const std::byte> in) {
-  DRX_CHECK(in.size() == meta_.chunk_bytes());
-  if (compressed()) {
-    std::vector<std::byte> scratch;
-    const EncodedChunk enc = encode_chunk(in, scratch);
-    return write_chunk_encoded(address, enc);
-  }
-  static const obs::MetricId kWrites = obs::counter_id("core.chunk_writes");
-  static const obs::MetricId kBytes = obs::counter_id("core.bytes_written");
-  obs::registry().counter(kWrites).add();
-  obs::registry().counter(kBytes).add(in.size());
-  obs::ScopedSpan span("core.write_chunk", "core", in.size());
-  sample_write_entropy(in);
-  obs::StageTimer io(obs::Stage::kIoService);
-  return data_->write_at(checked_mul(address, meta_.chunk_bytes()), in);
+  std::vector<std::byte> scratch;
+  return write_chunk_encoded(address, encode_chunk(in, scratch));
 }
 
 // ---- split codec / storage API (docs/COMPRESSION.md) --------------------
@@ -474,11 +401,7 @@ DrxFile::EncodedChunk DrxFile::encode_chunk(
 
 Status DrxFile::write_chunk_encoded(std::uint64_t address,
                                     const EncodedChunk& enc) {
-  if (!compressed()) {
-    DRX_CHECK(enc.codec == codec::CodecId::kNone);
-    return write_chunk(address, enc.bytes);
-  }
-  if (address >= meta_.chunk_table.size()) {
+  if (address >= meta_.mapping.total_chunks()) {
     return Status(ErrorCode::kOutOfRange, "chunk address out of range");
   }
   static const obs::MetricId kWrites = obs::counter_id("core.chunk_writes");
@@ -493,20 +416,26 @@ Status DrxFile::write_chunk_encoded(std::uint64_t address,
   const std::uint64_t cb = meta_.chunk_bytes();
   obs::registry().counter(kWrites).add();
   obs::registry().counter(kBytes).add(cb);  // logical bytes, as ever
-  obs::registry().counter(kRaw).add(cb);
-  obs::registry().counter(kStored).add(enc.bytes.size());
+  if (compressed()) {
+    obs::registry().counter(kRaw).add(cb);
+    obs::registry().counter(kStored).add(enc.bytes.size());
+  } else {
+    DRX_CHECK(enc.codec == codec::CodecId::kNone && enc.bytes.size() == cb);
+    sample_write_entropy(enc.bytes);
+  }
   obs::ScopedSpan span("core.write_chunk", "core", enc.bytes.size());
 
-  ChunkSlot& slot = meta_.chunk_table[address];
-  const auto stored = static_cast<std::uint32_t>(enc.bytes.size());
+  const Metadata::StorageExtent e = meta_.storage_extent(address);
   obs::StageTimer io(obs::Stage::kIoService);
-  if (stored <= slot.capacity) {
-    DRX_RETURN_IF_ERROR(data_->write_at(slot.offset, enc.bytes));
-  } else {
-    // Doesn't fit: relocate to the end of the file; the old slot leaks
-    // (append-only, like extension — drx inspect reports the frag).
-    const std::uint64_t offset = meta_.data_end;
-    DRX_RETURN_IF_ERROR(data_->write_at(offset, enc.bytes));
+  const bool fits = enc.bytes.size() <= e.capacity;  // a raw chunk always
+  const std::uint64_t offset = fits ? e.offset : meta_.data_end;
+  DRX_RETURN_IF_ERROR(data_->write_at(offset, enc.bytes));
+  if (!compressed()) return Status::ok();  // a raw chunk has no slot
+  ChunkSlot& slot = meta_.chunk_table[checked_size(address)];
+  const auto stored = static_cast<std::uint32_t>(enc.bytes.size());
+  if (!fits) {
+    // Relocated to the end of the file; the old slot leaks (append-only,
+    // like extension — drx inspect reports the frag).
     obs::registry().counter(kRelocs).add();
     obs::registry().counter(kFrag).add(slot.capacity);
     slot.offset = offset;
@@ -520,44 +449,32 @@ Status DrxFile::write_chunk_encoded(std::uint64_t address,
 
 Result<DrxFile::EncodedChunk> DrxFile::read_chunk_stored(
     std::uint64_t address, std::vector<std::byte>& scratch) {
-  const std::uint64_t cb = meta_.chunk_bytes();
-  static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
-  static const obs::MetricId kBytes = obs::counter_id("core.bytes_read");
-  obs::registry().counter(kReads).add();
-  obs::registry().counter(kBytes).add(cb);  // logical bytes, as ever
-  if (!compressed()) {
-    scratch.resize(checked_size(cb));
-    obs::ScopedSpan span("core.read_chunk", "core", scratch.size());
-    obs::StageTimer io(obs::Stage::kIoService);
-    DRX_RETURN_IF_ERROR(data_->read_at(checked_mul(address, cb), scratch));
-    return EncodedChunk{codec::CodecId::kNone,
-                        std::span<const std::byte>(scratch)};
-  }
-  if (address >= meta_.chunk_table.size()) {
-    return Status(ErrorCode::kOutOfRange, "chunk address out of range");
-  }
-  const ChunkSlot& slot = meta_.chunk_table[address];
-  scratch.resize(slot.stored);
-  obs::ScopedSpan span("core.read_chunk", "core", scratch.size());
-  obs::StageTimer io(obs::Stage::kIoService);
-  DRX_RETURN_IF_ERROR(data_->read_at(slot.offset, scratch));
-  return EncodedChunk{static_cast<codec::CodecId>(slot.codec),
-                      std::span<const std::byte>(scratch)};
+  scratch.resize(checked_size(meta_.chunk_bytes()));
+  std::byte* const into[] = {scratch.data()};
+  std::vector<Metadata::StorageExtent> extents;
+  DRX_RETURN_IF_ERROR(read_chunks_stored({&address, 1}, into, extents));
+  return EncodedChunk{extents[0].codec,
+                      std::span<const std::byte>(
+                          scratch.data(), checked_size(extents[0].stored))};
 }
 
-Status DrxFile::decode_chunk(codec::CodecId chunk_codec,
-                             std::span<const std::byte> stored,
-                             std::span<std::byte> raw) const {
-  DRX_CHECK(raw.size() == meta_.chunk_bytes());
+Status decode_in_place(const Metadata::StorageExtent& e,
+                       std::size_t element_bytes, std::span<std::byte> chunk,
+                       std::vector<std::byte>& scratch) {
+  if (e.codec == codec::CodecId::kNone) return Status::ok();  // landed raw
+  DRX_CHECK(e.stored <= chunk.size());
   static const obs::MetricId kDecodeUs =
       obs::histogram_id("core.codec.decode_us");
+  scratch.resize(chunk.size());
   Status st;
   {
     obs::ScopedTimer timer(kDecodeUs);
-    st = codec::decode(chunk_codec, stored, checked_size(element_bytes()),
-                       raw);
+    st = codec::decode(e.codec, chunk.first(checked_size(e.stored)),
+                       element_bytes, scratch);
   }
-  if (!st.is_ok() && obs::flight_enabled()) {
+  if (st.is_ok()) {
+    std::memcpy(chunk.data(), scratch.data(), chunk.size());
+  } else if (obs::flight_enabled()) {
     // Same discipline as deferred write-back errors: capture the causal
     // context the moment damage is detected — the clean kCorrupt Status
     // still propagates to the caller.
@@ -569,22 +486,24 @@ Status DrxFile::decode_chunk(codec::CodecId chunk_codec,
   return st;
 }
 
-Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
-                                   std::span<std::byte* const> into,
-                                   std::vector<StoredRef>& refs) {
+Status DrxFile::read_chunks_stored(
+    std::span<const std::uint64_t> addresses, std::span<std::byte* const> into,
+    std::vector<Metadata::StorageExtent>& extents) {
   DRX_CHECK(into.size() == addresses.size());
-  refs.clear();
+  extents.clear();
   if (addresses.empty()) return Status::ok();
   const std::uint64_t total = meta_.mapping.total_chunks();
+  extents.reserve(addresses.size());
+  std::uint64_t live_bytes = 0;
   for (const std::uint64_t q : addresses) {
     if (q >= total) {
       return Status(ErrorCode::kOutOfRange, "chunk address out of range");
     }
+    extents.push_back(meta_.storage_extent(q));
+    live_bytes += extents.back().stored;
   }
   const std::size_t n = addresses.size();
-  const ReadPlan plan = plan_reads(meta_, *data_, addresses);
-  std::uint64_t live_bytes = 0;
-  for (const ReadPlan::Piece& p : plan.pieces) live_bytes += p.stored;
+  const ReadPlan plan = plan_reads(meta_, *data_, addresses, extents);
 
   const std::uint64_t cb = meta_.chunk_bytes();
   static const obs::MetricId kReads = obs::counter_id("core.chunk_reads");
@@ -597,20 +516,17 @@ Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
 
   // Each request copies only live bytes (Storage::read_gather), each
   // chunk's to the front of its own buffer.
-  refs.resize(n);
-  obs::ScopedSpan span("core.read_chunks_batch", "core",
-                       checked_size(live_bytes));
+  obs::ScopedSpan span("core.read_chunks", "core", checked_size(live_bytes));
   obs::StageTimer io(obs::Stage::kIoService);
   std::vector<pfs::GatherPiece> gather;
   for (const ReadPlan::Request& r : plan.requests) {
     gather.clear();
     for (std::size_t k = r.begin; k < r.end; ++k) {
       const std::size_t i = plan.order[k];
-      const ReadPlan::Piece& p = plan.pieces[i];
-      DRX_CHECK(p.stored <= cb);  // Metadata::from_bytes checks it
-      gather.push_back(
-          pfs::GatherPiece{p.offset, std::span<std::byte>(into[i], p.stored)});
-      refs[i] = StoredRef{p.codec, p.stored};
+      DRX_CHECK(extents[i].stored <= cb);  // Metadata::from_bytes checks it
+      gather.push_back(pfs::GatherPiece{
+          extents[i].offset,
+          std::span<std::byte>(into[i], checked_size(extents[i].stored))});
     }
     DRX_RETURN_IF_ERROR(data_->read_gather(r.lo, r.hi, gather));
   }
@@ -618,6 +534,12 @@ Status DrxFile::read_chunks_stored(std::span<const std::uint64_t> addresses,
 }
 
 Status DrxFile::append_zero_chunks(std::uint64_t first) {
+  if (!compressed()) {
+    // Never-written bytes read as zeros on every Storage: growing the
+    // .xta stores nothing (existing bytes past it, if any, are left be).
+    const std::uint64_t end = meta_.data_file_bytes();
+    return data_->size() < end ? data_->truncate(end) : Status::ok();
+  }
   const std::uint64_t cb = meta_.chunk_bytes();
   std::vector<std::byte> zeros(checked_size(cb), std::byte{0});
   std::vector<std::byte> scratch;

@@ -39,7 +39,9 @@ class DrxFile {
 
   /// Creates a fresh array over the given storage pair. `element_bounds`
   /// are the initial bounds (>= 1 chunk per dimension is allocated even
-  /// for zero bounds); all chunks are zero-initialized.
+  /// for zero bounds); every chunk reads as zeros. A raw array's .xta
+  /// grows by truncate and stores nothing; a compressed one stores one
+  /// encoded zero image per slot.
   [[nodiscard]] static Result<DrxFile> create(std::unique_ptr<pfs::Storage> meta_storage,
                                 std::unique_ptr<pfs::Storage> data_storage,
                                 Shape element_bounds, Shape chunk_shape,
@@ -66,9 +68,10 @@ class DrxFile {
   }
 
   /// Extends dimension `dim` by `delta` element indices (paper Sec. II-A:
-  /// which dimension and when is the application's choice). Appends zeroed
-  /// segments as needed; existing data never moves. Metadata is persisted
-  /// immediately.
+  /// which dimension and when is the application's choice). Appended
+  /// segments read as zeros (raw: the .xta grows by truncate, as
+  /// DrxMpFile grows with set_size); existing data never moves. Metadata
+  /// is persisted immediately.
   [[nodiscard]] Status extend(std::size_t dim, std::uint64_t delta);
 
   // ---- element access ---------------------------------------------------
@@ -119,14 +122,16 @@ class DrxFile {
   [[nodiscard]] std::uint64_t chunk_bytes() const {
     return meta_.chunk_bytes();
   }
+  /// read_chunks_stored of one address, then decode_in_place.
   [[nodiscard]] Status read_chunk(std::uint64_t address, std::span<std::byte> out);
+  /// encode_chunk, then write_chunk_encoded.
   [[nodiscard]] Status write_chunk(std::uint64_t address, std::span<const std::byte> in);
 
   // ---- split codec / storage API (docs/COMPRESSION.md) ------------------
-  // read_chunk/write_chunk above compose these for compressed arrays.
-  // Layers that serialize storage access behind their own lock
-  // (ChunkCache's io mutex) call the split halves directly so encode/
-  // decode — pure CPU work — runs OUTSIDE that lock and overlaps I/O.
+  // read_chunk/write_chunk above compose these. Layers that serialize
+  // storage access behind their own lock (ChunkCache's io mutex) call the
+  // split halves directly so encode/decode — pure CPU work — runs OUTSIDE
+  // that lock and overlaps I/O.
 
   [[nodiscard]] bool compressed() const noexcept { return meta_.compressed(); }
   [[nodiscard]] codec::CodecId codec() const noexcept { return meta_.codec; }
@@ -139,13 +144,6 @@ class DrxFile {
     std::span<const std::byte> bytes;
   };
 
-  /// One chunk fetched by `read_chunks_stored`: how its stored bytes,
-  /// at the front of its buffer, are encoded.
-  struct StoredRef {
-    codec::CodecId codec = codec::CodecId::kNone;
-    std::uint32_t size = 0;  ///< stored bytes
-  };
-
   /// Encodes a raw chunk with the array codec into `scratch` (resized
   /// as needed), falling back per chunk to the identity codec when
   /// encoding cannot beat raw. Pure CPU; safe from any thread with no
@@ -153,45 +151,39 @@ class DrxFile {
   [[nodiscard]] EncodedChunk encode_chunk(std::span<const std::byte> raw,
                                           std::vector<std::byte>& scratch) const;
 
-  /// Stores an encoded chunk: in place when it fits the chunk's slot
-  /// capacity, else relocated to the end of the .xta (the old slot
-  /// leaks, append-only like extension). Touches the slot table and
-  /// storage — callers serialize this like any other chunk write.
+  /// The one chunk-write body, raw and compressed: stores an encoded
+  /// chunk at its storage extent when it fits there, else (a compressed
+  /// chunk that outgrew its slot) relocates it to the end of the .xta
+  /// (the old slot leaks, append-only like extension). Touches the slot
+  /// table and storage — callers serialize this like any other chunk
+  /// write.
   [[nodiscard]] Status write_chunk_encoded(std::uint64_t address,
                                            const EncodedChunk& enc);
 
-  /// Reads a chunk's stored bytes without decoding (resizes `scratch`).
+  /// Reads a chunk's stored bytes without decoding: read_chunks_stored of
+  /// one address into `scratch` (resized to chunk_bytes()).
   [[nodiscard]] Result<EncodedChunk> read_chunk_stored(
       std::uint64_t address, std::vector<std::byte>& scratch);
 
-  /// Decodes one stored chunk into exactly chunk_bytes() raw bytes.
-  /// Pure CPU; safe from any thread with no lock held. A malformed
-  /// stream returns kCorrupt (and dumps the flight recorder).
-  [[nodiscard]] Status decode_chunk(codec::CodecId chunk_codec,
-                                    std::span<const std::byte> stored,
-                                    std::span<std::byte> raw) const;
-
-  /// Fetches the stored bytes of the chunks at `addresses` (any order),
-  /// chunk i's to the front of `into[i]`, which is chunk_bytes() long (no
-  /// chunk stores more than its raw bytes), and records how each is
-  /// encoded in `refs` (same order as `addresses`). A raw chunk lands
-  /// decoded; an encoded one needs `decode_chunk` out of its buffer
-  /// into another. The one place a fill is split into storage
-  /// requests: the list is sorted by storage position and a request
+  /// The one chunk read: fetches the stored bytes of the chunks at
+  /// `addresses` (any order), chunk i's to the front of `into[i]`, which
+  /// is chunk_bytes() long (no chunk stores more than its raw bytes), and
+  /// records each chunk's Metadata::storage_extent in `extents` (same
+  /// order as `addresses`). decode_in_place then turns each buffer into
+  /// its raw chunk. The list is sorted by storage position and a request
   /// grows across each next chunk that is contiguous on storage
   /// (Metadata::follows_on_storage) or whose hole is cheaper to read
   /// than the request and seek it saves (Storage::sieve_gap_bytes, from
   /// the device's cost model; raw and compressed arrays alike). Each
   /// request copies only live bytes (Storage::read_gather), straight
-  /// into the chunks' buffers.
+  /// into the chunks' buffers; a lone chunk reads its live bytes only.
   ///
   /// Reads the slot table, so callers that share the file with
-  /// write-behind hold the same lock.
-  /// Decode the refs with `decode_chunk` outside that lock. The fill
-  /// primitive behind ChunkCache's box hints and sequential read-ahead.
+  /// write-behind hold the same lock, and decode outside it.
   [[nodiscard]] Status read_chunks_stored(
       std::span<const std::uint64_t> addresses,
-      std::span<std::byte* const> into, std::vector<StoredRef>& refs);
+      std::span<std::byte* const> into,
+      std::vector<Metadata::StorageExtent>& extents);
 
   /// Run-coalesced scatter/gather between a chunk buffer and a
   /// box-linearized user buffer for the element range `clip` (which lies
@@ -222,7 +214,8 @@ class DrxFile {
     return prefetch_sink_;
   }
 
-  /// Persists metadata (also called by extend/create).
+  /// Persists metadata through write_metadata (also called by
+  /// extend/create), then flushes the .xta.
   [[nodiscard]] Status flush();
 
   [[nodiscard]] pfs::Storage& data_storage() noexcept { return *data_; }
@@ -247,9 +240,10 @@ class DrxFile {
   /// later streaming reads.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, Index>> chunks_by_address(
       const Box& box) const;
-  /// Allocates slots for chunks [first, total_chunks) of a compressed
-  /// array and stores an encoded all-zeroes payload in each (create and
-  /// extend share this; appended chunks must read back as zeroes).
+  /// Makes chunks [first, total_chunks) read as zeros (create and extend
+  /// share this). Raw: grows the .xta by truncate, storing nothing.
+  /// Compressed: allocates a slot per chunk and stores an encoded
+  /// all-zeroes payload in each.
   [[nodiscard]] Status append_zero_chunks(std::uint64_t first);
   /// Cheap write-path entropy sampling for the drx doctor
   /// compression-would-pay hint (docs/COMPRESSION.md): every ~64th raw
@@ -270,5 +264,24 @@ class DrxFile {
   /// threaded), and a skewed sample cadence would be harmless anyway.
   std::uint64_t write_sample_clock_ = 0;
 };
+
+/// The one decode on every chunk-read path (DrxFile::read_chunk,
+/// ChunkCache fills, DrxMpFile zone reads): `chunk`, one whole chunk's
+/// buffer, holds the stored bytes `e` describes at its front; they are
+/// decoded through one chunk of `scratch` and the raw chunk is copied
+/// back. A kNone extent (a raw chunk) is a no-op. A malformed stream
+/// returns kCorrupt and dumps the flight recorder. Pure CPU; safe from
+/// any thread with no lock held.
+[[nodiscard]] Status decode_in_place(const Metadata::StorageExtent& e,
+                                     std::size_t element_bytes,
+                                     std::span<std::byte> chunk,
+                                     std::vector<std::byte>& scratch);
+
+/// The one metadata writer of both front doors (DrxFile::flush,
+/// DrxMpFile::create and flush_metadata): writes `meta`'s image at
+/// offset 0 of `storage` and flushes it. Metadata::from_bytes ignores
+/// any bytes past the image.
+[[nodiscard]] Status write_metadata(pfs::Storage& storage,
+                                    const Metadata& meta);
 
 }  // namespace drx::core

@@ -8,7 +8,6 @@
 
 #include "io/async_pool.hpp"
 #include "io/config.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
 #include "obs/trace.hpp"
@@ -70,8 +69,8 @@ Result<DrxMpFile> DrxMpFile::create(simpi::Comm& comm, pfs::Pfs& fs,
     if (!created.is_ok()) {
       ok = 0;
     } else {
-      const std::vector<std::byte> image = meta.to_bytes();
-      if (!created.value().write_at(0, image).is_ok()) ok = 0;
+      pfs::PfsStorage storage(std::move(created).value());
+      if (!write_metadata(storage, meta).is_ok()) ok = 0;
     }
   }
   comm.bcast_value(ok, 0);
@@ -157,9 +156,13 @@ Status DrxMpFile::flush_metadata() {
     if (!handle.is_ok()) {
       ok = 0;
     } else {
-      const std::vector<std::byte> image = meta_.to_bytes();
-      if (!handle.value().truncate(0).is_ok() ||
-          !handle.value().write_at(0, image).is_ok()) {
+      pfs::PfsStorage storage(std::move(handle).value());
+      // The truncate is no part of the commit and reopens the crash
+      // window write_metadata avoids (an empty .xmd; ROADMAP item 3). It
+      // also parks the .xmd's simulated head at 0, so dropping it alone
+      // makes every flush seek; it goes with item 3's commit protocol.
+      if (!storage.truncate(0).is_ok() ||
+          !write_metadata(storage, meta_).is_ok()) {
         ok = 0;
       }
     }
@@ -190,12 +193,9 @@ Box DrxMpFile::zone_element_box(const Distribution& dist, int proc) const {
 Status DrxMpFile::transfer_chunks(std::span<const Index> chunks,
                                   void* staging, bool collective,
                                   bool writing) {
-  if (meta_.compressed()) {
-    if (writing) {
-      return Status(ErrorCode::kUnsupported,
-                    "compressed DRX-MP arrays are read-only");
-    }
-    return transfer_chunks_compressed(chunks, staging, collective);
+  if (writing && meta_.compressed()) {
+    return Status(ErrorCode::kUnsupported,
+                  "compressed DRX-MP arrays are read-only");
   }
   const std::uint64_t cb = chunk_bytes();
   const std::size_t n = chunks.size();
@@ -203,87 +203,36 @@ Status DrxMpFile::transfer_chunks(std::span<const Index> chunks,
                        "core", checked_mul(n, cb));
   count_zone_transfer(comm_->rank(), checked_mul(n, cb));
 
-  // Sort by linear address: the file view must be monotonic, and ascending
-  // address order is what makes zone I/O a near-sequential disk scan
-  // (paper Sec. II-A).
-  std::vector<std::uint64_t> addresses(n);
+  // One file view from the chunks' storage extents, sorted by offset: the
+  // view must be monotonic, and ascending storage order is what makes
+  // zone I/O a near-sequential disk scan (paper Sec. II-A). That is
+  // linear-address order for a raw array; a compressed array's slots sit
+  // wherever they were last written.
+  std::vector<Metadata::StorageExtent> extents(n);
   for (std::size_t i = 0; i < n; ++i) {
-    addresses[i] = meta_.mapping.address_of(chunks[i]);
-  }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return addresses[a] < addresses[b];
-  });
-
-  std::vector<std::uint64_t> ones(n, 1);
-  std::vector<std::uint64_t> file_displs(n);
-  std::vector<std::uint64_t> mem_displs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    file_displs[i] = checked_mul(addresses[order[i]], cb);
-    mem_displs[i] = checked_mul(order[i], cb);
-  }
-  const simpi::Datatype chunk_type = simpi::Datatype::bytes(cb);
-  const simpi::Datatype filetype =
-      n == 0 ? simpi::Datatype::bytes(0)
-             : simpi::Datatype::hindexed(ones, file_displs, chunk_type);
-  const simpi::Datatype memtype =
-      n == 0 ? simpi::Datatype::bytes(0)
-             : simpi::Datatype::hindexed(ones, mem_displs, chunk_type);
-
-  // With zero chunks a rank still participates in collective calls.
-  data_.set_view(0, simpi::Datatype::bytes(1),
-                 n == 0 ? simpi::Datatype::bytes(1) : filetype);
-  const std::uint64_t count = n == 0 ? 0 : 1;
-  if (writing) {
-    return collective ? data_.write_at_all(0, staging, count, memtype)
-                      : data_.write_at(0, staging, count, memtype);
-  }
-  return collective ? data_.read_at_all(0, staging, count, memtype)
-                    : data_.read_at(0, staging, count, memtype);
-}
-
-Status DrxMpFile::transfer_chunks_compressed(std::span<const Index> chunks,
-                                             void* staging, bool collective) {
-  const std::uint64_t cb = chunk_bytes();
-  const std::size_t n = chunks.size();
-  obs::ScopedSpan span("core.read_chunks", "core", checked_mul(n, cb));
-  count_zone_transfer(comm_->rank(), checked_mul(n, cb));
-
-  std::vector<std::uint64_t> addresses(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    addresses[i] = meta_.mapping.address_of(chunks[i]);
-    if (addresses[i] >= meta_.chunk_table.size()) {
+    const std::uint64_t q = meta_.mapping.address_of(chunks[i]);
+    if (q >= meta_.mapping.total_chunks()) {
       return Status(ErrorCode::kOutOfRange, "chunk address out of range");
     }
+    extents[i] = meta_.storage_extent(q);
   }
-
-  // Sort by slot offset, not by linear address: rewrites before the array
-  // reached DRX-MP may have relocated slots out of address order, and the
-  // MPI file view must be monotonic in file displacement.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return meta_.chunk_table[addresses[a]].offset <
-           meta_.chunk_table[addresses[b]].offset;
+    return extents[a].offset < extents[b].offset;
   });
 
-  // Byte-granular view built from the slot table: block i covers exactly
-  // the stored bytes of the i-th slot in file-offset order, landing packed
-  // in a local compressed buffer.
+  // Block i moves the live bytes of the i-th chunk in storage order to
+  // the front of that chunk's own staging slot. A raw array's blocks are
+  // whole chunks, which Datatype::normalize merges where they abut.
   std::vector<std::uint64_t> blocklens(n);
   std::vector<std::uint64_t> file_displs(n);
   std::vector<std::uint64_t> mem_displs(n);
-  std::uint64_t total_stored = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const ChunkSlot& slot = meta_.chunk_table[addresses[order[i]]];
-    blocklens[i] = slot.stored;
-    file_displs[i] = slot.offset;
-    mem_displs[i] = total_stored;
-    total_stored = checked_add(total_stored, slot.stored);
+    blocklens[i] = extents[order[i]].stored;
+    file_displs[i] = extents[order[i]].offset;
+    mem_displs[i] = checked_mul(order[i], cb);
   }
-  std::vector<std::byte> comp(checked_size(total_stored));
-
   const simpi::Datatype byte_type = simpi::Datatype::bytes(1);
   const simpi::Datatype filetype =
       n == 0 ? simpi::Datatype::bytes(0)
@@ -292,39 +241,25 @@ Status DrxMpFile::transfer_chunks_compressed(std::span<const Index> chunks,
       n == 0 ? simpi::Datatype::bytes(0)
              : simpi::Datatype::hindexed(blocklens, mem_displs, byte_type);
 
+  // With zero chunks a rank still participates in collective calls.
   data_.set_view(0, byte_type, n == 0 ? byte_type : filetype);
   const std::uint64_t count = n == 0 ? 0 : 1;
-  DRX_RETURN_IF_ERROR(collective
-                          ? data_.read_at_all(0, comp.data(), count, memtype)
-                          : data_.read_at(0, comp.data(), count, memtype));
+  if (writing) {
+    return collective ? data_.write_at_all(0, staging, count, memtype)
+                      : data_.write_at(0, staging, count, memtype);
+  }
+  DRX_RETURN_IF_ERROR(collective ? data_.read_at_all(0, staging, count, memtype)
+                                 : data_.read_at(0, staging, count, memtype));
 
   // Decode outside the collective so slow ranks never stall peers inside
-  // the I/O call; each chunk lands at its caller-order staging position.
-  static const obs::MetricId kDecodeUs =
-      obs::histogram_id("core.codec.decode_us");
+  // the I/O call.
   auto* out = static_cast<std::byte*>(staging);
+  std::vector<std::byte> scratch;
   for (std::size_t i = 0; i < n; ++i) {
-    const ChunkSlot& slot = meta_.chunk_table[addresses[order[i]]];
-    Status st;
-    {
-      obs::ScopedTimer timer(kDecodeUs);
-      st = codec::decode(
-          static_cast<codec::CodecId>(slot.codec),
-          std::span<const std::byte>(comp.data() + mem_displs[i],
-                                     slot.stored),
-          checked_size(meta_.element_bytes()),
-          std::span<std::byte>(out + checked_mul(order[i], cb),
-                               checked_size(cb)));
-    }
-    if (!st.is_ok()) {
-      if (obs::flight_enabled()) {
-        const Status ds = obs::dump_flight("corrupt-chunk");
-        if (!ds.is_ok()) {
-          DRX_LOG(kError) << "flight dump failed: " << ds.to_string();
-        }
-      }
-      return st;
-    }
+    DRX_RETURN_IF_ERROR(decode_in_place(
+        extents[i], checked_size(meta_.element_bytes()),
+        std::span<std::byte>(out + checked_mul(i, cb), checked_size(cb)),
+        scratch));
   }
   return Status::ok();
 }
@@ -409,13 +344,17 @@ Status DrxMpFile::read_my_zone_pipelined(const Distribution& dist,
         });
   };
 
+  // A round's error may be this rank's alone (a chunk that fails to
+  // decode after the collective), so a rank that sees one still makes
+  // every later round's collective call, scatters nothing more, and
+  // returns its first error at the end; peers never wait on it.
+  Status first_error;
   std::future<Status> inflight = issue(0);
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    // Collective errors surface identically on every rank (the aggregator
-    // result is allreduced), so breaking out of the round loop together
-    // is deadlock-free.
-    DRX_RETURN_IF_ERROR(inflight.get());
+    const Status st = inflight.get();
     if (r + 1 < rounds) inflight = issue(r + 1);
+    if (first_error.is_ok()) first_error = st;
+    if (!first_error.is_ok()) continue;
     const std::span<const Index> part = round_chunks(r);
     const std::span<const std::byte> buf(staging[r % 2]);
     obs::StageTimer copy(obs::Stage::kCopy);
@@ -428,7 +367,7 @@ Status DrxMpFile::read_my_zone_pipelined(const Distribution& dist,
           out);
     }
   }
-  return Status::ok();
+  return first_error;
 }
 
 Status DrxMpFile::write_my_zone(const Distribution& dist, MemoryOrder order,

@@ -82,8 +82,9 @@ class DrxMpFile {
   // ---- chunk-list transfer primitive ------------------------------------
   // `staging` is chunk-major in the order of `chunks` (each chunk
   // occupying chunk_bytes() consecutive bytes). The file side is accessed
-  // in ascending linear-address order via an MPI-IO file view; collective
-  // calls run two-phase across the communicator.
+  // in ascending storage order via an MPI-IO file view built from the
+  // chunks' storage extents; collective calls run two-phase across the
+  // communicator. Compressed arrays are read-only (docs/COMPRESSION.md).
 
   [[nodiscard]] Status read_chunks(std::span<const Index> chunks,
                      std::span<std::byte> staging, bool collective);
@@ -172,19 +173,13 @@ class DrxMpFile {
             std::make_unique<PlanCache>(chunk_space_, meta_.element_bytes())),
         data_(std::move(data)) {}
 
-  /// Builds the (sorted-by-address) file and memory datatypes for a chunk
-  /// list and performs the transfer.
+  /// The chunk rule of every DRX-MP transfer, raw and compressed: one
+  /// byte-granular file view over the chunks' storage extents (sorted by
+  /// offset) and a memory view that puts each chunk's stored bytes at the
+  /// front of its own staging slot. A read then decodes each slot in
+  /// place (decode_in_place), after the collective completes.
   [[nodiscard]] Status transfer_chunks(std::span<const Index> chunks, void* staging,
                          bool collective, bool writing);
-
-  /// Compressed-array read path (docs/COMPRESSION.md): the file view is
-  /// built from the per-chunk slot table (byte-granular, sorted by slot
-  /// offset), the stored bytes land in a local buffer and each chunk is
-  /// decoded into its `staging` position after the collective completes.
-  /// DRX-MP serves compressed arrays read-only.
-  [[nodiscard]] Status transfer_chunks_compressed(std::span<const Index> chunks,
-                                                  void* staging,
-                                                  bool collective);
 
   /// Round-pipelined zone read (docs/ASYNC_IO.md): splits the chunk list
   /// into batches and reads batch r+1 on an I/O worker while batch r is

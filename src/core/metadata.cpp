@@ -54,11 +54,13 @@ std::uint64_t Metadata::stored_live_bytes() const {
 Metadata::StorageExtent Metadata::storage_extent(std::uint64_t address) const {
   if (!compressed()) {
     const std::uint64_t cb = chunk_bytes();
-    return StorageExtent{checked_mul(address, cb), cb};
+    return StorageExtent{checked_mul(address, cb), cb, cb,
+                         codec::CodecId::kNone};
   }
   DRX_CHECK(address < chunk_table.size());
   const ChunkSlot& s = chunk_table[checked_size(address)];
-  return StorageExtent{s.offset, s.capacity};
+  return StorageExtent{s.offset, s.capacity, s.stored,
+                       static_cast<codec::CodecId>(s.codec)};
 }
 
 bool Metadata::follows_on_storage(std::uint64_t prev,

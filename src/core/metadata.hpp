@@ -92,16 +92,21 @@ struct Metadata {
   /// and capacity padding); the numerator of drx inspect's ratio.
   [[nodiscard]] std::uint64_t stored_live_bytes() const;
 
-  /// Byte range chunk `address` reserves in the .xta: its slot (offset,
-  /// capacity) when compressed, [address, address + 1) x chunk_bytes()
-  /// when raw.
+  /// The one answer to where chunk `address`'s bytes are and how they
+  /// are encoded: it reserves `capacity` bytes at `offset` in the .xta,
+  /// the first `stored` of them live, encoded with `codec`. A compressed
+  /// array's chunk is its slot; a raw array's chunk q is
+  /// [q, q + 1) x chunk_bytes(), all live, kNone. Every chunk read and
+  /// write path consults it.
   struct StorageExtent {
     std::uint64_t offset = 0;
     std::uint64_t capacity = 0;
+    std::uint64_t stored = 0;
+    codec::CodecId codec = codec::CodecId::kNone;
   };
   [[nodiscard]] StorageExtent storage_extent(std::uint64_t address) const;
   /// The one definition of "contiguous on storage": chunk `next` starts
-  /// exactly where chunk `prev`'s reservation ends. Cache fills
+  /// exactly where chunk `prev`'s reservation ends. Chunk reads
   /// (DrxFile::read_chunks_stored) and address_order_runs() both use it.
   [[nodiscard]] bool follows_on_storage(std::uint64_t prev,
                                         std::uint64_t next) const;

@@ -74,7 +74,7 @@ inline std::array<OpSlot, kOpSlots>& op_slots() noexcept {
 inline thread_local OpContext t_op{};
 inline thread_local std::uint64_t t_current_span = 0;
 /// Same-thread StageTimer nesting depth per stage: only the outermost
-/// timer counts, so layered instrumentation (core.read_chunk wrapping
+/// timer counts, so layered instrumentation (core.read_chunks wrapping
 /// pfs.read, both io_service) does not double-attribute.
 inline thread_local std::uint8_t t_stage_depth[kStageCount] = {};
 

@@ -10,6 +10,11 @@ namespace drx::pfs {
 Status Storage::read_gather(std::uint64_t lo, std::uint64_t hi,
                             std::span<const GatherPiece> pieces) {
   DRX_RETURN_IF_ERROR(check_gather(lo, hi, pieces, size()));
+  // One piece over the whole range (a lone chunk): read straight into it.
+  if (pieces.size() == 1 && pieces[0].offset == lo &&
+      pieces[0].out.size() == hi - lo) {
+    return read_at(lo, pieces[0].out);
+  }
   std::vector<std::byte> range(checked_size(hi - lo));
   DRX_RETURN_IF_ERROR(read_at(lo, range));
   for (const GatherPiece& p : pieces) {

@@ -37,7 +37,8 @@ class Storage {
   /// `pieces` (each inside [lo, hi)), so the hole bytes between them
   /// cost transfer time and no copy. kOutOfRange if hi passes EOF or a
   /// piece leaves the range. The default reads the range with one
-  /// read_at into a temporary; MemStorage gathers on the device itself.
+  /// read_at into a temporary, or straight into the one piece that spans
+  /// it; MemStorage gathers on the device itself.
   [[nodiscard]] virtual Status read_gather(std::uint64_t lo, std::uint64_t hi,
                                            std::span<const GatherPiece> pieces);
 

@@ -717,6 +717,7 @@ std::vector<std::uint64_t> scan_windows(DrxFile& file, std::size_t capacity,
   std::vector<std::uint64_t> reserved;
   for (std::uint64_t q = 0; q < total; ++q) {
     const std::uint64_t issued = cache.stats().prefetch_issued;
+    const std::uint64_t misses = cache.stats().misses;
     const std::size_t read = controls ? controls->gathered().size() : 0;
     auto p = cache.pin(q, /*writable=*/false);
     EXPECT_TRUE(p.is_ok());
@@ -726,13 +727,22 @@ std::vector<std::uint64_t> scan_windows(DrxFile& file, std::size_t capacity,
     reserved.push_back(cache.stats().prefetch_issued - issued);
     EXPECT_LT(reserved.back(), capacity) << "pin " << q;
     if (controls == nullptr) continue;
+    // A pin that missed reads its own chunk (one piece); every other
+    // piece is its job's.
+    const std::uint64_t missed = cache.stats().misses - misses;
     const std::vector<std::uint64_t> offsets = controls->gathered();
-    EXPECT_EQ(offsets.size() - read, reserved.back()) << "pin " << q;
+    EXPECT_EQ(offsets.size() - read, missed + reserved.back()) << "pin " << q;
+    std::uint64_t own = 0;
     for (std::size_t k = read; k < offsets.size(); ++k) {
       const std::uint64_t c = address_at.at(offsets[k]);
+      if (c == q) {
+        ++own;
+        continue;
+      }
       EXPECT_GT(c, q);
       EXPECT_LT(c, q + capacity) << "pin " << q;
     }
+    EXPECT_EQ(own, missed) << "pin " << q;
   }
   stats = cache.stats();
   return reserved;

@@ -5,6 +5,7 @@
 // output stays byte-identical to the legacy v1 format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include "core/chunk_cache.hpp"
 #include "core/drx_file.hpp"
 #include "core/drxmp.hpp"
+#include "io/config.hpp"
 #include "obs/flight.hpp"
 #include "simpi/runtime.hpp"
 #include "util/rng.hpp"
@@ -383,6 +385,72 @@ TEST(Compression, WriteBehindCodecStress) {
   }
 }
 
+// Every chunk read takes the one read path: a pin miss, read_chunk and
+// read_chunk_stored each cost exactly one request of the chunk's live
+// bytes (chunk_bytes() raw, the slot's stored bytes encoded), and decode.
+TEST(Compression, EveryChunkReadIsOneRequestOfItsLiveBytes) {
+  for (const codec::CodecId c : {codec::CodecId::kNone, codec::CodecId::kRle}) {
+    SCOPED_TRACE(codec::codec_name(c));
+    DrxFile f = make_compressed(Shape{8, 8}, Shape{4, 4}, compressed_opts(c));
+    std::vector<double> values(64);
+    for_each_index(Box{{0, 0}, {8, 8}}, [&](const Index& idx) {
+      values[static_cast<std::size_t>(idx[0] * 8 + idx[1])] = row_value(idx);
+    });
+    ASSERT_TRUE(f.write_box(Box{{0, 0}, {8, 8}}, MemoryOrder::kRowMajor,
+                            std::as_bytes(std::span<const double>(values)))
+                    .is_ok());
+    const pfs::IoStats& stats =
+        static_cast<pfs::MemStorage&>(f.data_storage()).stats();
+    const std::uint64_t cb = f.chunk_bytes();
+    const auto expect_one_request = [&](const pfs::IoStats& before,
+                                        std::uint64_t q) {
+      const Metadata::StorageExtent e = f.metadata().storage_extent(q);
+      EXPECT_EQ(e.stored, c == codec::CodecId::kNone
+                              ? cb
+                              : f.metadata().chunk_table[q].stored);
+      EXPECT_LT(e.stored, c == codec::CodecId::kNone ? cb + 1 : cb);
+      EXPECT_EQ(stats.read_requests - before.read_requests, 1u);
+      EXPECT_EQ(stats.bytes_read - before.bytes_read, e.stored);
+    };
+    /// Chunk q holds rows [4 * (q % 2), +4): row_value is 10 + row.
+    const auto expect_chunk = [&](std::uint64_t q,
+                                  std::span<const std::byte> bytes) {
+      const Index chunk = f.metadata().mapping.index_of(q);
+      const auto* v = reinterpret_cast<const double*>(bytes.data());
+      for (std::size_t k = 0; k < 16; ++k) {
+        ASSERT_EQ(v[k], 10.0 + static_cast<double>(chunk[0] * 4 + k / 4)) << q;
+      }
+    };
+
+    std::vector<std::byte> raw(checked_size(cb));
+    for (std::uint64_t q = 0; q < 4; ++q) {
+      pfs::IoStats before = stats;
+      ASSERT_TRUE(f.read_chunk(q, raw).is_ok());
+      expect_one_request(before, q);
+      expect_chunk(q, raw);
+
+      before = stats;
+      std::vector<std::byte> scratch;
+      auto stored = f.read_chunk_stored(q, scratch);
+      ASSERT_TRUE(stored.is_ok()) << stored.status();
+      expect_one_request(before, q);
+      EXPECT_EQ(stored.value().codec,
+                f.metadata().storage_extent(q).codec);
+      EXPECT_EQ(stored.value().bytes.size(), f.metadata().storage_extent(q).stored);
+    }
+    ChunkCache cache(f, 4, ChunkCache::AsyncOptions{0, 0, 1});
+    for (std::uint64_t q = 0; q < 4; ++q) {
+      const pfs::IoStats before = stats;
+      auto p = cache.pin(q, /*writable=*/false);
+      ASSERT_TRUE(p.is_ok()) << p.status();
+      expect_one_request(before, q);
+      expect_chunk(q, p.value());
+      cache.unpin(q, /*dirty=*/false, /*writable=*/false);
+    }
+    EXPECT_EQ(cache.stats().misses, 4u);
+  }
+}
+
 // ---- DRX-MP: compressed arrays are read-only ------------------------------
 
 TEST(CompressionMp, CollectiveReadOfSeriallyCompressedArray) {
@@ -431,6 +499,219 @@ TEST(CompressionMp, CollectiveReadOfSeriallyCompressedArray) {
     EXPECT_EQ(f.extend_all(0, 3).code(), ErrorCode::kUnsupported);
     ASSERT_TRUE(f.close().is_ok());
   });
+}
+
+/// Chunk-distinct values over 4x4 chunks: a chunk whose grid coordinates
+/// sum to an even number holds row-constant runs (RLE stores it
+/// encoded), any other all-distinct values (stored raw, per-chunk kNone).
+double mp_value(const Index& idx) {
+  const std::uint64_t c0 = idx[0] / 4;
+  const std::uint64_t c1 = idx[1] / 4;
+  return (c0 + c1) % 2 == 0
+             ? 10.0 + 100.0 * static_cast<double>(c1) +
+                   static_cast<double>(idx[0])
+             : 1000.0 + 16.0 * static_cast<double>(idx[0]) +
+                   static_cast<double>(idx[1]);
+}
+
+/// Writes `name` (16x16 doubles in 4x4 chunks, RLE) serially onto `fs`
+/// so that every slot sits out of address order: each chunk is first
+/// rewritten incompressibly, in descending address order, which relocates
+/// it past all the higher addresses, then rewritten in place with
+/// mp_value.
+void write_relocated_rle(pfs::Pfs& fs, const std::string& name) {
+  auto meta_h = fs.create(name + ".xmd", /*overwrite=*/true);
+  auto data_h = fs.create(name + ".xta", /*overwrite=*/true);
+  ASSERT_TRUE(meta_h.is_ok() && data_h.is_ok());
+  auto created = DrxFile::create(
+      std::make_unique<pfs::PfsStorage>(std::move(meta_h).value()),
+      std::make_unique<pfs::PfsStorage>(std::move(data_h).value()),
+      Shape{16, 16}, Shape{4, 4}, compressed_opts());
+  ASSERT_TRUE(created.is_ok()) << created.status();
+  DrxFile& f = created.value();
+  const std::uint64_t total = f.metadata().mapping.total_chunks();
+  for (const bool final_values : {false, true}) {
+    for (std::uint64_t q = total; q-- > 0;) {
+      const Index c = f.metadata().mapping.index_of(q);
+      const Box box{{c[0] * 4, c[1] * 4}, {c[0] * 4 + 4, c[1] * 4 + 4}};
+      std::vector<double> v;
+      for_each_index(box, [&](const Index& idx) {
+        v.push_back(final_values ? mp_value(idx)
+                                 : 5000.0 + 16.0 * static_cast<double>(idx[0]) +
+                                       static_cast<double>(idx[1]));
+      });
+      ASSERT_TRUE(f.write_box(box, MemoryOrder::kRowMajor,
+                              std::as_bytes(std::span<const double>(v)))
+                      .is_ok());
+    }
+  }
+  ASSERT_TRUE(f.flush().is_ok());
+  const Metadata& m = f.metadata();
+  EXPECT_EQ(m.address_order_runs(), total);
+  for (std::uint64_t q = 1; q < total; ++q) {
+    EXPECT_LT(m.chunk_table[q].offset, m.chunk_table[q - 1].offset);
+  }
+  const auto rle = static_cast<std::uint8_t>(codec::CodecId::kRle);
+  EXPECT_TRUE(std::any_of(m.chunk_table.begin(), m.chunk_table.end(),
+                          [&](const ChunkSlot& s) { return s.codec == rle; }));
+  EXPECT_TRUE(std::any_of(m.chunk_table.begin(), m.chunk_table.end(),
+                          [&](const ChunkSlot& s) { return s.codec != rle; }));
+}
+
+/// A striped PFS whose cost model makes a seek worth 128 bytes of
+/// transfer, one chunk of the arrays below: a pipelined zone read with io
+/// threads then reads one chunk per round, so a zone takes many rounds.
+pfs::PfsConfig one_chunk_rounds() {
+  pfs::PfsConfig cfg;
+  cfg.stripe_size = 64;
+  cfg.cost.seek_us = 0;
+  cfg.cost.request_overhead_us = 0;
+  cfg.cost.network_latency_us = 1;
+  cfg.cost.disk_per_byte_us = 1.0 / 128;
+  cfg.cost.network_per_byte_us = 0;
+  return cfg;
+}
+
+/// Checks `out`, the element box `box` in row-major order, against mp_value.
+void expect_mp_box(const Box& box, std::span<const double> out) {
+  std::size_t k = 0;
+  for_each_index(box, [&](const Index& idx) {
+    ASSERT_EQ(out[k++], mp_value(idx)) << idx[0] << "," << idx[1];
+  });
+}
+
+/// Sets the I/O worker count for DRX-MP zone reads while in scope.
+struct IoThreads {
+  explicit IoThreads(int threads) { io::set_io_threads(threads); }
+  ~IoThreads() { io::set_io_threads(-1); }
+};
+
+// A relocated RLE array reads back through every DRX-MP path: independent
+// boxes, read_my_zone over BLOCK zones (pipelined rounds with io threads)
+// and each rank's BLOCK_CYCLIC chunk list (read_my_zone needs a BLOCK
+// distribution), collectively and independently.
+TEST(CompressionMp, RelocatedRleReadsThroughEveryZonePath) {
+  pfs::Pfs fs(one_chunk_rounds());
+  ASSERT_EQ(fs.config().cost.sieve_gap_bytes(), 128u);
+  write_relocated_rle(fs, "reloc");
+  for (const int threads : {0, 2}) {
+    const IoThreads io_threads(threads);
+    for (const int procs : {1, 2, 4}) {
+      SCOPED_TRACE("io threads " + std::to_string(threads) + ", P " +
+                   std::to_string(procs));
+      simpi::run(procs, [&](simpi::Comm& comm) {
+        auto opened = DrxMpFile::open(comm, fs, "reloc");
+        ASSERT_TRUE(opened.is_ok()) << opened.status();
+        DrxMpFile& f = opened.value();
+        const int r = comm.rank();
+
+        const Box box{{1 + static_cast<std::uint64_t>(r), 2},
+                      {15, 11 + static_cast<std::uint64_t>(r)}};
+        std::vector<double> out(checked_size(box.volume()));
+        ASSERT_TRUE(f.read_box_independent(
+                         box, MemoryOrder::kRowMajor,
+                         std::as_writable_bytes(std::span<double>(out)))
+                        .is_ok());
+        expect_mp_box(box, out);
+
+        const Distribution block = f.block_distribution();
+        const Box zone = f.zone_element_box(block, r);
+        for (const bool collective : {true, false}) {
+          std::vector<double> mine(checked_size(zone.volume()), -1.0);
+          ASSERT_TRUE(f.read_my_zone(block, MemoryOrder::kRowMajor,
+                                     std::as_writable_bytes(std::span<double>(mine)),
+                                     collective)
+                          .is_ok());
+          expect_mp_box(zone, mine);
+        }
+
+        const Distribution cyclic = Distribution::block_cyclic(
+            f.metadata().mapping.bounds(), comm.size(), Shape{1, 2});
+        const std::vector<Index> chunks = cyclic.chunks_of(r);
+        for (const bool collective : {true, false}) {
+          std::vector<double> staging(chunks.size() * 16, -1.0);
+          ASSERT_TRUE(f.read_chunks(chunks,
+                                    std::as_writable_bytes(std::span<double>(staging)),
+                                    collective)
+                          .is_ok());
+          for (std::size_t i = 0; i < chunks.size(); ++i) {
+            const Index& c = chunks[i];
+            expect_mp_box(Box{{c[0] * 4, c[1] * 4}, {c[0] * 4 + 4, c[1] * 4 + 4}},
+                          std::span<const double>(staging).subspan(i * 16, 16));
+          }
+        }
+        ASSERT_TRUE(f.close().is_ok());
+      });
+    }
+  }
+}
+
+// A damaged slot surfaces through the DRX-MP path as a clean kCorrupt and
+// a flight dump, as it does through DrxFile, on the rank that owns it
+// alone: its peers' pipelined rounds still complete, with or without io
+// threads.
+TEST(CompressionMp, CorruptSlotIsCleanErrorAndDumpsFlight) {
+  pfs::Pfs fs(one_chunk_rounds());
+  write_relocated_rle(fs, "bad");
+  std::uint64_t victim = 0;
+  {
+    auto meta_h = fs.open("bad.xmd");
+    ASSERT_TRUE(meta_h.is_ok());
+    std::vector<std::byte> image(checked_size(meta_h.value().size()));
+    ASSERT_TRUE(meta_h.value().read_at(0, image).is_ok());
+    auto meta = Metadata::from_bytes(image);
+    ASSERT_TRUE(meta.is_ok());
+    const auto& table = meta.value().chunk_table;
+    while (table[victim].codec != static_cast<std::uint8_t>(codec::CodecId::kRle)) {
+      ++victim;
+    }
+    // A run longer than the chunk: deterministically corrupt.
+    auto data_h = fs.open("bad.xta");
+    ASSERT_TRUE(data_h.is_ok());
+    const std::byte bad[1] = {std::byte{0xFF}};
+    ASSERT_TRUE(data_h.value().write_at(table[victim].offset, bad).is_ok());
+  }
+  const std::string dump =
+      (std::filesystem::temp_directory_path() / "drx-corrupt-mp-flight.json")
+          .string();
+  obs::set_flight_path(dump);
+  for (const int threads : {0, 2}) {
+    const IoThreads io_threads(threads);
+    for (const int procs : {1, 2}) {
+      SCOPED_TRACE("io threads " + std::to_string(threads) + ", P " +
+                   std::to_string(procs));
+      simpi::run(procs, [&](simpi::Comm& comm) {
+        auto opened = DrxMpFile::open(comm, fs, "bad");
+        ASSERT_TRUE(opened.is_ok()) << opened.status();
+        DrxMpFile& f = opened.value();
+        const Index c = f.metadata().mapping.index_of(victim);
+        const Distribution block = f.block_distribution();
+        const bool mine = block.owner_of(c) == comm.rank();
+        if (comm.rank() == 0) std::filesystem::remove(dump);
+        comm.barrier();
+        if (mine) {
+          const Box box{{c[0] * 4, c[1] * 4}, {c[0] * 4 + 4, c[1] * 4 + 4}};
+          std::vector<double> out(16);
+          EXPECT_EQ(f.read_box_independent(
+                         box, MemoryOrder::kRowMajor,
+                         std::as_writable_bytes(std::span<double>(out)))
+                        .code(),
+                    ErrorCode::kCorrupt);
+          EXPECT_TRUE(std::filesystem::exists(dump))
+              << "corrupt chunk must trigger a flight dump";
+        }
+        std::vector<double> zone(
+            checked_size(f.zone_element_box(block, comm.rank()).volume()));
+        EXPECT_EQ(f.read_my_zone(block, MemoryOrder::kRowMajor,
+                                 std::as_writable_bytes(std::span<double>(zone)))
+                      .code(),
+                  mine ? ErrorCode::kCorrupt : ErrorCode::kOk);
+        ASSERT_TRUE(f.close().is_ok());
+      });
+    }
+  }
+  std::filesystem::remove(dump);
+  obs::set_flight_path("drx-flight.json");
 }
 
 TEST(CompressionMp, CollectiveCreateRejectsCodec) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "util/checked.hpp"
 #include "util/rng.hpp"
 
 namespace drx::core {
@@ -93,16 +94,82 @@ TEST(DrxFile, ExtendWithinSlackAddsNoChunks) {
   EXPECT_GT(f.data_storage().size(), size_before);
 }
 
+// Raw create and extend grow the .xta by truncate: neither rewrites
+// existing bytes nor writes zeros for new ones (no data write request),
+// and every new chunk still reads as zeros.
 TEST(DrxFile, ExtendNeverRewritesExistingBytes) {
-  DrxFile f = make_mem(Shape{4, 4}, Shape{2, 2}, dbl_opts());
-  auto& stats =
+  DrxFile f = make_mem(Shape{5, 6}, Shape{2, 4}, dbl_opts());
+  const pfs::IoStats& stats =
       static_cast<pfs::MemStorage&>(f.data_storage()).stats();
-  const std::uint64_t written_before = stats.bytes_written;
-  const std::uint64_t size_before = f.data_storage().size();
-  ASSERT_TRUE(f.extend(1, 4).is_ok());
-  // Bytes written by the extension == bytes appended: nothing rewritten.
-  EXPECT_EQ(stats.bytes_written - written_before,
-            f.data_storage().size() - size_before);
+  EXPECT_EQ(f.data_storage().size(), f.metadata().data_file_bytes());
+  EXPECT_EQ(stats.write_requests, 0u);
+  ASSERT_TRUE(f.extend(0, 3).is_ok());
+  ASSERT_TRUE(f.extend(1, 5).is_ok());
+  EXPECT_EQ(f.data_storage().size(), f.metadata().data_file_bytes());
+  EXPECT_EQ(stats.write_requests, 0u);
+  EXPECT_EQ(stats.bytes_written, 0u);
+  std::vector<double> out(8 * 11, -1.0);
+  ASSERT_TRUE(f.read_box(Box{{0, 0}, {8, 11}}, MemoryOrder::kRowMajor,
+                         std::as_writable_bytes(std::span<double>(out)))
+                  .is_ok());
+  EXPECT_EQ(out, std::vector<double>(8 * 11, 0.0));
+}
+
+/// A MemStorage whose writes fail while `*fail` is set.
+class FailingWrites final : public pfs::Storage {
+ public:
+  explicit FailingWrites(const bool* fail) : fail_(fail) {}
+  Status read_at(std::uint64_t offset, std::span<std::byte> out) override {
+    return inner_.read_at(offset, out);
+  }
+  Status write_at(std::uint64_t offset,
+                  std::span<const std::byte> data) override {
+    if (*fail_) return Status(ErrorCode::kIoError, "injected write failure");
+    return inner_.write_at(offset, data);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  Status truncate(std::uint64_t new_size) override {
+    return inner_.truncate(new_size);
+  }
+  Status flush() override { return Status::ok(); }
+
+ private:
+  const bool* fail_;
+  pfs::MemStorage inner_;
+};
+
+std::unique_ptr<pfs::MemStorage> copy_of(pfs::Storage& src) {
+  auto dst = std::make_unique<pfs::MemStorage>();
+  std::vector<std::byte> buf(checked_size(src.size()));
+  EXPECT_TRUE(src.read_at(0, buf).is_ok());
+  EXPECT_TRUE(dst->write_at(0, buf).is_ok());
+  return dst;
+}
+
+// The one metadata writer overwrites the image in place: a write that
+// fails leaves the previous image, which still opens.
+TEST(DrxFile, FailedMetadataWriteKeepsThePreviousImage) {
+  bool fail = false;
+  auto created = DrxFile::create(std::make_unique<FailingWrites>(&fail),
+                                 std::make_unique<pfs::MemStorage>(),
+                                 Shape{4, 4}, Shape{2, 2}, dbl_opts());
+  ASSERT_TRUE(created.is_ok()) << created.status();
+  DrxFile f = std::move(created).value();
+  ASSERT_TRUE(f.set<double>(Index{3, 3}, 7.0).is_ok());
+  const std::vector<std::byte> image = f.metadata().to_bytes();
+  fail = true;
+  EXPECT_EQ(f.extend(1, 4).code(), ErrorCode::kIoError);
+  EXPECT_EQ(write_metadata(f.meta_storage(), f.metadata()).code(),
+            ErrorCode::kIoError);
+  fail = false;
+  std::vector<std::byte> stored(checked_size(f.meta_storage().size()));
+  ASSERT_TRUE(f.meta_storage().read_at(0, stored).is_ok());
+  EXPECT_EQ(stored, image);
+  auto reopened =
+      DrxFile::open(copy_of(f.meta_storage()), copy_of(f.data_storage()));
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status();
+  EXPECT_EQ(reopened.value().bounds(), (Shape{4, 4}));
+  EXPECT_EQ(reopened.value().get<double>(Index{3, 3}).value(), 7.0);
 }
 
 class BoxIoP : public ::testing::TestWithParam<

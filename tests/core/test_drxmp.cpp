@@ -114,6 +114,15 @@ TEST_P(DrxMpP, IndependentMatchesCollective) {
   });
 }
 
+/// The .xmd `name` as stored in `fs`.
+std::vector<std::byte> xmd_bytes(pfs::Pfs& fs, const std::string& name) {
+  auto handle = fs.open(name + ".xmd");
+  EXPECT_TRUE(handle.is_ok());
+  std::vector<std::byte> image(checked_size(handle.value().size()));
+  EXPECT_TRUE(handle.value().read_at(0, image).is_ok());
+  return image;
+}
+
 TEST_P(DrxMpP, ParallelExtendPreservesAndGrows) {
   const int p = GetParam();
   pfs::Pfs fs(cfg());
@@ -134,6 +143,10 @@ TEST_P(DrxMpP, ParallelExtendPreservesAndGrows) {
     ASSERT_TRUE(f.extend_all(0, 4).is_ok());
     ASSERT_TRUE(f.extend_all(1, 3).is_ok());
     EXPECT_EQ(f.bounds(), (Shape{10, 9}));
+    // The commit left exactly the current image in the .xmd.
+    if (comm.rank() == 0) {
+      EXPECT_EQ(xmd_bytes(fs, "arr"), f.metadata().to_bytes());
+    }
 
     // Whole-array collective read, split by the NEW distribution; old data
     // intact, new region zero.

@@ -116,6 +116,16 @@ void exercise_gather(Storage& s) {
   EXPECT_EQ(s.read_gather(37, 301, pieces).code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(s.read_gather(40, 280, pieces).code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(s.read_gather(37, 279, pieces).code(), ErrorCode::kOutOfRange);
+
+  // One piece spanning the whole range: a lone chunk's read.
+  std::vector<std::byte> whole(60, std::byte{0xEE});
+  const GatherPiece lone[] = {{120, whole}};
+  ASSERT_TRUE(s.read_gather(120, 180, lone).is_ok());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_EQ(whole[i], data[120 + i]);
+  }
+  const GatherPiece past_eof[] = {{250, whole}};
+  EXPECT_EQ(s.read_gather(250, 310, past_eof).code(), ErrorCode::kOutOfRange);
 }
 
 TEST(MemStorage, ReadGatherIsOneRequestOverTheRange) {
@@ -159,8 +169,9 @@ TEST(PosixStorage, ReadGatherFallback) {
 }
 
 // The base-class fallback over a striped file: one read_at of the range
-// and the same bytes as MemStorage's native gather. A striped read is one
-// request per server, so PfsStorage reads no holes.
+// (straight into a piece that spans it) and the same bytes as
+// MemStorage's native gather. A striped read is one request per server,
+// so PfsStorage reads no holes.
 TEST(PfsStorage, ReadGatherFallback) {
   PfsConfig cfg;
   cfg.num_servers = 3;
