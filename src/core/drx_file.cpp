@@ -121,7 +121,7 @@ Result<DrxFile> DrxFile::create(std::unique_ptr<pfs::Storage> meta_storage,
                std::move(meta));
   // Every allocated chunk is readable immediately, as zeros.
   DRX_RETURN_IF_ERROR(file.data_->truncate(0));
-  DRX_RETURN_IF_ERROR(file.append_zero_chunks(0));
+  DRX_RETURN_IF_ERROR(file.append_zero_chunks(file.meta_, 0));
   DRX_RETURN_IF_ERROR(file.flush());
   return file;
 }
@@ -178,10 +178,16 @@ Status DrxFile::extend(std::size_t dim, std::uint64_t delta) {
   }
   if (delta == 0) return Status::ok();
 
-  if (const auto first = meta_.extend_elements(dim, delta)) {
-    DRX_RETURN_IF_ERROR(append_zero_chunks(*first));
+  // Extend a copy and swap it in once the .xmd commit succeeds: a failed
+  // .xta growth or commit leaves the array as it was, so a retry grows it
+  // by delta, not twice.
+  Metadata next = meta_;
+  if (const auto first = next.extend_elements(dim, delta)) {
+    DRX_RETURN_IF_ERROR(append_zero_chunks(next, *first));
   }
-  return flush();
+  DRX_RETURN_IF_ERROR(write_metadata(*meta_store_, next));
+  meta_ = std::move(next);
+  return data_->flush();
 }
 
 Status DrxFile::check_index(std::span<const std::uint64_t> index) const {
@@ -533,32 +539,32 @@ Status DrxFile::read_chunks_stored(
   return Status::ok();
 }
 
-Status DrxFile::append_zero_chunks(std::uint64_t first) {
+Status DrxFile::append_zero_chunks(Metadata& meta, std::uint64_t first) {
   if (!compressed()) {
     // Never-written bytes read as zeros on every Storage: growing the
     // .xta stores nothing (existing bytes past it, if any, are left be).
-    const std::uint64_t end = meta_.data_file_bytes();
+    const std::uint64_t end = meta.data_file_bytes();
     return data_->size() < end ? data_->truncate(end) : Status::ok();
   }
-  const std::uint64_t cb = meta_.chunk_bytes();
+  const std::uint64_t cb = meta.chunk_bytes();
   std::vector<std::byte> zeros(checked_size(cb), std::byte{0});
   std::vector<std::byte> scratch;
   // All appended chunks share one encoded image (but each gets its own
   // slot so later rewrites stay independent).
   const EncodedChunk enc = encode_chunk(zeros, scratch);
-  const std::uint64_t total = meta_.mapping.total_chunks();
+  const std::uint64_t total = meta.mapping.total_chunks();
   const auto stored = static_cast<std::uint32_t>(enc.bytes.size());
   const auto cap = static_cast<std::uint32_t>(slot_capacity(stored, cb));
   static const obs::MetricId kRaw = obs::counter_id("core.codec.bytes_raw");
   static const obs::MetricId kStored =
       obs::counter_id("core.codec.bytes_stored");
-  meta_.chunk_table.resize(checked_size(total));
+  meta.chunk_table.resize(checked_size(total));
   for (std::uint64_t q = first; q < total; ++q) {
-    const std::uint64_t offset = meta_.data_end;
+    const std::uint64_t offset = meta.data_end;
     DRX_RETURN_IF_ERROR(data_->write_at(offset, enc.bytes));
-    meta_.chunk_table[q] = ChunkSlot{
+    meta.chunk_table[q] = ChunkSlot{
         offset, stored, cap, static_cast<std::uint8_t>(enc.codec)};
-    meta_.data_end = checked_add(offset, cap);
+    meta.data_end = checked_add(offset, cap);
     obs::registry().counter(kRaw).add(cb);
     obs::registry().counter(kStored).add(stored);
   }

@@ -214,8 +214,9 @@ class DrxFile {
     return prefetch_sink_;
   }
 
-  /// Persists metadata through write_metadata (also called by
-  /// extend/create), then flushes the .xta.
+  /// Persists metadata through write_metadata (also called by create;
+  /// extend commits its extended copy the same way), then flushes the
+  /// .xta.
   [[nodiscard]] Status flush();
 
   [[nodiscard]] pfs::Storage& data_storage() noexcept { return *data_; }
@@ -240,11 +241,12 @@ class DrxFile {
   /// later streaming reads.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, Index>> chunks_by_address(
       const Box& box) const;
-  /// Makes chunks [first, total_chunks) read as zeros (create and extend
-  /// share this). Raw: grows the .xta by truncate, storing nothing.
-  /// Compressed: allocates a slot per chunk and stores an encoded
+  /// Makes chunks [first, total_chunks) of `meta` read as zeros (create
+  /// and extend share this; extend passes the copy it has not committed
+  /// yet). Raw: grows the .xta by truncate, storing nothing. Compressed:
+  /// allocates a slot per chunk in `meta` and stores an encoded
   /// all-zeroes payload in each.
-  [[nodiscard]] Status append_zero_chunks(std::uint64_t first);
+  [[nodiscard]] Status append_zero_chunks(Metadata& meta, std::uint64_t first);
   /// Cheap write-path entropy sampling for the drx doctor
   /// compression-would-pay hint (docs/COMPRESSION.md): every ~64th raw
   /// chunk write trial-encodes a bounded prefix and records the ratio.
@@ -277,8 +279,8 @@ class DrxFile {
                                      std::span<std::byte> chunk,
                                      std::vector<std::byte>& scratch);
 
-/// The one metadata writer of both front doors (DrxFile::flush,
-/// DrxMpFile::create and flush_metadata): writes `meta`'s image at
+/// The one metadata writer of both front doors (DrxFile::flush and
+/// extend, DrxMpFile::create and commit_metadata): writes `meta`'s image at
 /// offset 0 of `storage` and flushes it. Metadata::from_bytes ignores
 /// any bytes past the image.
 [[nodiscard]] Status write_metadata(pfs::Storage& storage,

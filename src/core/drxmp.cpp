@@ -148,7 +148,9 @@ obs::MetricsSnapshot DrxMpFile::aggregate_metrics() {
   return total;
 }
 
-Status DrxMpFile::flush_metadata() {
+Status DrxMpFile::flush_metadata() { return commit_metadata(meta_); }
+
+Status DrxMpFile::commit_metadata(const Metadata& meta) {
   comm_->barrier();
   std::uint8_t ok = 1;
   if (comm_->rank() == 0) {
@@ -162,7 +164,7 @@ Status DrxMpFile::flush_metadata() {
       // also parks the .xmd's simulated head at 0, so dropping it alone
       // makes every flush seek; it goes with item 3's commit protocol.
       if (!storage.truncate(0).is_ok() ||
-          !write_metadata(storage, meta_).is_ok()) {
+          !write_metadata(storage, meta).is_ok()) {
         ok = 0;
       }
     }
@@ -511,14 +513,17 @@ Status DrxMpFile::extend_all(std::size_t dim, std::uint64_t delta) {
                   "compressed DRX-MP arrays are read-only");
   }
   comm_->barrier();
-  if (delta > 0) {
-    // Deterministic, identical update on every rank keeps the replicated
-    // metadata consistent without communication.
-    if (meta_.extend_elements(dim, delta).has_value()) {
-      DRX_RETURN_IF_ERROR(data_.set_size(meta_.data_file_bytes()));
-    }
+  // Deterministic, identical update on every rank keeps the replicated
+  // metadata consistent without communication. It is made on a copy that
+  // replaces meta_ only once the commit succeeds, so a failed extend
+  // leaves the array as it was.
+  Metadata next = meta_;
+  if (delta > 0 && next.extend_elements(dim, delta).has_value()) {
+    DRX_RETURN_IF_ERROR(data_.set_size(next.data_file_bytes()));
   }
-  return flush_metadata();
+  DRX_RETURN_IF_ERROR(commit_metadata(next));
+  meta_ = std::move(next);
+  return Status::ok();
 }
 
 GlobalAccessor::GlobalAccessor(simpi::Comm& comm, const Metadata& meta,

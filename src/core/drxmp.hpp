@@ -173,6 +173,10 @@ class DrxMpFile {
             std::make_unique<PlanCache>(chunk_space_, meta_.element_bytes())),
         data_(std::move(data)) {}
 
+  /// Writes `meta` as the .xmd from rank 0 (collective); the body of
+  /// flush_metadata, and extend_all's commit of its extended copy.
+  [[nodiscard]] Status commit_metadata(const Metadata& meta);
+
   /// The chunk rule of every DRX-MP transfer, raw and compressed: one
   /// byte-granular file view over the chunks' storage extents (sorted by
   /// offset) and a memory view that puts each chunk's stored bytes at the

@@ -313,54 +313,52 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
   // ---- Phase 1: split extents where the owner changes, mail to aggregators.
   // Request wire format per aggregator: u64 npieces, then (off, len) pairs;
   // for writes the piece payloads follow, concatenated in the same order.
-  std::vector<std::byte> payload;  // packed user data (write) or staging (read)
-  if (writing) {
-    memtype.pack(static_cast<const std::byte*>(buf), count, payload);
-  } else {
-    payload.resize(checked_size(total));
-  }
-
+  // Pieces are cut in packed-stream order, so one cursor over the user
+  // buffer visits them in turn: a write packs each piece straight into
+  // its aggregator's message, and a read (Phase 3) unpacks each returned
+  // piece straight into the user buffer.
   struct LocalPiece {
     std::size_t aggregator;
-    std::uint64_t offset, length, payload_pos;
+    std::uint64_t offset, length;
   };
   std::vector<LocalPiece> pieces;
-  {
-    std::uint64_t pos = 0;
-    for (const FileExtent& e : extents) {
-      const std::uint64_t e_end = e.offset + e.length;
-      for (std::uint64_t off = e.offset; off < e_end;) {
-        const std::uint64_t end = owner_run_end(off, e_end);
-        pieces.push_back(LocalPiece{aggregator_of(off), off, end - off, pos});
-        pos += end - off;
-        off = end;
-      }
+  for (const FileExtent& e : extents) {
+    const std::uint64_t e_end = e.offset + e.length;
+    for (std::uint64_t off = e.offset; off < e_end;) {
+      const std::uint64_t end = owner_run_end(off, e_end);
+      pieces.push_back(LocalPiece{aggregator_of(off), off, end - off});
+      off = end;
     }
   }
 
   std::vector<std::vector<std::byte>> to_agg(np);
   {
     std::vector<std::uint64_t> counts(np, 0);
-    for (const LocalPiece& lp : pieces) ++counts[lp.aggregator];
-    for (std::size_t a = 0; a < np; ++a) {
-      to_agg[a].reserve(8 + 16 * checked_size(counts[a]));
-      const auto* cb = reinterpret_cast<const std::byte*>(&counts[a]);
-      to_agg[a].insert(to_agg[a].end(), cb, cb + 8);
-    }
+    std::vector<std::uint64_t> data_bytes(np, 0);
     for (const LocalPiece& lp : pieces) {
-      auto& msg = to_agg[lp.aggregator];
-      const auto* ob = reinterpret_cast<const std::byte*>(&lp.offset);
-      const auto* lb = reinterpret_cast<const std::byte*>(&lp.length);
-      msg.insert(msg.end(), ob, ob + 8);
-      msg.insert(msg.end(), lb, lb + 8);
+      ++counts[lp.aggregator];
+      if (writing) data_bytes[lp.aggregator] += lp.length;
     }
-    if (writing) {
-      for (const LocalPiece& lp : pieces) {
-        auto& msg = to_agg[lp.aggregator];
-        msg.insert(msg.end(),
-                   payload.begin() + static_cast<std::ptrdiff_t>(lp.payload_pos),
-                   payload.begin() +
-                       static_cast<std::ptrdiff_t>(lp.payload_pos + lp.length));
+    // The write cursor of each message: header first, then payloads.
+    std::vector<std::size_t> at(np, 8);
+    std::vector<std::size_t> data_at(np);
+    for (std::size_t a = 0; a < np; ++a) {
+      data_at[a] = 8 + 16 * checked_size(counts[a]);
+      to_agg[a].resize(data_at[a] + checked_size(data_bytes[a]));
+      std::memcpy(to_agg[a].data(), &counts[a], 8);
+    }
+    simpi::Datatype::Cursor user(memtype, count);
+    for (const LocalPiece& lp : pieces) {
+      std::byte* msg = to_agg[lp.aggregator].data();
+      std::size_t& hdr = at[lp.aggregator];
+      std::memcpy(msg + hdr, &lp.offset, 8);
+      std::memcpy(msg + hdr + 8, &lp.length, 8);
+      hdr += 16;
+      if (writing) {
+        std::size_t& data = data_at[lp.aggregator];
+        user.gather(static_cast<const std::byte*>(buf),
+                    {msg + data, checked_size(lp.length)});
+        data += checked_size(lp.length);
       }
     }
   }
@@ -369,7 +367,7 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
     // Request (and, for writes, payload) exchange: every rank mails its
     // pieces to the aggregators that own them.
     obs::ScopedSpan exchange_span("mpio.coll.exchange", "mpio");
-    inbound = comm.alltoallv_bytes(to_agg);
+    inbound = comm.alltoallv_bytes(std::move(to_agg));
   }
 
   // ---- Phase 2: aggregate. Parse inbound pieces, cut them into datafile
@@ -565,22 +563,24 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
   const std::uint8_t ok_all =
       comm.allreduce_value(ok_local, simpi::ReduceOp::kMin);
 
-  // ---- Phase 3: return read payloads to requesters.
+  // ---- Phase 3: return read payloads to requesters. The replies move
+  // into the exchange, and each returned stream holds its requester's
+  // pieces in the order they were asked for.
   if (!writing) {
     obs::ScopedSpan shuffle_span("mpio.coll.shuffle", "mpio");
-    std::vector<std::vector<std::byte>> returned =
-        comm.alltoallv_bytes(replies);
+    const std::vector<std::vector<std::byte>> returned =
+        comm.alltoallv_bytes(std::move(replies));
     if (ok_all != 0) {
-      std::vector<std::uint64_t> stream_pos(np, 0);
+      std::vector<std::size_t> stream_pos(np, 0);
+      simpi::Datatype::Cursor user(memtype, count);
       for (const LocalPiece& lp : pieces) {
-        const auto& stream = returned[lp.aggregator];
-        DRX_CHECK(stream_pos[lp.aggregator] + lp.length <= stream.size());
-        std::memcpy(payload.data() + lp.payload_pos,
-                    stream.data() + stream_pos[lp.aggregator],
-                    checked_size(lp.length));
-        stream_pos[lp.aggregator] += lp.length;
+        const std::span<const std::byte> stream(returned[lp.aggregator]);
+        std::size_t& pos = stream_pos[lp.aggregator];
+        DRX_CHECK(pos + lp.length <= stream.size());
+        user.scatter(stream.subspan(pos, checked_size(lp.length)),
+                     static_cast<std::byte*>(buf));
+        pos += checked_size(lp.length);
       }
-      memtype.unpack(payload, count, static_cast<std::byte*>(buf));
     }
   } else {
     comm.barrier();  // writes visible before any rank proceeds

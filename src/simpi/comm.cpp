@@ -147,12 +147,16 @@ void Comm::wait_all(std::span<Request> requests) {
 }
 
 void Comm::coll_send(std::span<const std::byte> data, int dest, int tag) {
-  note_message(/*collective=*/true, data.size());
+  coll_send(std::vector<std::byte>(data.begin(), data.end()), dest, tag);
+}
+
+void Comm::coll_send(std::vector<std::byte> payload, int dest, int tag) {
+  note_message(/*collective=*/true, payload.size());
   detail::Message msg;
   msg.source = rank_;
   msg.tag = tag;
   msg.context = coll_context_;
-  msg.payload.assign(data.begin(), data.end());
+  msg.payload = std::move(payload);
   world_->mailbox(world_rank(dest)).push(std::move(msg));
 }
 
@@ -319,7 +323,7 @@ std::vector<std::byte> Comm::scatterv_bytes(
 }
 
 std::vector<std::vector<std::byte>> Comm::alltoallv_bytes(
-    const std::vector<std::vector<std::byte>>& send_chunks) {
+    std::vector<std::vector<std::byte>> send_chunks) {
   note_collective("simpi.coll.alltoalls");
   std::uint64_t outbound = 0;
   for (const auto& chunk : send_chunks) outbound += chunk.size();
@@ -327,12 +331,13 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_bytes(
   DRX_CHECK(send_chunks.size() == static_cast<std::size_t>(size()));
   for (int r = 0; r < size(); ++r) {
     if (r == rank_) continue;
-    coll_send(send_chunks[static_cast<std::size_t>(r)], r, kTagAlltoall);
+    coll_send(std::move(send_chunks[static_cast<std::size_t>(r)]), r,
+              kTagAlltoall);
   }
   std::vector<std::vector<std::byte>> result(
       static_cast<std::size_t>(size()));
   result[static_cast<std::size_t>(rank_)] =
-      send_chunks[static_cast<std::size_t>(rank_)];
+      std::move(send_chunks[static_cast<std::size_t>(rank_)]);
   for (int r = 0; r < size(); ++r) {
     if (r == rank_) continue;
     result[static_cast<std::size_t>(r)] = coll_recv(r, kTagAlltoall);

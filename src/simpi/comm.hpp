@@ -158,9 +158,12 @@ class Comm {
       const std::vector<std::vector<std::byte>>& chunks, int root);
 
   /// Each rank provides send_chunks[r] for every destination r; returns
-  /// the vector of buffers received, indexed by source rank.
+  /// the vector of buffers received, indexed by source rank. The send
+  /// buffers are consumed: each one moves into its message (the rank's
+  /// own part straight into the result), so a receiver holds the very
+  /// buffer its sender filled and no byte is copied.
   std::vector<std::vector<std::byte>> alltoallv_bytes(
-      const std::vector<std::vector<std::byte>>& send_chunks);
+      std::vector<std::vector<std::byte>> send_chunks);
 
   /// Inclusive prefix reduction over one u64 per rank (enough for the
   /// offset bookkeeping DRX-MP needs).
@@ -237,8 +240,10 @@ class Comm {
   [[nodiscard]] int world_rank(int r) const;
 
   /// Sends on the internal collective context (keeps collective traffic
-  /// from matching user receives).
+  /// from matching user receives). The span form copies `data`; the
+  /// vector form moves `payload` into the message.
   void coll_send(std::span<const std::byte> data, int dest, int tag);
+  void coll_send(std::vector<std::byte> payload, int dest, int tag);
   std::vector<std::byte> coll_recv(int source, int tag);
 
   std::shared_ptr<World> world_;

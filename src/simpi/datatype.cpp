@@ -229,28 +229,57 @@ std::uint64_t Datatype::span_bytes(std::uint64_t count) const {
   return checked_add(checked_mul(count - 1, extent_), max_end);
 }
 
-void Datatype::pack(const std::byte* src, std::uint64_t count,
-                    std::vector<std::byte>& out) const {
-  out.reserve(out.size() + checked_size(checked_mul(count, size_)));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::byte* item = src + checked_mul(i, extent_);
-    for (const Block& b : blocks_) {
-      out.insert(out.end(), item + b.offset, item + b.offset + b.length);
+Datatype::Cursor::Cursor(const Datatype& type, std::uint64_t count)
+    : type_(&type), total_(checked_mul(count, type.size_)) {}
+
+template <typename Fn>
+void Datatype::Cursor::walk(std::uint64_t n, Fn&& fn) {
+  DRX_CHECK_MSG(n <= remaining(), "cursor runs past the packed stream");
+  const std::vector<Block>& blocks = type_->blocks_;
+  std::uint64_t pos = 0;
+  while (pos < n) {
+    const Block& b = blocks[block_];
+    const std::uint64_t take = std::min(n - pos, b.length - in_block_);
+    fn(checked_add(checked_mul(item_, type_->extent_), b.offset + in_block_),
+       pos, take);
+    pos += take;
+    in_block_ += take;
+    if (in_block_ == b.length) {
+      in_block_ = 0;
+      if (++block_ == blocks.size()) {
+        block_ = 0;
+        ++item_;
+      }
     }
   }
+  done_ += n;
+}
+
+void Datatype::Cursor::gather(const std::byte* src, std::span<std::byte> out) {
+  walk(out.size(), [&](std::uint64_t mem, std::uint64_t pos,
+                       std::uint64_t len) {
+    std::memcpy(out.data() + pos, src + mem, checked_size(len));
+  });
+}
+
+void Datatype::Cursor::scatter(std::span<const std::byte> in, std::byte* dst) {
+  walk(in.size(), [&](std::uint64_t mem, std::uint64_t pos,
+                      std::uint64_t len) {
+    std::memcpy(dst + mem, in.data() + pos, checked_size(len));
+  });
+}
+
+void Datatype::pack(const std::byte* src, std::uint64_t count,
+                    std::vector<std::byte>& out) const {
+  const std::size_t at = out.size();
+  out.resize(checked_add(at, checked_size(checked_mul(count, size_))));
+  Cursor(*this, count).gather(src, std::span<std::byte>(out).subspan(at));
 }
 
 void Datatype::unpack(std::span<const std::byte> in, std::uint64_t count,
                       std::byte* dst) const {
   DRX_CHECK(in.size() == checked_mul(count, size_));
-  const std::byte* cursor = in.data();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::byte* item = dst + checked_mul(i, extent_);
-    for (const Block& b : blocks_) {
-      std::memcpy(item + b.offset, cursor, checked_size(b.length));
-      cursor += b.length;
-    }
-  }
+  Cursor(*this, count).scatter(in, dst);
 }
 
 }  // namespace drx::simpi

@@ -83,8 +83,45 @@ class Datatype {
   /// the requirement MPI places on file-view filetypes.
   [[nodiscard]] bool is_monotonic() const noexcept;
 
+  /// A position in the packed stream of `count` items: the one traversal
+  /// of blocks() x count. gather/scatter move the next bytes of the
+  /// stream between a memory region laid out by the type and any span,
+  /// so a stream can be produced or consumed in segments (one per
+  /// message or piece) without being staged whole.
+  class Cursor {
+   public:
+    Cursor(const Datatype& type, std::uint64_t count);
+
+    /// Copies the next out.size() packed bytes of the items at `src`
+    /// into `out`.
+    void gather(const std::byte* src, std::span<std::byte> out);
+
+    /// Copies `in` into the next in.size() packed positions of the items
+    /// at `dst`.
+    void scatter(std::span<const std::byte> in, std::byte* dst);
+
+    /// Packed bytes not yet visited.
+    [[nodiscard]] std::uint64_t remaining() const noexcept {
+      return total_ - done_;
+    }
+
+   private:
+    /// Calls fn(memory_offset, stream_offset, length) for each block
+    /// slice of the next n packed bytes, stream offsets counted from the
+    /// cursor's position on entry.
+    template <typename Fn>
+    void walk(std::uint64_t n, Fn&& fn);
+
+    const Datatype* type_;
+    std::uint64_t total_;
+    std::uint64_t done_ = 0;
+    std::uint64_t item_ = 0;      ///< current item
+    std::size_t block_ = 0;       ///< current block of the item
+    std::uint64_t in_block_ = 0;  ///< bytes of that block already visited
+  };
+
   /// Gathers `count` items starting at `src` into `out` (appended), in
-  /// canonical (offset-sorted) order.
+  /// declaration order: one Cursor over the whole stream.
   void pack(const std::byte* src, std::uint64_t count,
             std::vector<std::byte>& out) const;
 

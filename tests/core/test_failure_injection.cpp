@@ -107,6 +107,103 @@ TEST(FailureInjection, ExtendInvalidDimension) {
   EXPECT_TRUE(f.value().extend(0, 0).is_ok());  // no-op is fine
 }
 
+/// MemStorage whose writes fail while `*fail` is set.
+class SwitchedStorage final : public pfs::Storage {
+ public:
+  explicit SwitchedStorage(const bool& fail) : fail_(&fail) {}
+
+  Status read_at(std::uint64_t offset, std::span<std::byte> out) override {
+    return inner_.read_at(offset, out);
+  }
+  Status write_at(std::uint64_t offset,
+                  std::span<const std::byte> data) override {
+    if (*fail_) return Status(ErrorCode::kIoError, "injected write failure");
+    return inner_.write_at(offset, data);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_.size(); }
+  Status truncate(std::uint64_t new_size) override {
+    return inner_.truncate(new_size);
+  }
+  Status flush() override { return Status::ok(); }
+
+ private:
+  const bool* fail_;
+  pfs::MemStorage inner_;
+};
+
+TEST(FailureInjection, FailedExtendLeavesTheArrayAsItWas) {
+  // The .xmd commit fails: extend reports it and keeps the old bounds, so
+  // the retry grows the array once, not twice. Compressed arrays also
+  // allocate zero slots before the commit; the retry reuses their space.
+  for (const codec::CodecId codec :
+       {codec::CodecId::kNone, codec::CodecId::kRle}) {
+    SCOPED_TRACE(static_cast<int>(codec));
+    bool fail = false;
+    DrxFile::Options opts = dbl_opts();
+    opts.codec = codec;
+    auto meta_storage = std::make_unique<SwitchedStorage>(fail);
+    SwitchedStorage* meta_raw = meta_storage.get();
+    auto f = DrxFile::create(std::move(meta_storage),
+                             std::make_unique<pfs::MemStorage>(), Shape{4, 4},
+                             Shape{2, 2}, opts);
+    ASSERT_TRUE(f.is_ok());
+    DrxFile& file = f.value();
+    const std::vector<double> ones(16, 1.0);
+    ASSERT_TRUE(file.write_box(Box{Index{0, 0}, Index{4, 4}},
+                               MemoryOrder::kRowMajor,
+                               std::as_bytes(std::span<const double>(ones)))
+                    .is_ok());
+
+    fail = true;
+    EXPECT_EQ(file.extend(1, 4).code(), ErrorCode::kIoError);
+    EXPECT_EQ(file.bounds(), (Shape{4, 4}));
+    fail = false;
+    ASSERT_TRUE(file.extend(1, 4).is_ok());
+    EXPECT_EQ(file.bounds(), (Shape{4, 8}));
+
+    // The committed image says the same, and the old cells survive next
+    // to zero-filled new ones.
+    std::vector<std::byte> image(static_cast<std::size_t>(meta_raw->size()));
+    ASSERT_TRUE(meta_raw->read_at(0, image).is_ok());
+    auto committed = Metadata::from_bytes(image);
+    ASSERT_TRUE(committed.is_ok());
+    EXPECT_EQ(committed.value().element_bounds, (Shape{4, 8}));
+    std::vector<double> all(32, -1.0);
+    ASSERT_TRUE(file.read_box(Box{Index{0, 0}, Index{4, 8}},
+                              MemoryOrder::kRowMajor,
+                              std::as_writable_bytes(std::span<double>(all)))
+                    .is_ok());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(all[i], i % 8 < 4 ? 1.0 : 0.0) << i;
+    }
+  }
+}
+
+TEST(FailureInjection, FailedExtendAllLeavesTheArrayAsItWas) {
+  pfs::PfsConfig cfg;
+  cfg.num_servers = 2;
+  pfs::Pfs fs(cfg);
+  DrxFile::Options opts = dbl_opts();
+  opts.codec = codec::CodecId::kNone;
+  simpi::run(2, [&](simpi::Comm& comm) {
+    auto f = DrxMpFile::create(comm, fs, "x", Shape{4, 4}, Shape{2, 2}, opts);
+    ASSERT_TRUE(f.is_ok());
+    DrxMpFile& file = f.value();
+    // With the .xmd gone, rank 0 cannot commit: every rank fails.
+    if (comm.rank() == 0) {
+      ASSERT_TRUE(fs.remove("x.xmd").is_ok());
+    }
+    EXPECT_EQ(file.extend_all(1, 4).code(), ErrorCode::kIoError);
+    EXPECT_EQ(file.bounds(), (Shape{4, 4}));
+    if (comm.rank() == 0) {
+      ASSERT_TRUE(fs.create("x.xmd").is_ok());
+    }
+    ASSERT_TRUE(file.extend_all(1, 4).is_ok());
+    EXPECT_EQ(file.bounds(), (Shape{4, 8}));
+    ASSERT_TRUE(file.close().is_ok());
+  });
+}
+
 TEST(FailureInjection, DrxMpOpenCorruptMetadataFailsOnAllRanks) {
   pfs::PfsConfig cfg;
   cfg.num_servers = 2;

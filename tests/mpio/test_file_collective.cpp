@@ -150,6 +150,88 @@ TEST_P(CollectiveIoP, RanksWithNothingToDoStillParticipate) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveIoP, ::testing::Values(1, 2, 4, 8));
 
+// Collective transfers move bytes between the user buffer and the
+// exchange through one datatype cursor: a write packs each piece into its
+// aggregator's message, a read unpacks each returned piece into the user
+// buffer. The memtype here is non-contiguous and non-monotonic, and its
+// blocks (24, 16 and 8 bytes) straddle the pieces that 40-byte view cells
+// and 64-byte stripes cut, so every piece boundary falls inside a block
+// somewhere. The last rank of a multi-rank run asks for nothing.
+class CollectiveCursorP : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr std::uint64_t kCell = 40;
+  static constexpr std::uint64_t kItems = 20;  // 48 bytes each: 24 cells
+
+  static Datatype memtype() {
+    const std::uint64_t lens[] = {24, 16, 8};
+    const std::uint64_t displs[] = {40, 0, 80};
+    return Datatype::hindexed(lens, displs, Datatype::bytes(1));
+  }
+  /// Rank r sees cells r, r + P, r + 2P, ... of the file.
+  static void set_cells_view(File& f, const Comm& comm) {
+    f.set_view(static_cast<std::uint64_t>(comm.rank()) * kCell,
+               Datatype::bytes(1),
+               Datatype::bytes(kCell).resized(
+                   kCell * static_cast<std::uint64_t>(comm.size())));
+  }
+  static std::uint64_t items_of(const Comm& comm) {
+    return comm.size() > 1 && comm.rank() == comm.size() - 1 ? 0 : kItems;
+  }
+  static std::vector<std::byte> whole_file(pfs::Pfs& fs,
+                                           const std::string& name) {
+    pfs::FileHandle h = fs.open(name).value();
+    std::vector<std::byte> out(h.size());
+    EXPECT_TRUE(h.read_at(0, out).is_ok());
+    return out;
+  }
+};
+
+TEST_P(CollectiveCursorP, WriteAllMatchesIndependentWrite) {
+  pfs::Pfs fs(cfg(4, 64));
+  simpi::run(GetParam(), [&](Comm& comm) {
+    File coll = File::open(comm, fs, "coll", kModeRdWr | kModeCreate).value();
+    File indep =
+        File::open(comm, fs, "indep", kModeRdWr | kModeCreate).value();
+    set_cells_view(coll, comm);
+    set_cells_view(indep, comm);
+    const Datatype t = memtype();
+    const auto mem = pattern(t.span_bytes(kItems),
+                             static_cast<std::uint64_t>(comm.rank()) + 300);
+    ASSERT_TRUE(
+        coll.write_at_all(0, mem.data(), items_of(comm), t).is_ok());
+    ASSERT_TRUE(indep.write_at(0, mem.data(), items_of(comm), t).is_ok());
+    ASSERT_TRUE(coll.close().is_ok());
+    ASSERT_TRUE(indep.close().is_ok());
+  });
+  const auto written = whole_file(fs, "coll");
+  EXPECT_FALSE(written.empty());
+  EXPECT_EQ(written, whole_file(fs, "indep"));
+}
+
+TEST_P(CollectiveCursorP, ReadAllMatchesIndependentRead) {
+  const int p = GetParam();
+  pfs::Pfs fs(cfg(4, 64));
+  const auto image =
+      pattern(kCell * 24 * static_cast<std::uint64_t>(p), 77);
+  ASSERT_TRUE(fs.create("f").value().write_at(0, image).is_ok());
+  simpi::run(p, [&](Comm& comm) {
+    File f = File::open(comm, fs, "f", kModeRdOnly).value();
+    set_cells_view(f, comm);
+    const Datatype t = memtype();
+    std::vector<std::byte> coll(t.span_bytes(kItems), std::byte{0xEE});
+    std::vector<std::byte> indep(coll.size(), std::byte{0xEE});
+    ASSERT_TRUE(f.read_at_all(0, coll.data(), items_of(comm), t).is_ok());
+    ASSERT_TRUE(f.read_at(0, indep.data(), items_of(comm), t).is_ok());
+    EXPECT_EQ(coll, indep) << "rank " << comm.rank();
+    if (items_of(comm) != 0) {
+      EXPECT_NE(coll, std::vector<std::byte>(coll.size(), std::byte{0xEE}));
+    }
+    ASSERT_TRUE(f.close().is_ok());
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveCursorP, ::testing::Values(1, 2, 4));
+
 TEST(CollectiveIo, TwoPhaseAggregationReducesSeeks) {
   // With 4 ranks interleaving small cells, the aggregated access pattern
   // must hit each server near-sequentially: far fewer seeks than the

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "obs/metrics.hpp"
 #include "simpi/runtime.hpp"
 
 namespace drx::simpi {
@@ -154,6 +155,45 @@ TEST_P(CollectivesP, AlltoallvFullExchange) {
       EXPECT_EQ(v, s * comm.size() + comm.rank());
     }
   });
+}
+
+TEST_P(CollectivesP, AlltoallvHandsItsBuffersOver) {
+  // Each send buffer moves into its message (the rank's own part into
+  // the result), so every receiver holds the very allocation its sender
+  // filled. The counters still see one message per off-rank buffer.
+  const int p = GetParam();
+  const auto np = static_cast<std::size_t>(p);
+  const auto len = [np](std::size_t src, std::size_t dst) {
+    return 16 + src * np + dst;
+  };
+  std::vector<const std::byte*> sent(np * np, nullptr);  // [src * p + dst]
+  const obs::MetricsSnapshot before = obs::process_registry().snapshot();
+  run(p, [&](Comm& comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    std::vector<std::vector<std::byte>> send(np);
+    for (std::size_t d = 0; d < np; ++d) {
+      send[d].assign(len(me, d), static_cast<std::byte>(me));
+      sent[me * np + d] = send[d].data();
+    }
+    const auto recv = comm.alltoallv_bytes(std::move(send));
+    ASSERT_EQ(recv.size(), np);
+    for (std::size_t s = 0; s < np; ++s) {
+      EXPECT_EQ(recv[s].data(), sent[s * np + me]) << "from " << s;
+      EXPECT_EQ(recv[s],
+                std::vector<std::byte>(len(s, me), static_cast<std::byte>(s)));
+    }
+  });
+  const obs::MetricsSnapshot d =
+      obs::snapshot_delta(obs::process_registry().snapshot(), before);
+  std::uint64_t bytes = 0;
+  for (std::size_t s = 0; s < np; ++s) {
+    for (std::size_t t = 0; t < np; ++t) {
+      if (s != t) bytes += len(s, t);
+    }
+  }
+  EXPECT_EQ(d.counter("simpi.coll.alltoalls"), np);
+  EXPECT_EQ(d.counter("simpi.coll.messages"), np * (np - 1));
+  EXPECT_EQ(d.counter("simpi.coll.bytes"), bytes);
 }
 
 TEST_P(CollectivesP, ScanSumIsInclusivePrefix) {

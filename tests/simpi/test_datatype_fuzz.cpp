@@ -93,6 +93,57 @@ TEST_P(DatatypeFuzzP, PackMatchesNaiveGather) {
   }
 }
 
+/// Random cut points splitting a `total`-byte stream into segments
+/// (empty segments included, as a rank with nothing for one aggregator
+/// would produce).
+std::vector<std::uint64_t> random_cuts(SplitMix64& rng, std::uint64_t total) {
+  std::vector<std::uint64_t> cuts{0, total};
+  const std::uint64_t n = rng.next_in(0, 8);
+  for (std::uint64_t i = 0; i < n; ++i) cuts.push_back(rng.next_in(0, total));
+  std::sort(cuts.begin(), cuts.end());
+  return cuts;
+}
+
+TEST_P(DatatypeFuzzP, SegmentedStreamMatchesWholeStream) {
+  // The cursor produces and consumes the packed stream in arbitrary
+  // segments; any split must give pack()'s stream and unpack()'s memory.
+  SplitMix64 rng(GetParam() + 100);
+  for (int round = 0; round < 20; ++round) {
+    const Layout layout = random_layout(rng);
+    auto t = Datatype::hindexed(layout.lens, layout.displs,
+                                Datatype::bytes(1));
+    const std::uint64_t count = rng.next_in(1, 4);
+    std::vector<std::byte> memory(
+        static_cast<std::size_t>(t.span_bytes(count)));
+    for (auto& b : memory) b = static_cast<std::byte>(rng.next() & 0xFF);
+    std::vector<std::byte> whole;
+    t.pack(memory.data(), count, whole);
+    const std::vector<std::uint64_t> cuts = random_cuts(rng, whole.size());
+
+    std::vector<std::byte> segmented(whole.size(), std::byte{0xEE});
+    Datatype::Cursor packer(t, count);
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      packer.gather(memory.data(),
+                    std::span<std::byte>(segmented)
+                        .subspan(cuts[i], cuts[i + 1] - cuts[i]));
+    }
+    EXPECT_EQ(packer.remaining(), 0u);
+    ASSERT_EQ(segmented, whole) << "seed " << GetParam() << " round " << round;
+
+    std::vector<std::byte> expect(memory.size(), std::byte{0xEE});
+    t.unpack(whole, count, expect.data());
+    std::vector<std::byte> got(memory.size(), std::byte{0xEE});
+    Datatype::Cursor unpacker(t, count);
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      unpacker.scatter(std::span<const std::byte>(whole).subspan(
+                           cuts[i], cuts[i + 1] - cuts[i]),
+                       got.data());
+    }
+    EXPECT_EQ(unpacker.remaining(), 0u);
+    ASSERT_EQ(got, expect) << "seed " << GetParam() << " round " << round;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DatatypeFuzzP,
                          ::testing::Range<std::uint64_t>(5000, 5010));
 
