@@ -1,17 +1,11 @@
 #include "core/drxmp.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
-#include <future>
 #include <numeric>
 
-#include "io/async_pool.hpp"
-#include "io/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/opctx.hpp"
 #include "obs/trace.hpp"
-#include "util/logging.hpp"
 
 namespace drx::core {
 
@@ -28,17 +22,41 @@ void count_zone_transfer(int rank, std::uint64_t bytes) {
   obs::registry().counter(obs::counter_id(prefix + ".bytes")).add(bytes);
 }
 
-/// Chunks per pipelined zone-read round: as many as the transfer one
-/// request and seek are worth under the file system's cost model
-/// (CostModel::sieve_gap_bytes, rounded up; at least one). 0 = one round
-/// covering the largest zone, read inline (no I/O worker to overlap with).
-std::uint64_t zone_read_batch(const pfs::Pfs& fs, std::uint64_t chunk_bytes) {
-  if (io::io_threads() <= 0) return 0;
-  const std::uint64_t gap = fs.config().cost.sieve_gap_bytes();
-  return std::max<std::uint64_t>(
-      1, gap / chunk_bytes + (gap % chunk_bytes != 0 ? 1 : 0));
+/// The chunks covering `box`, in row-major chunk order; kOutOfRange if
+/// the box reaches past the array bounds.
+Result<std::vector<Index>> covering_chunk_list(const Metadata& meta,
+                                               const ChunkSpace& space,
+                                               const Box& box) {
+  DRX_CHECK(box.rank() == meta.rank());
+  std::vector<Index> chunks;
+  if (box.empty()) return chunks;
+  for (std::size_t d = 0; d < meta.rank(); ++d) {
+    if (box.hi[d] > meta.element_bounds[d]) {
+      return Status(ErrorCode::kOutOfRange, "box exceeds array bounds");
+    }
+  }
+  for_each_index(space.covering_chunks(box),
+                 [&](const Index& c) { chunks.push_back(c); });
+  return chunks;
 }
 }  // namespace
+
+Box zone_element_box(const Metadata& meta, const Distribution& dist,
+                     int proc) {
+  const std::vector<Box> zones = dist.zones_of(proc);
+  Box out{Index(meta.rank(), 0), Index(meta.rank(), 0)};
+  if (zones.empty()) return out;
+  DRX_CHECK_MSG(zones.size() == 1,
+                "zone_element_box requires a BLOCK distribution");
+  const Box& z = zones.front();
+  for (std::size_t d = 0; d < meta.rank(); ++d) {
+    out.lo[d] = checked_mul(z.lo[d], meta.chunk_shape[d]);
+    out.hi[d] = std::min(checked_mul(z.hi[d], meta.chunk_shape[d]),
+                         meta.element_bounds[d]);
+    out.lo[d] = std::min(out.lo[d], out.hi[d]);
+  }
+  return out;
+}
 
 Result<DrxMpFile> DrxMpFile::create(simpi::Comm& comm, pfs::Pfs& fs,
                                     const std::string& name,
@@ -121,31 +139,7 @@ Result<DrxMpFile> DrxMpFile::open(simpi::Comm& comm, pfs::Pfs& fs,
 
 Status DrxMpFile::close() {
   DRX_RETURN_IF_ERROR(flush_metadata());
-  aggregate_metrics();
   return data_.close();
-}
-
-obs::MetricsSnapshot DrxMpFile::aggregate_metrics() {
-  obs::ScopedSpan span("core.aggregate_metrics", "core");
-  obs::MetricsSnapshot local = obs::registry().snapshot();
-  const std::vector<std::byte> mine = local.serialize();
-  std::vector<std::vector<std::byte>> all = comm_->gatherv_bytes(mine, 0);
-  if (comm_->rank() != 0) return local;
-
-  obs::MetricsSnapshot total;
-  for (const std::vector<std::byte>& image : all) {
-    auto snap = obs::MetricsSnapshot::deserialize(image);
-    if (!snap.is_ok()) {
-      // A malformed peer snapshot only degrades observability; keep the
-      // ranks we could decode rather than failing the close.
-      DRX_LOG_WARN << "dropping undecodable metrics snapshot: "
-                   << snap.status().message();
-      continue;
-    }
-    total.merge(snap.value());
-  }
-  obs::set_aggregated_snapshot(total);
-  return total;
 }
 
 Status DrxMpFile::flush_metadata() { return commit_metadata(meta_); }
@@ -174,22 +168,6 @@ Status DrxMpFile::commit_metadata(const Metadata& meta) {
     return Status(ErrorCode::kIoError, "metadata flush failed");
   }
   return Status::ok();
-}
-
-Box DrxMpFile::zone_element_box(const Distribution& dist, int proc) const {
-  const std::vector<Box> zones = dist.zones_of(proc);
-  Box out{Index(rank(), 0), Index(rank(), 0)};
-  if (zones.empty()) return out;
-  DRX_CHECK_MSG(zones.size() == 1,
-                "zone_element_box requires a BLOCK distribution");
-  const Box& z = zones.front();
-  for (std::size_t d = 0; d < rank(); ++d) {
-    out.lo[d] = checked_mul(z.lo[d], meta_.chunk_shape[d]);
-    out.hi[d] = std::min(checked_mul(z.hi[d], meta_.chunk_shape[d]),
-                         meta_.element_bounds[d]);
-    out.lo[d] = std::min(out.lo[d], out.hi[d]);
-  }
-  return out;
 }
 
 Status DrxMpFile::transfer_chunks(std::span<const Index> chunks,
@@ -286,118 +264,16 @@ Status DrxMpFile::write_chunks(std::span<const Index> chunks,
 Status DrxMpFile::read_my_zone(const Distribution& dist, MemoryOrder order,
                                std::span<std::byte> out, bool collective) {
   obs::OpScope op("op.read_my_zone");
-  const Box box = zone_element_box(dist, comm_->rank());
-  DRX_CHECK(out.size() == checked_mul(box.volume(), meta_.element_bytes()));
-
-  std::vector<Index> chunks;
-  for (const Box& z : dist.zones_of(comm_->rank())) {
-    for_each_index(z, [&](const Index& c) { chunks.push_back(c); });
-  }
-
-  return read_my_zone_pipelined(dist, order, out, collective, chunks, box,
-                                zone_read_batch(*fs_, chunk_bytes()));
-}
-
-Status DrxMpFile::read_my_zone_pipelined(const Distribution& dist,
-                                         MemoryOrder order,
-                                         std::span<std::byte> out,
-                                         bool collective,
-                                         std::span<const Index> chunks,
-                                         const Box& box, std::uint64_t batch) {
-  const std::uint64_t cb = chunk_bytes();
-  const auto n = static_cast<std::uint64_t>(chunks.size());
-
-  // Collective rounds must line up across ranks. The distribution is
-  // derived from replicated metadata, so every rank computes the same
-  // global round count locally: the surplus rounds of chunk-poor ranks
-  // participate with empty chunk lists.
-  std::uint64_t largest = n;
-  for (int r = 0; r < comm_->size(); ++r) {
-    std::uint64_t count = 0;
-    for (const Box& z : dist.zones_of(r)) count += z.volume();
-    largest = std::max(largest, count);
-  }
-  // Without a worker there is no overlap to gain: one round, inline.
-  const int threads = batch > 0 ? 1 : 0;
-  if (batch == 0) batch = std::max<std::uint64_t>(largest, 1);
-  const std::uint64_t rounds = ceil_div(collective ? largest : n, batch);
-  if (rounds == 0) return Status::ok();  // every rank agrees: nothing to read
-  obs::ScopedSpan span("core.zone_read_pipelined", "core",
-                       checked_mul(n, cb));
-
-  // One worker keeps the collective call order identical on every rank;
-  // the pipeline depth is one round, double-buffered.
-  io::AsyncIoPool pool({.threads = threads, .queue_capacity = 2});
-  std::array<std::vector<std::byte>, 2> staging;
-
-  const auto round_chunks = [&](std::uint64_t r) {
-    const std::uint64_t begin = std::min(n, r * batch);
-    const std::uint64_t end = std::min(n, (r + 1) * batch);
-    return chunks.subspan(checked_size(begin), checked_size(end - begin));
-  };
-  const auto issue = [&](std::uint64_t r) {
-    const std::span<const Index> part = round_chunks(r);
-    std::vector<std::byte>& buf = staging[r % 2];
-    buf.resize(checked_size(checked_mul(part.size(), cb)));
-    return pool.submit_with_future(
-        obs::current_op(),
-        [this, part, bufspan = std::span<std::byte>(buf), collective] {
-          return read_chunks(part, bufspan, collective);
-        });
-  };
-
-  // A round's error may be this rank's alone (a chunk that fails to
-  // decode after the collective), so a rank that sees one still makes
-  // every later round's collective call, scatters nothing more, and
-  // returns its first error at the end; peers never wait on it.
-  Status first_error;
-  std::future<Status> inflight = issue(0);
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    const Status st = inflight.get();
-    if (r + 1 < rounds) inflight = issue(r + 1);
-    if (first_error.is_ok()) first_error = st;
-    if (!first_error.is_ok()) continue;
-    const std::span<const Index> part = round_chunks(r);
-    const std::span<const std::byte> buf(staging[r % 2]);
-    obs::StageTimer copy(obs::Stage::kCopy);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      const Box clip = chunk_space_.chunk_box(part[i]).intersect(box);
-      if (clip.empty()) continue;
-      plan_cache_->scatter(
-          clip, box, order,
-          buf.subspan(checked_size(checked_mul(i, cb)), checked_size(cb)),
-          out);
-    }
-  }
-  return first_error;
+  return read_box_impl(zone_element_box(dist, comm_->rank()), order, out,
+                       collective);
 }
 
 Status DrxMpFile::write_my_zone(const Distribution& dist, MemoryOrder order,
                                 std::span<const std::byte> in,
                                 bool collective) {
   obs::OpScope op("op.write_my_zone");
-  const Box box = zone_element_box(dist, comm_->rank());
-  DRX_CHECK(in.size() == checked_mul(box.volume(), meta_.element_bytes()));
-
-  std::vector<Index> chunks;
-  for (const Box& z : dist.zones_of(comm_->rank())) {
-    for_each_index(z, [&](const Index& c) { chunks.push_back(c); });
-  }
-  std::vector<std::byte> staging(
-      checked_size(checked_mul(chunks.size(), chunk_bytes())), std::byte{0});
-  {
-    obs::StageTimer copy(obs::Stage::kCopy);
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      const Box clip = chunk_space_.chunk_box(chunks[i]).intersect(box);
-      if (clip.empty()) continue;
-      plan_cache_->gather(clip, box, order,
-                          std::span<std::byte>(staging).subspan(
-                              checked_size(checked_mul(i, chunk_bytes())),
-                              checked_size(chunk_bytes())),
-                          in);
-    }
-  }
-  return write_chunks(chunks, staging, collective);
+  return write_box_impl(zone_element_box(dist, comm_->rank()), order, in,
+                        collective);
 }
 
 Status DrxMpFile::read_box_all(const Box& box, MemoryOrder order,
@@ -414,19 +290,9 @@ Status DrxMpFile::read_box_independent(const Box& box, MemoryOrder order,
 
 Status DrxMpFile::read_box_impl(const Box& box, MemoryOrder order,
                                 std::span<std::byte> out, bool collective) {
-  DRX_CHECK(box.rank() == rank());
   DRX_CHECK(out.size() == checked_mul(box.volume(), meta_.element_bytes()));
-  for (std::size_t d = 0; d < rank(); ++d) {
-    if (!box.empty() && box.hi[d] > meta_.element_bounds[d]) {
-      return Status(ErrorCode::kOutOfRange, "box exceeds array bounds");
-    }
-  }
-
-  std::vector<Index> chunks;
-  if (!box.empty()) {
-    for_each_index(chunk_space_.covering_chunks(box),
-                   [&](const Index& c) { chunks.push_back(c); });
-  }
+  DRX_ASSIGN_OR_RETURN(const std::vector<Index> chunks,
+                       covering_chunk_list(meta_, chunk_space_, box));
   std::vector<std::byte> staging(
       checked_size(checked_mul(chunks.size(), chunk_bytes())));
   DRX_RETURN_IF_ERROR(read_chunks(chunks, staging, collective));
@@ -459,44 +325,44 @@ Status DrxMpFile::write_box_independent(const Box& box, MemoryOrder order,
 Status DrxMpFile::write_box_impl(const Box& box, MemoryOrder order,
                                  std::span<const std::byte> in,
                                  bool collective) {
-  DRX_CHECK(box.rank() == rank());
   DRX_CHECK(in.size() == checked_mul(box.volume(), meta_.element_bytes()));
-  for (std::size_t d = 0; d < rank(); ++d) {
-    if (!box.empty() && box.hi[d] > meta_.element_bounds[d]) {
-      return Status(ErrorCode::kOutOfRange, "box exceeds array bounds");
-    }
-  }
-
-  std::vector<Index> chunks;
-  if (!box.empty()) {
-    for_each_index(chunk_space_.covering_chunks(box),
-                   [&](const Index& c) { chunks.push_back(c); });
-  }
-  std::vector<std::byte> staging(
-      checked_size(checked_mul(chunks.size(), chunk_bytes())), std::byte{0});
+  DRX_ASSIGN_OR_RETURN(std::vector<Index> chunks,
+                       covering_chunk_list(meta_, chunk_space_, box));
 
   // Boundary chunks not fully covered by the box (nor by the slack beyond
-  // the array bounds) must be read-modify-written. The read is independent:
-  // different ranks have different RMW sets, so it cannot be collective.
+  // the array bounds) must be read-modify-written. They go first, so one
+  // independent read fills the front of the staging buffer; it cannot be
+  // collective, since different ranks have different read-modify-write
+  // sets. A zone box covers each of its chunks' live part: none here.
   const Box live{Index(rank(), 0), meta_.element_bounds};
+  const auto partial = static_cast<std::size_t>(
+      std::stable_partition(chunks.begin(), chunks.end(),
+                            [&](const Index& c) {
+                              const Box cbox = chunk_space_.chunk_box(c);
+                              return cbox.intersect(box) !=
+                                     cbox.intersect(live);
+                            }) -
+      chunks.begin());
+  const std::uint64_t cb = chunk_bytes();
+  std::vector<std::byte> staging(
+      checked_size(checked_mul(chunks.size(), cb)), std::byte{0});
+  if (partial > 0) {
+    DRX_RETURN_IF_ERROR(read_chunks(
+        std::span<const Index>(chunks).first(partial),
+        std::span<std::byte>(staging).first(
+            checked_size(checked_mul(partial, cb))),
+        /*collective=*/false));
+  }
+
+  obs::StageTimer copy(obs::Stage::kCopy);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const Box cbox = chunk_space_.chunk_box(chunks[i]);
-    const Box covered = cbox.intersect(box);
-    const Box alive = cbox.intersect(live);
-    const bool fully_covered = covered == alive;
-    auto slot = std::span<std::byte>(staging).subspan(
-        checked_size(checked_mul(i, chunk_bytes())),
-        checked_size(chunk_bytes()));
-    if (!fully_covered) {
-      Index single[] = {chunks[i]};
-      DRX_RETURN_IF_ERROR(
-          read_chunks(std::span<const Index>(single, 1), slot,
-                      /*collective=*/false));
-    }
-    if (!covered.empty()) {
-      obs::StageTimer copy(obs::Stage::kCopy);
-      plan_cache_->gather(covered, box, order, slot, in);
-    }
+    const Box clip = chunk_space_.chunk_box(chunks[i]).intersect(box);
+    if (clip.empty()) continue;
+    plan_cache_->gather(clip, box, order,
+                        std::span<std::byte>(staging).subspan(
+                            checked_size(checked_mul(i, cb)),
+                            checked_size(cb)),
+                        in);
   }
   return write_chunks(chunks, staging, collective);
 }
@@ -535,23 +401,11 @@ GlobalAccessor::GlobalAccessor(simpi::Comm& comm, const Metadata& meta,
       order_(order),
       chunk_space_(meta.chunk_space()),
       window_(comm, zone) {
-  // Precompute every rank's clipped zone element box (identical on all
-  // ranks — derived from replicated metadata).
+  // Every rank's clipped zone element box (identical on all ranks —
+  // derived from replicated metadata).
   zone_boxes_.reserve(static_cast<std::size_t>(comm.size()));
   for (int r = 0; r < comm.size(); ++r) {
-    const std::vector<Box> zones = dist_.zones_of(r);
-    Box out{Index(meta.rank(), 0), Index(meta.rank(), 0)};
-    if (!zones.empty()) {
-      DRX_CHECK_MSG(zones.size() == 1,
-                    "GlobalAccessor requires a BLOCK distribution");
-      for (std::size_t d = 0; d < meta.rank(); ++d) {
-        out.lo[d] = checked_mul(zones[0].lo[d], meta.chunk_shape[d]);
-        out.hi[d] = std::min(checked_mul(zones[0].hi[d], meta.chunk_shape[d]),
-                             meta.element_bounds[d]);
-        out.lo[d] = std::min(out.lo[d], out.hi[d]);
-      }
-    }
-    zone_boxes_.push_back(std::move(out));
+    zone_boxes_.push_back(zone_element_box(meta, dist_, r));
   }
   const Box& mine = zone_boxes_[static_cast<std::size_t>(comm.rank())];
   DRX_CHECK_MSG(zone.size() ==

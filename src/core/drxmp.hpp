@@ -23,11 +23,16 @@
 #include "core/scatter.hpp"
 #include "core/zone.hpp"
 #include "mpio/file.hpp"
-#include "obs/metrics.hpp"
 #include "simpi/comm.hpp"
 #include "simpi/rma.hpp"
 
 namespace drx::core {
+
+/// Element box of `proc`'s (single, BLOCK) zone under `dist`, clipped to
+/// the array bounds; an empty box if `proc` owns no chunks. The one
+/// zone-box rule of DrxMpFile and GlobalAccessor.
+[[nodiscard]] Box zone_element_box(const Metadata& meta,
+                                   const Distribution& dist, int proc);
 
 class DrxMpFile {
  public:
@@ -44,15 +49,9 @@ class DrxMpFile {
   [[nodiscard]] static Result<DrxMpFile> open(simpi::Comm& comm, pfs::Pfs& fs,
                                 const std::string& name);
 
-  /// Collective close; persists metadata and reduces every rank's obs
-  /// metrics registry to rank 0 (see aggregate_metrics()).
+  /// Collective close; persists metadata. Every rank's metrics stay in
+  /// the process's registries, where obs::live_snapshot() sums them.
   [[nodiscard]] Status close();
-
-  /// Collective: gathers each rank's metrics registry snapshot to rank 0
-  /// and merges them. Rank 0 returns the cross-rank totals and publishes
-  /// them via obs::set_aggregated_snapshot(); other ranks return their own
-  /// local snapshot.
-  obs::MetricsSnapshot aggregate_metrics();
 
   [[nodiscard]] const Metadata& metadata() const noexcept { return meta_; }
   [[nodiscard]] std::size_t rank() const noexcept { return meta_.rank(); }
@@ -70,7 +69,9 @@ class DrxMpFile {
   /// Element box of `proc`'s (single, BLOCK) zone, clipped to the array
   /// bounds. Empty box if the process owns no chunks.
   [[nodiscard]] Box zone_element_box(const Distribution& dist,
-                                     int proc) const;
+                                     int proc) const {
+    return core::zone_element_box(meta_, dist, proc);
+  }
 
   /// Bytes needed to hold `proc`'s zone elements in memory.
   [[nodiscard]] std::uint64_t zone_buffer_bytes(const Distribution& dist,
@@ -92,8 +93,9 @@ class DrxMpFile {
                       std::span<const std::byte> staging, bool collective);
 
   // ---- zone element I/O (BLOCK distributions) ----------------------------
-  // Each rank transfers its own zone; `order` picks the in-memory
-  // linearization (C or FORTRAN) with transposition done on the fly.
+  // Each rank transfers its own zone, the box zone_element_box gives it;
+  // `order` picks the in-memory linearization (C or FORTRAN) with
+  // transposition done on the fly.
 
   [[nodiscard]] Status read_my_zone(const Distribution& dist, MemoryOrder order,
                       std::span<std::byte> out, bool collective = true);
@@ -185,15 +187,9 @@ class DrxMpFile {
   [[nodiscard]] Status transfer_chunks(std::span<const Index> chunks, void* staging,
                          bool collective, bool writing);
 
-  /// Round-pipelined zone read (docs/ASYNC_IO.md): splits the chunk list
-  /// into batches and reads batch r+1 on an I/O worker while batch r is
-  /// scattered into `out`. `batch` 0 (io::io_threads() == 0) reads one
-  /// round covering the largest zone, inline on the calling thread.
-  [[nodiscard]] Status read_my_zone_pipelined(const Distribution& dist, MemoryOrder order,
-                                std::span<std::byte> out, bool collective,
-                                std::span<const Index> chunks, const Box& box,
-                                std::uint64_t batch);
-
+  /// The one read and the one write body of every zone and box call: the
+  /// box's covering chunks move in one chunk-list transfer through a
+  /// chunk-major staging buffer, scattered to or gathered from the box.
   [[nodiscard]] Status read_box_impl(const Box& box, MemoryOrder order,
                        std::span<std::byte> out, bool collective);
   [[nodiscard]] Status write_box_impl(const Box& box, MemoryOrder order,

@@ -2,7 +2,7 @@
 //
 // A small fixed pool of worker threads servicing a bounded FIFO of
 // Status-returning jobs. Consumers (ChunkCache write-behind/read-ahead,
-// drxmp zone-read pipelining, mpio aggregator fan-out) submit closures
+// mpio aggregator fan-out) submit closures
 // and either wait on a future, register a completion callback, or use
 // drain() as a barrier.
 //

@@ -86,9 +86,6 @@ void unregister_live(const Registry* reg) {
   if (it != g_live_registries.end()) g_live_registries.erase(it);
 }
 
-util::Mutex g_aggregated_mu;
-MetricsSnapshot g_aggregated DRX_GUARDED_BY(g_aggregated_mu);
-
 /// Writes the process registry to $DRX_METRICS (binary snapshot readable
 /// by drx stats) when the process exits.
 void dump_metrics_at_exit() {
@@ -537,16 +534,6 @@ void metrics_to_json(const MetricsSnapshot& snap, JsonWriter& w) {
   }
   w.end_object();
   w.end_object();
-}
-
-void set_aggregated_snapshot(MetricsSnapshot snap) {
-  util::MutexLock lock(g_aggregated_mu);
-  g_aggregated = std::move(snap);
-}
-
-MetricsSnapshot aggregated_snapshot() {
-  util::MutexLock lock(g_aggregated_mu);
-  return g_aggregated;
 }
 
 }  // namespace drx::obs

@@ -268,8 +268,4 @@ struct LabelledName {
 /// "histograms":{...}} into an open writer position expecting a value.
 void metrics_to_json(const MetricsSnapshot& snap, JsonWriter& w);
 
-/// Rank-0 result of the last cross-rank reduction (DrxMpFile::close()).
-void set_aggregated_snapshot(MetricsSnapshot snap);
-[[nodiscard]] MetricsSnapshot aggregated_snapshot();
-
 }  // namespace drx::obs

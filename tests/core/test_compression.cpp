@@ -559,9 +559,9 @@ void write_relocated_rle(pfs::Pfs& fs, const std::string& name) {
 }
 
 /// A striped PFS whose cost model makes a seek worth 128 bytes of
-/// transfer, one chunk of the arrays below: a pipelined zone read with io
-/// threads then reads one chunk per round, so a zone takes many rounds.
-pfs::PfsConfig one_chunk_rounds() {
+/// transfer, one chunk of the arrays below: the sieve gap is one chunk,
+/// so any read split at one seek's worth would split every zone here.
+pfs::PfsConfig one_chunk_sieve_gap() {
   pfs::PfsConfig cfg;
   cfg.stripe_size = 64;
   cfg.cost.seek_us = 0;
@@ -580,18 +580,18 @@ void expect_mp_box(const Box& box, std::span<const double> out) {
   });
 }
 
-/// Sets the I/O worker count for DRX-MP zone reads while in scope.
+/// Sets the global io thread count (two-phase fan-out workers) in scope.
 struct IoThreads {
   explicit IoThreads(int threads) { io::set_io_threads(threads); }
   ~IoThreads() { io::set_io_threads(-1); }
 };
 
 // A relocated RLE array reads back through every DRX-MP path: independent
-// boxes, read_my_zone over BLOCK zones (pipelined rounds with io threads)
-// and each rank's BLOCK_CYCLIC chunk list (read_my_zone needs a BLOCK
-// distribution), collectively and independently.
+// boxes, read_my_zone over BLOCK zones (one chunk-list transfer at any io
+// thread count) and each rank's BLOCK_CYCLIC chunk list (read_my_zone
+// needs a BLOCK distribution), collectively and independently.
 TEST(CompressionMp, RelocatedRleReadsThroughEveryZonePath) {
-  pfs::Pfs fs(one_chunk_rounds());
+  pfs::Pfs fs(one_chunk_sieve_gap());
   ASSERT_EQ(fs.config().cost.sieve_gap_bytes(), 128u);
   write_relocated_rle(fs, "reloc");
   for (const int threads : {0, 2}) {
@@ -648,10 +648,10 @@ TEST(CompressionMp, RelocatedRleReadsThroughEveryZonePath) {
 
 // A damaged slot surfaces through the DRX-MP path as a clean kCorrupt and
 // a flight dump, as it does through DrxFile, on the rank that owns it
-// alone: its peers' pipelined rounds still complete, with or without io
-// threads.
+// alone: the decode runs after the collective, so its peers' reads still
+// complete, with or without io threads.
 TEST(CompressionMp, CorruptSlotIsCleanErrorAndDumpsFlight) {
-  pfs::Pfs fs(one_chunk_rounds());
+  pfs::Pfs fs(one_chunk_sieve_gap());
   write_relocated_rle(fs, "bad");
   std::uint64_t victim = 0;
   {

@@ -122,12 +122,15 @@ TEST_F(TraceFixture, CollectiveTransferSpansAllFourLayers) {
 
 // Acceptance: a traced multi-rank zone read through the async engine
 // emits flow events causally linking the submitting op to the pool job
-// and on to the PFS requests it issues (docs/OBSERVABILITY.md).
+// and on to the PFS requests it issues (docs/OBSERVABILITY.md). The pool
+// jobs are two-phase I/O's per-server jobs on the aggregator fan-out:
+// with 8 servers over 4 ranks each aggregator owns two, so 2 io threads
+// give it workers (with one server each it would have none).
 TEST_F(TraceFixture, AsyncZoneReadEmitsCausalFlowArrows) {
   constexpr int kRanks = 4;
-  io::set_io_threads(1);  // enable the pipelined read path + worker flows
+  io::set_io_threads(2);  // aggregator fan-out workers
   pfs::PfsConfig cfg;
-  cfg.num_servers = 2;
+  cfg.num_servers = 8;
   cfg.stripe_size = 256;
   pfs::Pfs fs(cfg);
   simpi::run(kRanks, [&](simpi::Comm& comm) {
