@@ -144,10 +144,20 @@ Status DrxMpFile::close() {
 
 Status DrxMpFile::flush_metadata() { return commit_metadata(meta_); }
 
-Status DrxMpFile::commit_metadata(const Metadata& meta) {
-  comm_->barrier();
+Status DrxMpFile::commit_metadata(const Metadata& meta,
+                                  std::uint64_t grow_data_to) {
+  // No leading barrier: rank 0 only grows the .xta, which keeps every byte
+  // a peer may still be moving, and rewrites the .xmd, which no peer
+  // touches. The previous collective transfer already returned on rank 0
+  // only after every aggregator's device accesses.
   std::uint8_t ok = 1;
-  if (comm_->rank() == 0) {
+  if (comm_->rank() == 0 && grow_data_to > 0) {
+    // The same file (and simulated datafiles) as data_, by name as the
+    // .xmd below; the PFS datafiles are sparse, so growth stores nothing.
+    auto data = fs_->open(data_name(name_));
+    if (!data.is_ok() || !data.value().truncate(grow_data_to).is_ok()) ok = 0;
+  }
+  if (comm_->rank() == 0 && ok != 0) {
     auto handle = fs_->open(meta_name(name_));
     if (!handle.is_ok()) {
       ok = 0;
@@ -163,9 +173,11 @@ Status DrxMpFile::commit_metadata(const Metadata& meta) {
       }
     }
   }
+  // The one collective: no rank moves on before rank 0's commit, and
+  // every rank returns its outcome.
   comm_->bcast_value(ok, 0);
   if (ok == 0) {
-    return Status(ErrorCode::kIoError, "metadata flush failed");
+    return Status(ErrorCode::kIoError, "metadata commit failed");
   }
   return Status::ok();
 }
@@ -378,16 +390,17 @@ Status DrxMpFile::extend_all(std::size_t dim, std::uint64_t delta) {
     return Status(ErrorCode::kUnsupported,
                   "compressed DRX-MP arrays are read-only");
   }
-  comm_->barrier();
   // Deterministic, identical update on every rank keeps the replicated
   // metadata consistent without communication. It is made on a copy that
   // replaces meta_ only once the commit succeeds, so a failed extend
-  // leaves the array as it was.
+  // leaves the array as it was. Rank 0 grows the .xta and writes the
+  // .xmd inside the commit, whose status broadcast is the only
+  // collective: it replaces set_size's barriers and the old leading
+  // barrier.
   Metadata next = meta_;
-  if (delta > 0 && next.extend_elements(dim, delta).has_value()) {
-    DRX_RETURN_IF_ERROR(data_.set_size(next.data_file_bytes()));
-  }
-  DRX_RETURN_IF_ERROR(commit_metadata(next));
+  const bool grew = delta > 0 && next.extend_elements(dim, delta).has_value();
+  DRX_RETURN_IF_ERROR(
+      commit_metadata(next, grew ? next.data_file_bytes() : 0));
   meta_ = std::move(next);
   return Status::ok();
 }

@@ -153,7 +153,8 @@ class DrxMpFile {
 
   /// Collective extension of dimension `dim` by `delta` element indices.
   /// All ranks apply the same deterministic metadata update; rank 0
-  /// persists the .xmd and grows the .xta (appended chunks read as zero).
+  /// grows the .xta (appended chunks read as zero) and persists the .xmd,
+  /// then broadcasts the outcome, the call's one collective.
   [[nodiscard]] Status extend_all(std::size_t dim, std::uint64_t delta);
 
   /// Persists metadata from rank 0 (collective).
@@ -175,9 +176,12 @@ class DrxMpFile {
             std::make_unique<PlanCache>(chunk_space_, meta_.element_bytes())),
         data_(std::move(data)) {}
 
-  /// Writes `meta` as the .xmd from rank 0 (collective); the body of
-  /// flush_metadata, and extend_all's commit of its extended copy.
-  [[nodiscard]] Status commit_metadata(const Metadata& meta);
+  /// Rank 0 grows the .xta to `grow_data_to` bytes (0: leaves it), then
+  /// writes `meta` as the .xmd, and broadcasts the outcome (collective:
+  /// one broadcast). The body of flush_metadata, and extend_all's commit
+  /// of its extended copy.
+  [[nodiscard]] Status commit_metadata(const Metadata& meta,
+                                       std::uint64_t grow_data_to = 0);
 
   /// The chunk rule of every DRX-MP transfer, raw and compressed: one
   /// byte-granular file view over the chunks' storage extents (sorted by

@@ -22,6 +22,16 @@ struct Piece {
   std::uint64_t reply_pos = 0;  ///< byte position in the source's reply
 };
 
+/// Rank 0's status on every rank: the root broadcasts its code, and a peer
+/// returns that code with a note that rank 0 failed. The broadcast also
+/// orders rank 0's operation before any peer returns.
+Status root_status(simpi::Comm& comm, const Status& st) {
+  ErrorCode code = st.code();
+  comm.bcast_value(code, 0);
+  if (comm.rank() == 0 || code == ErrorCode::kOk) return st;
+  return Status(code, "collective call failed on rank 0");
+}
+
 }  // namespace
 
 Result<File> File::open(simpi::Comm& comm, pfs::Pfs& fs,
@@ -61,7 +71,8 @@ Result<File> File::open(simpi::Comm& comm, pfs::Pfs& fs,
     if (comm.rank() != 0) error = "collective open failed on rank 0";
     return Status(ErrorCode::kIoError, error);
   }
-  comm.barrier();  // namespace op visible before peers open
+  // No barrier: the status broadcast already orders rank 0's namespace
+  // operation before any peer opens.
 
   auto handle = fs.open(name);
   if (!handle.is_ok()) return handle.status();
@@ -77,13 +88,15 @@ Result<File> File::open(simpi::Comm& comm, pfs::Pfs& fs,
 
 Status File::close() {
   DRX_CHECK(is_open());
-  state_->comm->barrier();
-  if ((state_->mode & kModeDeleteOnClose) != 0 && state_->comm->rank() == 0) {
-    DRX_RETURN_IF_ERROR(state_->fs->remove(state_->name));
+  simpi::Comm& comm = *state_->comm;
+  comm.barrier();  // every rank's I/O is done before the handle goes
+  Status st;
+  if ((state_->mode & kModeDeleteOnClose) != 0) {
+    if (comm.rank() == 0) st = state_->fs->remove(state_->name);
+    st = root_status(comm, st);
   }
-  state_->comm->barrier();
   state_.reset();
-  return Status::ok();
+  return st;
 }
 
 void File::set_view(std::uint64_t disp, const simpi::Datatype& etype,
@@ -275,18 +288,13 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
     reg.counter(writing ? kWritten : kRead).add(total);
   }
 
-  // ---- Phase 0: local request list; stop if no rank asked for a byte.
+  // ---- Phase 0: local request list. A call where no rank asks for a
+  // byte still runs both exchanges: skipping it would take one more
+  // collective on every call that moves data.
   std::vector<FileExtent> extents;
   if (total != 0) {
     extents = state_->view.map_range(
         checked_mul(offset_etypes, state_->view.etype().size()), total);
-  }
-  std::uint64_t my_hi = 0;
-  for (const FileExtent& e : extents) {
-    my_hi = std::max(my_hi, e.offset + e.length);
-  }
-  if (comm.allreduce_value(my_hi, simpi::ReduceOp::kMax) == 0) {
-    return Status::ok();  // nothing requested anywhere
   }
 
   // Server-aligned file domains (Liao & Choudhary, SC'08): each PFS server
@@ -431,9 +439,11 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
                                                  : a.local < b.local;
                    });
 
+  // A read reply holds the requester's pieces, then one byte: this
+  // aggregator's ErrorCode.
   std::vector<std::vector<std::byte>> replies(np);
   for (std::size_t src = 0; src < np; ++src) {
-    replies[src].resize(checked_size(writing ? 0 : reply_sizes[src]));
+    replies[src].resize(checked_size(writing ? 0 : reply_sizes[src] + 1));
   }
 
   // EOF is checked here, before any device access: read_local reads
@@ -558,23 +568,38 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
     obs::registry().counter(kRuns).add(completed_runs.load());
   }
 
-  // Aggregator failures must surface on every rank (collective semantics).
-  const std::uint8_t ok_local = io_status.is_ok() ? 1 : 0;
-  const std::uint8_t ok_all =
-      comm.allreduce_value(ok_local, simpi::ReduceOp::kMin);
-
-  // ---- Phase 3: return read payloads to requesters. The replies move
-  // into the exchange, and each returned stream holds its requester's
-  // pieces in the order they were asked for.
-  if (!writing) {
+  // Aggregator failures surface on every rank (collective semantics):
+  // this rank's own failure, else a failing aggregator's code.
+  const auto local_code = static_cast<std::uint8_t>(io_status.code());
+  std::uint8_t failed_code = 0;
+  if (writing) {
+    // No trailing barrier: this allreduce already completes only after
+    // every aggregator's writes, so they are visible when any rank returns.
+    failed_code = comm.allreduce_value(local_code, simpi::ReduceOp::kMax);
+  } else {
+    // ---- Phase 3: return read payloads to requesters. The replies move
+    // into the exchange, and each returned stream holds its requester's
+    // pieces in the order they were asked for, then its aggregator's
+    // status byte, so no status allreduce is needed.
     obs::ScopedSpan shuffle_span("mpio.coll.shuffle", "mpio");
+    for (std::vector<std::byte>& reply : replies) {
+      reply.back() = static_cast<std::byte>(local_code);
+    }
     const std::vector<std::vector<std::byte>> returned =
         comm.alltoallv_bytes(std::move(replies));
-    if (ok_all != 0) {
+    for (const std::vector<std::byte>& stream : returned) {
+      DRX_CHECK(!stream.empty());
+      if (failed_code == 0) {
+        failed_code = static_cast<std::uint8_t>(stream.back());
+      }
+    }
+    if (failed_code == 0) {
       std::vector<std::size_t> stream_pos(np, 0);
       simpi::Datatype::Cursor user(memtype, count);
       for (const LocalPiece& lp : pieces) {
-        const std::span<const std::byte> stream(returned[lp.aggregator]);
+        const std::vector<std::byte>& reply = returned[lp.aggregator];
+        const auto stream =
+            std::span<const std::byte>(reply).first(reply.size() - 1);
         std::size_t& pos = stream_pos[lp.aggregator];
         DRX_CHECK(pos + lp.length <= stream.size());
         user.scatter(stream.subspan(pos, checked_size(lp.length)),
@@ -582,13 +607,12 @@ Status File::transfer_collective(std::uint64_t offset_etypes, void* buf,
         pos += checked_size(lp.length);
       }
     }
-  } else {
-    comm.barrier();  // writes visible before any rank proceeds
   }
 
-  if (ok_all == 0) {
+  if (failed_code != 0) {
     return io_status.is_ok()
-               ? Status(ErrorCode::kIoError, "collective I/O failed on a peer")
+               ? Status(static_cast<ErrorCode>(failed_code),
+                        "collective I/O failed on a peer")
                : io_status;
   }
   return Status::ok();
@@ -601,11 +625,12 @@ std::uint64_t File::get_size() const {
 
 Status File::set_size(std::uint64_t bytes) {
   DRX_CHECK(is_open());
-  state_->comm->barrier();
+  state_->comm->barrier();  // no rank's I/O is in flight while the size moves
   Status st;
   if (state_->comm->rank() == 0) st = state_->handle.truncate(bytes);
-  state_->comm->barrier();
-  return st;
+  // The status broadcast replaces a trailing barrier: no peer returns
+  // before the truncate, and every rank returns rank 0's outcome.
+  return root_status(*state_->comm, st);
 }
 
 Status File::sync() {

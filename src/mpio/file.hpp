@@ -40,7 +40,8 @@ class File {
   [[nodiscard]] static Result<File> open(simpi::Comm& comm, pfs::Pfs& fs,
                            const std::string& name, int mode);
 
-  /// Collective close.
+  /// Collective close. Under kModeDeleteOnClose rank 0 removes the file
+  /// and every rank returns rank 0's status; the handle closes either way.
   [[nodiscard]] Status close();
 
   [[nodiscard]] bool is_open() const noexcept { return state_ != nullptr; }
@@ -77,7 +78,10 @@ class File {
   // one of the first min(P, servers) ranks acting as aggregators, each
   // aggregator issues one access per contiguous run of a server's
   // datafile (a read also crosses holes below the PFS cost model's
-  // sieve gap), and payloads are redistributed with alltoallv.
+  // sieve gap), and payloads are redistributed with alltoallv. A call is
+  // two collectives: the request exchange, then for a write a status
+  // allreduce that also completes it, for a read the reply exchange, each
+  // reply ending in its aggregator's status byte.
 
   [[nodiscard]] Status read_all(void* buf, std::uint64_t count,
                   const simpi::Datatype& memtype);
@@ -91,7 +95,8 @@ class File {
   // ---- metadata ----------------------------------------------------------
 
   [[nodiscard]] std::uint64_t get_size() const;  ///< bytes (MPI_File_get_size)
-  [[nodiscard]] Status set_size(std::uint64_t bytes);          ///< collective
+  /// Collective; every rank returns rank 0's truncate status.
+  [[nodiscard]] Status set_size(std::uint64_t bytes);
   [[nodiscard]] Status sync();                                 ///< collective
 
  private:

@@ -8,6 +8,7 @@
 // RMA window implementation.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -35,11 +36,20 @@ struct Message {
   std::vector<std::byte> payload;
 };
 
+/// True if a job of `nranks` rank threads may spin while it waits: only
+/// when every rank can have a core (`hardware_concurrency` of them), so a
+/// spinning rank never takes the core of the rank it waits for.
+[[nodiscard]] bool spin_waits(int nranks);
+
 /// One receive queue per rank. Senders push; the owning rank pops with
 /// (source, tag, context) matching in arrival order, as MPI requires for
-/// matching (non-overtaking between a given pair).
+/// matching (non-overtaking between a given pair). Only the owning rank's
+/// thread waits on it.
 class Mailbox {
  public:
+  /// `spin`: waits spin before they park (spin_waits).
+  explicit Mailbox(bool spin) : spin_(spin) {}
+
   void push(Message msg);
 
   /// Blocks until a matching message arrives, then removes and returns it.
@@ -58,23 +68,35 @@ class Mailbox {
   [[nodiscard]] bool matches(const Message& m, int source, int tag,
                              std::uint32_t context) const;
 
+  /// Waits until a message matching (source, tag, context) is queued and
+  /// returns `take(it)` for it, under the lock.
+  template <typename Take>
+  auto await_match(int source, int tag, std::uint32_t context, Take take);
+
+  const bool spin_;
   util::Mutex mu_;
   util::CondVar cv_;
   std::deque<Message> queue_ DRX_GUARDED_BY(mu_);
+  /// Messages ever pushed; written under mu_, read by spinning waiters
+  /// without it.
+  std::atomic<std::uint64_t> pushes_{0};
 };
 
-/// Centralized sense-reversing barrier, one instance per context id.
+/// Centralized barrier, one instance per context id. A waiter watches the
+/// generation the last arrival publishes.
 class BarrierState {
  public:
-  explicit BarrierState(int nranks) : nranks_(nranks) {}
+  BarrierState(int nranks, bool spin) : spin_(spin), nranks_(nranks) {}
   void arrive_and_wait();
 
  private:
+  const bool spin_;
   util::Mutex mu_;
   util::CondVar cv_;
   int nranks_;
   int arrived_ DRX_GUARDED_BY(mu_) = 0;
-  std::uint64_t generation_ DRX_GUARDED_BY(mu_) = 0;
+  /// Written under mu_, read by spinning waiters without it.
+  std::atomic<std::uint64_t> generation_{0};
 };
 
 }  // namespace detail
@@ -99,7 +121,9 @@ class World {
 
  private:
   int nranks_;
-  std::vector<detail::Mailbox> mailboxes_;
+  bool spin_;
+  // Mailbox is neither movable nor copyable; a deque constructs in place.
+  std::deque<detail::Mailbox> mailboxes_;
 
   util::Mutex barrier_mu_;
   // BarrierState is neither movable nor copyable; store stable pointers.

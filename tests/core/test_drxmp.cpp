@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "simpi/runtime.hpp"
 #include "util/checked.hpp"
 #include "util/rng.hpp"
@@ -328,6 +329,57 @@ TEST(DrxMp, AppendGrowthKeepsDatafilesToTheBytesWritten) {
         << "server " << s;
   }
   EXPECT_GE(resident(), 24 * kLat * kLon * sizeof(double));
+}
+
+TEST(DrxMp, AppendStepMakesSixCollectiveCalls) {
+  // One append step (extend, write the new slab, read recent slabs):
+  // extend_all is one status broadcast, a box write one alltoallv plus the
+  // status allreduce (a reduce and a broadcast) that also completes it,
+  // and a box read two alltoallvs, the second carrying the statuses.
+  pfs::Pfs fs(cfg(8, 64 * 1024));
+  constexpr int kRanks = 4;
+  constexpr std::uint64_t kLat = 64;
+  constexpr std::uint64_t kLon = 256;
+  const std::vector<std::string> kCalls = {
+      "simpi.coll.barriers", "simpi.coll.bcasts",    "simpi.coll.reduces",
+      "simpi.coll.gathers",  "simpi.coll.scatters",  "simpi.coll.alltoalls",
+      "simpi.coll.scans"};
+  simpi::run(kRanks, [&](simpi::Comm& comm) {
+    DrxMpFile f = DrxMpFile::create(comm, fs, "climate", Shape{1, kLat, kLon},
+                                    Shape{1, 16, 32}, dbl_opts())
+                      .value();
+    const std::uint64_t rows = kLat / kRanks;
+    const auto me = static_cast<std::uint64_t>(comm.rank());
+    for (std::uint64_t t = 0; t < 4; ++t) {
+      const Box slab{Index{t, me * rows, 0},
+                     Index{t + 1, (me + 1) * rows, kLon}};
+      const Box recent{Index{0, me * rows, 0},
+                       Index{t + 1, (me + 1) * rows, kLon}};
+      std::vector<double> vals(static_cast<std::size_t>(slab.volume()),
+                               static_cast<double>(t + 1));
+      std::vector<double> back(static_cast<std::size_t>(recent.volume()));
+      const obs::MetricsSnapshot before = obs::registry().snapshot();
+      if (t > 0) {
+        ASSERT_TRUE(f.extend_all(0, 1).is_ok());
+      }
+      ASSERT_TRUE(f.write_box_all(slab, MemoryOrder::kRowMajor,
+                                  std::as_bytes(std::span<const double>(vals)))
+                      .is_ok());
+      ASSERT_TRUE(f.read_box_all(recent, MemoryOrder::kRowMajor,
+                                 std::as_writable_bytes(std::span<double>(back)))
+                      .is_ok());
+      const obs::MetricsSnapshot d =
+          obs::snapshot_delta(obs::registry().snapshot(), before);
+      std::uint64_t calls = 0;
+      for (const std::string& name : kCalls) calls += d.counter(name);
+      EXPECT_EQ(calls, t > 0 ? 6u : 5u) << "rank " << me << " step " << t;
+      EXPECT_EQ(d.counter("simpi.coll.barriers"), 0u);
+      for (std::size_t k = 0; k < back.size(); ++k) {
+        ASSERT_EQ(back[k], static_cast<double>(k / (rows * kLon) + 1));
+      }
+    }
+    ASSERT_TRUE(f.close().is_ok());
+  });
 }
 
 TEST(DrxMp, ZoneCollectiveCostsTheSameSimulatedTimeEveryCall) {

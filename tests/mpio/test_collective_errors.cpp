@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "../watchdog.hpp"
 #include "mpio/file.hpp"
 #include "obs/metrics.hpp"
 #include "simpi/runtime.hpp"
@@ -49,6 +50,26 @@ TEST(CollectiveErrors, ReadPastEofFailsOnAllRanks) {
         f.read_at_all(128, out.data(), 64, Datatype::bytes(1));
     EXPECT_FALSE(s.is_ok()) << "rank " << comm.rank();
     ASSERT_TRUE(f.close().is_ok());
+  });
+}
+
+TEST(CollectiveErrors, DeleteOnCloseFailureReturnsOnEveryRank) {
+  // Rank 0's removal fails (the file is already gone); every rank must
+  // return rank 0's status instead of waiting for it in a barrier.
+  pfs::Pfs fs(cfg());
+  drx::testing::with_watchdog(std::chrono::seconds(30), "close", [&] {
+    simpi::run(4, [&](Comm& comm) {
+      File f = File::open(comm, fs, "gone",
+                          kModeRdWr | kModeCreate | kModeDeleteOnClose)
+                   .value();
+      comm.barrier();
+      if (comm.rank() == 0) {
+        ASSERT_TRUE(fs.remove("gone").is_ok());
+      }
+      EXPECT_EQ(f.close().code(), ErrorCode::kNotFound)
+          << "rank " << comm.rank();
+      EXPECT_FALSE(f.is_open());
+    });
   });
 }
 
